@@ -19,7 +19,7 @@ under normality.
 The covariance is computed by two first-class routes: ``sigma_analytic``
 (exact linear algebra on raw moments up to order 8) and
 ``sigma_monte_carlo`` (replicated sampling, averaging per-replicate sample
-variances with the 1/(n-1) convention).
+variances with the 1/(n-1) convention over row blocks of replicates).
 
 ``legacy=True`` swaps in the variant skewness polynomial used by the
 original implementation of this test, which scales the quadratic correction
@@ -30,16 +30,15 @@ variant, so reproducing them requires it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy.special import gammaincc
 
-from .distributions import SkewNormalShape
+from .distributions import SkewNormalShape, fill_sn
 from .errors import DegenerateSampleError, DomainError, SingularCovarianceError
-from .moments import MomentVector, centered_moment
+from .moments import MomentVector, centered_moment, sn_raw_moments
 from .rng import map_replicates
 
 __all__ = [
@@ -176,45 +175,45 @@ def sigma_monte_carlo(
     seed: int,
     *,
     legacy: bool = False,
-    threads: int | None = None,
 ) -> CovarianceMatrix2:
     """Monte-Carlo covariance: average per-replicate sample Var/Cov of C, B.
 
     Each replicate draws ``per_rep_n`` variates from its own substream
     ``(seed, replicate)`` and uses the 1/(n-1) sample-variance convention;
-    results are deterministic in ``seed`` and independent of thread count.
+    results are deterministic in ``seed`` and independent of block size.
     """
     if reps < 1:
         raise DomainError(f"need reps >= 1, got {reps}")
     if per_rep_n < 2:
         raise DomainError(f"need per_rep_n >= 2, got {per_rep_n}")
-    from .moments import sn_raw_moments
-
     make = legacy_influence_polynomials if legacy else influence_polynomials
     cpoly, bpoly = make(sn_raw_moments(shape))
     cc = np.asarray(cpoly.coeffs)
     bb = np.asarray(bpoly.coeffs)
     d = shape.delta
-    scale = math.sqrt(1.0 - d * d)
 
-    def one_rep(_i: int, g: np.random.Generator):
-        z = d * np.abs(g.standard_normal(per_rep_n)) + scale * g.standard_normal(per_rep_n)
-        cz = P.polyval(z, cc)
-        bz = P.polyval(z, bb)
-        cov = np.cov(cz, bz, ddof=1)
-        return cov[0, 0], cov[1, 1], cov[0, 1]
+    def covariances(xs: np.ndarray) -> np.ndarray:
+        cz = P.polyval(xs, cc)
+        bz = P.polyval(xs, bb)
+        cz -= cz.mean(axis=1, keepdims=True)
+        bz -= bz.mean(axis=1, keepdims=True)
+        sums = [(cz * cz).sum(axis=1), (bz * bz).sum(axis=1), (cz * bz).sum(axis=1)]
+        return np.stack(sums, axis=1) / (per_rep_n - 1)
 
-    rows = map_replicates(one_rep, reps, seed, threads=threads)
-    s11, s22, s12 = np.mean(rows, axis=0)
+    rows = map_replicates(
+        lambda g, row: fill_sn(g, row, d), covariances, reps, per_rep_n, seed
+    )
+    s11, s22, s12 = rows.mean(axis=0)
     return CovarianceMatrix2(s11=float(s11), s22=float(s22), s12=float(s12))
 
 
-def chi2_survival(x: float, dof: int = 2) -> float:
-    """P(chi^2_dof > x); the dof=2 case uses the closed form exp(-x/2)."""
-    if x < 0.0 or not math.isfinite(x):
+def chi2_survival(x, dof: int = 2):
+    """P(chi^2_dof > x) for a scalar or ndarray ``x``; every entry must be
+    finite and >= 0. The dof=2 case uses the closed form exp(-x/2)."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
     if dof < 1:
         raise DomainError(f"dof must be >= 1, got {dof}")
-    if dof == 2:
-        return math.exp(-0.5 * x)
-    return float(gammaincc(0.5 * dof, 0.5 * x))
+    out = np.exp(-0.5 * arr) if dof == 2 else gammaincc(0.5 * dof, 0.5 * arr)
+    return float(out) if arr.ndim == 0 else out

@@ -5,8 +5,8 @@ Exit codes: 0 success (including decide's accept/inconclusive verdicts),
 1 decide rejected normality, 2 usage error, 3 runtime error.
 
 Every subcommand that draws randomness takes --seed and is bit-reproducible
-in its report payload (wall_time_ms excluded). GJB_THREADS caps worker
-parallelism without affecting results.
+in its report payload (wall_time_ms excluded). Commands run in a single
+thread; campaign replicates are processed in bounded row blocks.
 """
 
 from __future__ import annotations

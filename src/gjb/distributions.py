@@ -26,6 +26,7 @@ __all__ = [
     "delta_of_alpha",
     "sn_pdf",
     "sample_sn",
+    "fill_sn",
     "half_normal_moments",
     "standard_normal_moments",
 ]
@@ -94,11 +95,18 @@ def sample_sn(shape: SkewNormalShape, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise DegenerateSampleError(f"need at least one draw, got n={n}")
-    g = substream(seed)
-    z1 = g.standard_normal(n)
-    z2 = g.standard_normal(n)
-    d = shape.delta
-    return d * np.abs(z1) + math.sqrt(1.0 - d * d) * z2
+    out = np.empty(n)
+    fill_sn(substream(seed), out, shape.delta)
+    return out
+
+
+def fill_sn(g: np.random.Generator, out: np.ndarray, delta: float) -> None:
+    """Overwrite ``out`` with ``delta |Z1| + sqrt(1-delta^2) Z2``, drawing
+    Z1 then Z2 from ``g``, each as one vector of ``out``'s size."""
+    g.standard_normal(out=out)
+    np.abs(out, out=out)
+    out *= delta
+    out += math.sqrt(1.0 - delta * delta) * g.standard_normal(out.shape)
 
 
 def half_normal_moments() -> np.ndarray:

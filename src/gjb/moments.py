@@ -126,18 +126,15 @@ def analytic_shape_statistics(shape: SkewNormalShape) -> ShapeStatistics:
     return ShapeStatistics(skewness=skew, kurtosis=kurt)
 
 
-def delta_from_skewness(b: float) -> float:
-    """Invert the (strictly increasing) skewness map by bisection.
-
-    ``b`` must lie strictly inside (-SKEWNESS_SUP, SKEWNESS_SUP).
-    """
-    if abs(b) >= SKEWNESS_SUP:
+def delta_from_skewness(b):
+    """Invert the skewness map in closed form, for scalar or ndarray ``b``
+    strictly inside (-SKEWNESS_SUP, SKEWNESS_SUP): with t = |b|^(2/3),
+    |delta| = sqrt(pi/2 * t / (t + ((4-pi)/2)^(2/3))), signed like b
+    (Azzalini & Capitanio, The Skew-Normal and Related Families, sec. 3.1)."""
+    arr = np.asarray(b, dtype=float)
+    if not np.all(np.abs(arr) < SKEWNESS_SUP):
         raise DomainError(f"skewness {b} is outside the attainable range")
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if skewness_of_delta(mid) < b:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    t = np.abs(arr) ** (2.0 / 3.0)
+    c = (0.5 * (4.0 - math.pi)) ** (2.0 / 3.0)
+    delta = np.copysign(np.sqrt(0.5 * math.pi * t / (t + c)), arr)
+    return float(delta) if arr.ndim == 0 else delta

@@ -1,33 +1,30 @@
-"""Reproducible random streams for sequential and parallel simulation.
+"""Reproducible random streams and the replicate loop.
 
 All randomness in this package flows through :func:`substream`, which keys a
 counter-based Philox generator with ``SeedSequence(seed, spawn_key=key)``.
 Two consequences:
 
-* the stream for a given ``(seed, key)`` is bit-reproducible across runs,
-  platforms, and thread counts;
+* the stream for a given ``(seed, key)`` is bit-reproducible across runs and
+  platforms;
 * replicate ``i`` of a campaign draws from ``substream(seed, i)``, so a
-  campaign's result does not depend on how replicates are scheduled.
+  campaign's result does not depend on how replicates are grouped.
 
 Standard normals come from numpy's ``Generator.standard_normal`` (ziggurat).
 
-Worker parallelism is capped by the ``GJB_THREADS`` environment variable
-(default: all cores). Because of the substream contract it never affects
-results, only wall time.
+The library is single-threaded: :func:`map_replicates` draws replicates into
+row blocks bounded by :data:`BLOCK_ELEMENTS` values and reduces each block
+with a row-wise kernel; no result depends on the block size.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable
 
 import numpy as np
 
-T = TypeVar("T")
-
-# Below this many replicates the thread-pool overhead outweighs the work.
-_SERIAL_CUTOFF = 256
+# Upper bound on rows * n for one block (8 MB of float64); a block always
+# holds at least one row.
+BLOCK_ELEMENTS = 1 << 20
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -37,39 +34,38 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def worker_count() -> int:
-    env = os.environ.get("GJB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    """Always 1: the library starts no threads and runs replicates serially."""
+    return 1
+
+
+def block_rows(n: int) -> int:
+    """Rows of length ``n`` per block: at most ``BLOCK_ELEMENTS // n``, at least 1."""
+    return max(1, BLOCK_ELEMENTS // n)
 
 
 def map_replicates(
-    fn: Callable[[int, np.random.Generator], T],
+    draw: Callable[[np.random.Generator, np.ndarray], None],
+    kernel: Callable[[np.ndarray], np.ndarray],
     reps: int,
+    n: int,
     seed: int,
     *,
     key_prefix: tuple[int, ...] = (),
-    threads: int | None = None,
-) -> list[T]:
-    """Evaluate ``fn(i, substream(seed, *key_prefix, i))`` for i in 0..reps-1.
+) -> np.ndarray:
+    """Row-wise ``kernel`` results for replicates 0..reps-1, in order.
 
+    Replicate ``i`` is the length-``n`` row that ``draw(g, row)`` fills from
+    ``g = substream(seed, *key_prefix, i)``. Rows are gathered into blocks
+    (see :func:`block_rows`); ``kernel`` maps a ``(rows, n)`` block to one
+    result per row, and the results are concatenated along the first axis.
     ``key_prefix`` namespaces the replicate streams so distinct consumers of
-    the same seed never share a stream. The result list is ordered by
-    replicate index and is identical whatever ``threads`` is; threads only
-    split the index range into chunks.
+    the same seed never share a stream.
     """
-    if threads is None:
-        threads = worker_count()
-    if threads <= 1 or reps < _SERIAL_CUTOFF:
-        return [fn(i, substream(seed, *key_prefix, i)) for i in range(reps)]
-
-    def run_chunk(indices: Sequence[int]) -> list[T]:
-        return [fn(i, substream(seed, *key_prefix, i)) for i in indices]
-
-    chunks = np.array_split(np.arange(reps), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run_chunk, chunks))
-    return [item for part in parts for item in part]
+    step = block_rows(n)
+    parts = []
+    for start in range(0, reps, step):
+        xs = np.empty((min(step, reps - start), n))
+        for i, row in enumerate(xs, start):
+            draw(substream(seed, *key_prefix, i), row)
+        parts.append(kernel(xs))
+    return np.concatenate(parts)

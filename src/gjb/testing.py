@@ -25,7 +25,6 @@ J_n by exactly k.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,11 +35,11 @@ from .asymptotics import (
     sigma_analytic,
     sigma_monte_carlo,
 )
-from .distributions import SkewNormalShape
+from .distributions import SkewNormalShape, fill_sn
 from .errors import DegenerateSampleError, DomainError, SingularCovarianceError
 from .moments import delta_from_skewness, shape_statistics, sn_raw_moments
 from .reference import rejection_size_hint
-from .rng import map_replicates, substream
+from .rng import block_rows, map_replicates, substream
 
 __all__ = [
     "TestOutcome",
@@ -137,25 +136,40 @@ class DecisionOutcome:
     test: TestOutcome
 
 
+def _shape_rows(xs: np.ndarray, ddof: int = 0):
+    """Empirical (a_n, b_n) of each row of a ``(rows, n)`` block, and the mask
+    of constant rows, which score b_n = 0 (no asymmetry evidence), a_n = nan."""
+    n = xs.shape[1]
+    dev = xs - xs.mean(axis=1, keepdims=True)
+    d2 = dev * dev
+    v = d2.sum(axis=1) / (n - ddof)
+    mu3 = (d2 * dev).mean(axis=1)
+    mu4 = (d2 * d2).mean(axis=1)
+    constant = v == 0.0
+    a_n = np.divide(mu4, v * v, out=np.full_like(v, np.nan), where=~constant)
+    b_n = np.divide(mu3, v**1.5, out=np.zeros_like(v), where=~constant)
+    return a_n, b_n, constant
+
+
 def empirical_shape(sample, ddof: int = 0) -> tuple[float, float]:
     """Empirical kurtosis and skewness (a_n, b_n) of a sample.
 
     ``ddof=0`` is the 1/n convention throughout; ``ddof=1`` scales the
     denominators by the unbiased sample variance instead (numerators stay
-    1/n averages).
+    1/n averages). This is the library's entry check on a sample: it must
+    hold at least 2 values, all finite, not all equal.
     """
-    x = np.asarray(sample, dtype=float)
+    x = np.asarray(sample, dtype=float).reshape(1, -1)
     n = x.size
     if n < 2:
         raise DegenerateSampleError(f"need at least 2 observations, got {n}")
-    dev = x - x.mean()
-    ss = float(dev @ dev)
-    if ss == 0.0:
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DomainError(f"sample has a non-finite value at index {bad[0]}: {x.flat[bad[0]]}")
+    a_n, b_n, constant = _shape_rows(x, ddof)
+    if constant[0]:
         raise DegenerateSampleError("sample is constant (zero variance)")
-    mu3 = float((dev**3).mean())
-    mu4 = float((dev**4).mean())
-    v = ss / (n - ddof)
-    return mu4 / (v * v), mu3 / v**1.5
+    return float(a_n[0]), float(b_n[0])
 
 
 def gjb_statistic(
@@ -165,8 +179,9 @@ def gjb_statistic(
     b: float,
     sigma: CovarianceMatrix2,
     n: int,
-) -> float:
-    """Quadratic form n (deviations)' Sigma^-1 (deviations), expanded."""
+) -> float | np.ndarray:
+    """Quadratic form n (deviations)' Sigma^-1 (deviations), expanded;
+    elementwise when ``a_n`` and ``b_n`` are arrays."""
     det = sigma.det
     if det <= 1e-12 * abs(sigma.s11 * sigma.s22):
         raise SingularCovarianceError(f"covariance is singular (det={det})")
@@ -214,8 +229,6 @@ def run_test(
     if duplication_factor < 1:
         raise DomainError(f"need duplication_factor >= 1, got {duplication_factor}")
     x = np.asarray(sample, dtype=float)
-    if x.size == 0:
-        raise DegenerateSampleError("sample is empty")
     shape = SkewNormalShape(alpha)
     a_n, b_n = empirical_shape(x, ddof=1 if legacy else 0)
     ab = shape_statistics(sn_raw_moments(shape))
@@ -257,23 +270,23 @@ def _campaign(config: CampaignConfig, data_alpha: float | None) -> CampaignResul
     )
     n = config.sample_size
     ddof = 1 if config.legacy else 0
-    if data_alpha is None:
-        d, scale = 0.0, 1.0
-    else:
-        d = SkewNormalShape(data_alpha).delta
-        scale = math.sqrt(1.0 - d * d)
+    d = 0.0 if data_alpha is None else SkewNormalShape(data_alpha).delta
 
-    def one_rep(_i: int, g: np.random.Generator) -> float:
+    def draw(g: np.random.Generator, row: np.ndarray) -> None:
         if d == 0.0:
-            x = g.standard_normal(n) if scale == 1.0 else scale * g.standard_normal(n)
+            g.standard_normal(out=row)
         else:
-            x = d * np.abs(g.standard_normal(n)) + scale * g.standard_normal(n)
-        a_n, b_n = empirical_shape(x, ddof=ddof)
+            fill_sn(g, row, d)
+
+    def p_values(xs: np.ndarray) -> np.ndarray:
+        a_n, b_n, constant = _shape_rows(xs, ddof)
+        if constant.any():
+            raise DegenerateSampleError("a replicate sample is constant (zero variance)")
         j = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
         return chi2_survival(j, 2)
 
-    ps = np.array(
-        map_replicates(one_rep, config.replications, config.seed, key_prefix=(0,))
+    ps = map_replicates(
+        draw, p_values, config.replications, n, config.seed, key_prefix=(0,)
     )
     return CampaignResult(mean_p_value=float(ps.mean()), p_values=ps)
 
@@ -333,29 +346,9 @@ def rejection_size_search(
     return SizeSearchResult(alpha=alpha, level=level, n=None, capped=True, trace=trace)
 
 
-def _empirical_skewness_rows(xs: np.ndarray) -> np.ndarray:
-    dev = xs - xs.mean(axis=1, keepdims=True)
-    mu2 = (dev**2).mean(axis=1)
-    mu3 = (dev**3).mean(axis=1)
-    # a constant resample carries no asymmetry evidence: score it 0
-    out = np.zeros_like(mu2)
-    np.divide(mu3, mu2**1.5, out=out, where=mu2 > 0.0)
-    return out
-
-
-def _invert_skewness_batch(bs: np.ndarray) -> np.ndarray:
-    """Vector bisection of the skewness map, after clamping."""
-    target = np.clip(bs, -SKEWNESS_CLAMP, SKEWNESS_CLAMP)
-    lo = np.full_like(target, -1.0)
-    hi = np.ones_like(target)
-    pi = math.pi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        val = math.sqrt(2.0) * (4.0 - pi) * mid**3 / (pi - 2.0 * mid * mid) ** 1.5
-        below = val < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    d = 0.5 * (lo + hi)
+def _alpha_from_skewness(b):
+    """Shape parameter of the clamped skewness ``b`` (scalar or ndarray)."""
+    d = delta_from_skewness(np.clip(b, -SKEWNESS_CLAMP, SKEWNESS_CLAMP))
     return d / np.sqrt(1.0 - d * d)
 
 
@@ -363,22 +356,29 @@ def estimate_alpha_with_flag(sample) -> tuple[float, bool]:
     """Method-of-moments shape estimate and whether the skewness was clamped.
 
     The empirical skewness (1/n convention) is clamped to the attainable
-    range, then the strictly increasing skewness map is inverted by
-    bisection for delta, and alpha = delta / sqrt(1 - delta^2).
+    range, then the strictly increasing skewness map is inverted in closed
+    form for delta, and alpha = delta / sqrt(1 - delta^2).
     """
     x = np.asarray(sample, dtype=float)
     if x.size < 3:
         raise DegenerateSampleError(f"need at least 3 observations, got {x.size}")
     _, b_n = empirical_shape(x)
-    clamped = abs(b_n) > SKEWNESS_CLAMP
-    b = min(max(b_n, -SKEWNESS_CLAMP), SKEWNESS_CLAMP)
-    d = delta_from_skewness(b)
-    return d / math.sqrt(1.0 - d * d), clamped
+    return float(_alpha_from_skewness(b_n)), abs(b_n) > SKEWNESS_CLAMP
 
 
 def estimate_alpha(sample) -> float:
     """Method-of-moments estimate of the shape parameter."""
     return estimate_alpha_with_flag(sample)[0]
+
+
+def _bootstrap_alphas(x: np.ndarray, resamples: int, seed: int) -> np.ndarray:
+    """Shape estimates of ``resamples`` resamples of ``x``, drawn as one index
+    array from substream ``(seed, 1)`` and scored in row blocks."""
+    n = x.size
+    idx = substream(seed, 1).integers(0, n, size=(resamples, n))
+    step = block_rows(n)
+    b = [_shape_rows(x[idx[i : i + step]])[1] for i in range(0, resamples, step)]
+    return _alpha_from_skewness(np.concatenate(b))
 
 
 def duplication_decision(
@@ -407,15 +407,11 @@ def duplication_decision(
     """
     x = np.asarray(sample, dtype=float)
     n = x.size
-    if n < 3:
-        raise DegenerateSampleError(f"need at least 3 observations, got {n}")
     if resamples < 1:
         raise DomainError(f"need resamples >= 1, got {resamples}")
 
-    alpha_hat, _ = estimate_alpha_with_flag(x)
-    g = substream(seed, 1)
-    idx = g.integers(0, n, size=(resamples, n))
-    boot_alpha = _invert_skewness_batch(_empirical_skewness_rows(x[idx]))
+    alpha_hat, _ = estimate_alpha_with_flag(x)  # also checks the sample
+    boot_alpha = _bootstrap_alphas(x, resamples, seed)
     tail = 100.0 * (1.0 - interval) / 2.0
     ci_low, ci_high = np.percentile(boot_alpha, [tail, 100.0 - tail])
 

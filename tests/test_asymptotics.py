@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
+
+import gjb.rng
 from scipy.integrate import quad
 from scipy.stats import chi2 as scipy_chi2
 
@@ -18,6 +21,7 @@ from gjb.asymptotics import (
 from gjb.distributions import SkewNormalShape, sample_sn, sn_pdf
 from gjb.errors import DomainError, SingularCovarianceError
 from gjb.moments import MomentVector, sn_raw_moments
+from gjb.rng import substream
 
 
 def symbolic_oracle_coeffs(raw):
@@ -198,11 +202,33 @@ class TestSigmaMonteCarlo:
         for value in (sig.s11, sig.s22, sig.s12):
             assert math.isfinite(value)
 
-    def test_deterministic_and_thread_independent(self):
+    def test_deterministic_and_block_size_independent(self, monkeypatch):
         kwargs = dict(reps=400, per_rep_n=100, seed=21)
-        serial = sigma_monte_carlo(SkewNormalShape(1.5), threads=1, **kwargs)
-        threaded = sigma_monte_carlo(SkewNormalShape(1.5), threads=4, **kwargs)
-        assert serial == threaded
+        default = sigma_monte_carlo(SkewNormalShape(1.5), **kwargs)
+        assert sigma_monte_carlo(SkewNormalShape(1.5), **kwargs) == default
+        monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)  # one row per block
+        assert sigma_monte_carlo(SkewNormalShape(1.5), **kwargs) == default
+
+    @pytest.mark.parametrize("alpha,legacy", [(0.0, False), (1.5, False), (1.5, True)])
+    def test_matches_per_replicate_reference(self, alpha, legacy):
+        # the per-replicate loop the blocked version replaced, kept as reference
+        shape = SkewNormalShape(alpha)
+        raw = sn_raw_moments(shape)
+        make = legacy_influence_polynomials if legacy else influence_polynomials
+        cc, bb = (np.asarray(p.coeffs) for p in make(raw))
+        d = shape.delta
+        rows = []
+        for i in range(300):
+            g = substream(8, i)
+            z = d * np.abs(g.standard_normal(50)) + math.sqrt(1 - d * d) * g.standard_normal(50)
+            cov = np.cov(P.polyval(z, cc), P.polyval(z, bb), ddof=1)
+            rows.append((cov[0, 0], cov[1, 1], cov[0, 1]))
+        ref = np.mean(rows, axis=0)
+        mc = sigma_monte_carlo(shape, reps=300, per_rep_n=50, seed=8, legacy=legacy)
+        scale = math.sqrt(ref[0] * ref[1])
+        assert mc.s11 == pytest.approx(ref[0], rel=1e-12)
+        assert mc.s22 == pytest.approx(ref[1], rel=1e-12)
+        assert mc.s12 == pytest.approx(ref[2], rel=1e-12, abs=1e-12 * scale)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -238,6 +264,14 @@ class TestChi2Survival:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             chi2_survival(-0.1, 2)
+
+    @pytest.mark.parametrize("dof", [2, 3])
+    def test_array_matches_scalar_and_checks_every_entry(self, dof):
+        xs = np.array([0.0, 0.3, 5.99, 40.0])
+        assert list(chi2_survival(xs, dof)) == [chi2_survival(float(x), dof) for x in xs]
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                chi2_survival(np.array([1.0, bad, 2.0]), dof)
 
     def test_bad_dof_rejected(self):
         with pytest.raises(DomainError):

@@ -198,6 +198,30 @@ class TestSkewnessInversion:
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             delta_from_skewness(1.0)
+        with pytest.raises(DomainError):
+            delta_from_skewness(np.array([0.1, -1.0]))
+        with pytest.raises(DomainError):
+            delta_from_skewness(math.nan)
+
+    def test_closed_form_matches_bisection(self):
+        from gjb.testing import SKEWNESS_CLAMP
+
+        def bisection(b):
+            lo, hi = -1.0, 1.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if skewness_of_delta(mid) < b:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        bs = np.linspace(-SKEWNESS_CLAMP, SKEWNESS_CLAMP, 4001)
+        ref = np.array([bisection(b) for b in bs])
+        closed = delta_from_skewness(bs)
+        assert np.max(np.abs(closed - ref)) <= 4e-16
+        scalar = np.array([delta_from_skewness(float(b)) for b in bs])
+        assert np.max(np.abs(scalar - ref)) <= 4e-16
 
 
 @settings(max_examples=50)

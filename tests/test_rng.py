@@ -1,9 +1,18 @@
-"""Tests for the seeded substream machinery."""
+"""Tests for the seeded substream machinery and the replicate loop."""
 
 import numpy as np
 import pytest
 
-from gjb.rng import map_replicates, substream, worker_count
+import gjb.rng
+from gjb.rng import block_rows, map_replicates, substream, worker_count
+
+
+def _normals(g, row):
+    g.standard_normal(out=row)
+
+
+def _identity(xs):
+    return xs
 
 
 def test_substream_deterministic():
@@ -25,32 +34,39 @@ def test_substream_keys_are_distinct():
             assert not np.array_equal(draws[k1], draws[k2]), (k1, k2)
 
 
-def test_map_replicates_thread_count_irrelevant():
-    def draw(_i, g):
-        return float(g.standard_normal(4).sum())
+def test_map_replicates_block_size_irrelevant(monkeypatch):
+    def row_sums(xs):
+        return xs.sum(axis=1)
 
-    serial = map_replicates(draw, 500, seed=3, threads=1)
-    threaded = map_replicates(draw, 500, seed=3, threads=7)
-    assert serial == threaded
+    default = map_replicates(_normals, row_sums, 500, 4, seed=3)
+    monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)
+    assert block_rows(4) == 1
+    one_row = map_replicates(_normals, row_sums, 500, 4, seed=3)
+    assert np.array_equal(default, one_row)
 
 
 def test_map_replicates_key_prefix_namespaces():
-    def draw(_i, g):
-        return float(g.standard_normal())
-
-    plain = map_replicates(draw, 10, seed=3)
-    prefixed = map_replicates(draw, 10, seed=3, key_prefix=(1,))
-    assert plain != prefixed
+    plain = map_replicates(_normals, _identity, 10, 1, seed=3)
+    prefixed = map_replicates(_normals, _identity, 10, 1, seed=3, key_prefix=(1,))
+    assert not np.array_equal(plain, prefixed)
+    assert np.array_equal(prefixed[4], substream(3, 1, 4).standard_normal(1))
 
 
-def test_worker_count_env_override(monkeypatch):
+def test_worker_count_is_one(monkeypatch):
     monkeypatch.setenv("GJB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("GJB_THREADS", "bogus")
-    assert worker_count() >= 1
+    assert worker_count() == 1
 
 
 @pytest.mark.parametrize("reps", [1, 5])
-def test_map_replicates_order(reps):
-    out = map_replicates(lambda i, _g: i, reps, seed=0)
-    assert out == list(range(reps))
+def test_map_replicates_order(reps, monkeypatch):
+    monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 6)  # two rows per block
+    out = map_replicates(_normals, _identity, reps, 3, seed=0)
+    expected = [substream(0, i).standard_normal(3) for i in range(reps)]
+    assert np.array_equal(out, np.stack(expected))
+
+
+@pytest.mark.parametrize("n", [1, 3, 1000, gjb.rng.BLOCK_ELEMENTS, 2 * gjb.rng.BLOCK_ELEMENTS])
+def test_block_rows_bounds_block_elements(n):
+    rows = block_rows(n)
+    assert rows >= 1
+    assert rows == 1 or rows * n <= gjb.rng.BLOCK_ELEMENTS < (rows + 1) * n

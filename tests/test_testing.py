@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjb.asymptotics import CovarianceMatrix2
+import gjb.rng
+import gjb.testing
+from gjb.asymptotics import CovarianceMatrix2, sigma_analytic
 from gjb.distributions import SkewNormalShape, sample_sn
 from gjb.errors import DegenerateSampleError, DomainError
+from gjb.moments import shape_statistics, sn_raw_moments
+from gjb.rng import substream
 from gjb.testing import (
     SKEWNESS_CLAMP,
     CampaignConfig,
@@ -23,6 +27,68 @@ from gjb.testing import (
     simulate_alternative,
     simulate_true_model,
 )
+
+
+def reference_campaign_p_values(config, data_alpha):
+    """The per-replicate campaign loop that the blocked kernel replaced."""
+    shape = SkewNormalShape(config.alpha)
+    raw = sn_raw_moments(shape)
+    ab = shape_statistics(raw)
+    sig = sigma_analytic(raw, legacy=config.legacy)
+    n = config.sample_size
+    ddof = 1 if config.legacy else 0
+    d = 0.0 if data_alpha is None else SkewNormalShape(data_alpha).delta
+    ps = []
+    for i in range(config.replications):
+        g = substream(config.seed, 0, i)
+        if d == 0.0:
+            x = g.standard_normal(n)
+        else:
+            x = d * np.abs(g.standard_normal(n)) + math.sqrt(1 - d * d) * g.standard_normal(n)
+        dev = x - x.mean()
+        v = float(dev @ dev) / (n - ddof)
+        da = float((dev**4).mean()) / (v * v) - ab.kurtosis
+        db = float((dev**3).mean()) / v**1.5 - ab.skewness
+        quad = (sig.s22 * da * da + sig.s11 * db * db - 2 * sig.s12 * da * db) / sig.det
+        ps.append(math.exp(-0.5 * n * quad))
+    return np.array(ps)
+
+
+def reference_bootstrap_alphas(x, resamples, seed):
+    """The bootstrap that the blocked kernel replaced: all resamples at once,
+    skewness by dev**3, and a 100-step vector bisection of the skewness map."""
+    idx = substream(seed, 1).integers(0, x.size, size=(resamples, x.size))
+    xs = x[idx]
+    dev = xs - xs.mean(axis=1, keepdims=True)
+    mu2 = (dev**2).mean(axis=1)
+    mu3 = (dev**3).mean(axis=1)
+    b = np.zeros_like(mu2)
+    np.divide(mu3, mu2**1.5, out=b, where=mu2 > 0.0)
+    target = np.clip(b, -SKEWNESS_CLAMP, SKEWNESS_CLAMP)
+    lo, hi = np.full_like(target, -1.0), np.ones_like(target)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        val = math.sqrt(2.0) * (4.0 - math.pi) * mid**3 / (math.pi - 2.0 * mid * mid) ** 1.5
+        below = val < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    d = 0.5 * (lo + hi)
+    return d / np.sqrt(1.0 - d * d)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda x: run_test(x, 1.0),
+        estimate_alpha,
+        lambda x: duplication_decision(x, seed=0),
+    ],
+    ids=["run_test", "estimate_alpha", "duplication_decision"],
+)
+def test_non_finite_sample_rejected_at_entry(entry, bad):
+    with pytest.raises(DomainError, match="sample has a non-finite value"):
+        entry([1.0, 2.0, bad, 4.0])
 
 
 class TestEmpiricalShape:
@@ -170,6 +236,30 @@ class TestCampaigns:
         config = CampaignConfig(alpha=1.5, sample_size=750, replications=300, seed=7)
         assert simulate_alternative(config).mean_p_value < 0.05
 
+    @pytest.mark.parametrize(
+        "alpha,size,legacy,data_alpha",
+        [(1.0, 10, True, 1.0), (6.0, 2, True, 6.0), (1.5, 50, False, None), (0.0, 7, False, 0.0)],
+    )
+    def test_matches_per_replicate_reference(self, alpha, size, legacy, data_alpha):
+        config = CampaignConfig(
+            alpha=alpha, sample_size=size, replications=300, seed=11, legacy=legacy
+        )
+        ps = simulate_alternative(config, data_alpha=data_alpha).p_values
+        ref = reference_campaign_p_values(config, data_alpha)
+        assert np.max(np.abs(ps - ref)) <= 1e-12
+
+    def test_block_size_irrelevant(self, monkeypatch):
+        config = CampaignConfig(alpha=1.0, sample_size=10, replications=200, seed=5)
+        default = simulate_true_model(config).p_values
+        monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)  # one row per block
+        assert np.array_equal(simulate_true_model(config).p_values, default)
+
+    def test_constant_replicate_rejected(self, monkeypatch):
+        monkeypatch.setattr(gjb.testing, "fill_sn", lambda g, row, d: row.fill(1.0))
+        config = CampaignConfig(alpha=1.0, sample_size=10, replications=5, seed=0)
+        with pytest.raises(DegenerateSampleError):
+            simulate_true_model(config)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             CampaignConfig(alpha=1.0, sample_size=1, replications=10, seed=0)
@@ -263,6 +353,27 @@ class TestDuplicationDecision:
         if outcome.verdict != "accept-symmetry":
             assert outcome.capped
             assert outcome.duplication_factor == 2
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            sample_sn(SkewNormalShape(6.0), 50, seed=1),
+            np.array([1.0, 2.0, 4.0]),  # about one resample in nine is constant
+            np.random.default_rng(3).standard_exponential(400),  # clamped
+        ],
+        ids=["sn6", "tiny", "exponential"],
+    )
+    def test_bootstrap_matches_reference(self, x):
+        alphas = gjb.testing._bootstrap_alphas(x, 300, seed=4)
+        ref = reference_bootstrap_alphas(x, 300, seed=4)
+        np.testing.assert_allclose(alphas, ref, rtol=1e-10, atol=1e-15)
+
+    def test_block_size_irrelevant(self, monkeypatch):
+        x = sample_sn(SkewNormalShape(2.0), 80, seed=3)
+        default = duplication_decision(x, seed=7)
+        monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)  # one row per block
+        blocked = duplication_decision(x, seed=7)
+        assert (blocked.ci_low, blocked.ci_high) == (default.ci_low, default.ci_high)
 
     def test_too_small_rejected(self):
         with pytest.raises(DegenerateSampleError):
