@@ -26,14 +26,12 @@ from .moments import (
     MomentVector,
     ShapeStatistics,
     analytic_shape_statistics,
-    binomial_coefficient,
     centered_moment,
     shape_statistics,
     sn_raw_moments,
 )
 from .asymptotics import (
     CovarianceMatrix2,
-    InfluencePolynomial,
     chi2_survival,
     influence_polynomials,
     legacy_influence_polynomials,
@@ -68,12 +66,10 @@ __all__ = [
     "standard_normal_moments",
     "MomentVector",
     "ShapeStatistics",
-    "binomial_coefficient",
     "sn_raw_moments",
     "centered_moment",
     "shape_statistics",
     "analytic_shape_statistics",
-    "InfluencePolynomial",
     "CovarianceMatrix2",
     "influence_polynomials",
     "legacy_influence_polynomials",

@@ -21,11 +21,13 @@ The covariance is computed by two first-class routes: ``sigma_analytic``
 ``sigma_monte_carlo`` (replicated sampling, averaging per-replicate sample
 variances with the 1/(n-1) convention over row blocks of replicates).
 
-``legacy=True`` swaps in the variant skewness polynomial used by the
-original implementation of this test, which scales the quadratic correction
-by ``s^2 * mu3`` instead of ``mu3 / s^2``. The two coincide for symmetric
-laws and for unit variance; reference tables of mean p-values embed the
-variant, so reproducing them requires it.
+Both polynomials come from one builder, :func:`influence_polynomials`, as
+plain numpy coefficient arrays. ``legacy=True`` selects the variant
+skewness polynomial used by the original implementation of this test, which
+scales the quadratic correction by ``s^2 * mu3`` instead of ``mu3 / s^2``;
+nothing else differs. The two coincide for symmetric laws and for unit
+variance; reference tables of mean p-values embed the variant, so
+reproducing them requires it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .moments import MomentVector, centered_moment, sn_raw_moments
 from .rng import map_replicates
 
 __all__ = [
-    "InfluencePolynomial",
     "CovarianceMatrix2",
     "influence_polynomials",
     "legacy_influence_polynomials",
@@ -50,23 +51,6 @@ __all__ = [
     "sigma_monte_carlo",
     "chi2_survival",
 ]
-
-
-@dataclass(frozen=True)
-class InfluencePolynomial:
-    """Polynomial sum(coeffs[j] * x^j); evaluation is Horner's scheme."""
-
-    coeffs: tuple[float, ...]
-
-    def __call__(self, x):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -82,60 +66,37 @@ class CovarianceMatrix2:
         return self.s11 * self.s22 - self.s12 * self.s12
 
 
-def _variance_powers(raw: MomentVector) -> tuple[float, float, float]:
-    s2 = raw[2] - raw[1] ** 2
+def influence_polynomials(
+    raw: MomentVector, *, legacy: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients, in ascending powers of x, of the kurtosis polynomial C
+    (degree 4) and the skewness polynomial B (degree 3), constants set to 0.
+
+    Built from ``a2 = (x-m1)^2``, ``a3 = (x-m1)^3 - 3 s^2 x`` and
+    ``a4 = (x-m1)^4 - 4 mu3 x`` (constants dropped) as
+    ``C = (a4 - 2 (mu4/s^2) a2) / s^4`` and ``B = (a3 - (3/2) q a2) / s^3``,
+    where the quadratic-correction scale is ``q = mu3/s^2``, or ``s^2 mu3``
+    with ``legacy=True``.
+    """
+    m1 = raw[1]
+    s2 = raw[2] - m1 * m1
     if s2 <= 0.0:
         raise DegenerateSampleError("law has zero variance")
-    return s2, centered_moment(3, raw), centered_moment(4, raw)
+    mu3, mu4 = centered_moment(3, raw), centered_moment(4, raw)
+    q = s2 * mu3 if legacy else mu3 / s2
+    a2 = np.array([0.0, -2.0 * m1, 1.0, 0.0, 0.0])
+    a3 = np.array([0.0, 3.0 * (m1 * m1 - s2), -3.0 * m1, 1.0, 0.0])
+    a4 = np.array([0.0, -4.0 * (m1**3 + mu3), 6.0 * m1 * m1, -4.0 * m1, 1.0])
+    c = (a4 - (2.0 * mu4 / s2) * a2) / (s2 * s2)
+    b = (a3 - (1.5 * q) * a2)[:4] / s2**1.5
+    return c, b
 
 
-def influence_polynomials(
-    raw: MomentVector,
-) -> tuple[InfluencePolynomial, InfluencePolynomial]:
-    """The kurtosis (C, degree 4) and skewness (B, degree 3) polynomials."""
-    m1, m2, m3 = raw[1], raw[2], raw[3]
-    s2, mu3, mu4 = _variance_powers(raw)
-    s4, s6 = s2 * s2, s2**3
-    s3, s5 = s2**1.5, s2**2.5
-    c = (
-        0.0,
-        (-4.0 * m3 + 12.0 * m1 * m2 - 12.0 * m1**3) / s4 + 4.0 * m1 * mu4 / s6,
-        6.0 * m1 * m1 / s4 - 2.0 * mu4 / s6,
-        -4.0 * m1 / s4,
-        1.0 / s4,
-    )
-    b = (
-        0.0,
-        (6.0 * m1 * m1 - 3.0 * m2) / s3 + 3.0 * m1 * mu3 / s5,
-        -3.0 * m1 / s3 - 1.5 * mu3 / s5,
-        1.0 / s3,
-    )
-    return InfluencePolynomial(c), InfluencePolynomial(b)
-
-
-def legacy_influence_polynomials(
-    raw: MomentVector,
-) -> tuple[InfluencePolynomial, InfluencePolynomial]:
-    """Variant polynomials matching the test's original implementation.
-
-    The kurtosis polynomial differs from :func:`influence_polynomials` only
-    by an additive constant (irrelevant for variances); the skewness one
-    scales its quadratic correction by ``s^2 * mu3`` rather than
-    ``mu3 / s^2``, which changes Var(B) whenever the law is skewed with
-    non-unit variance.
-    """
-    m1, m2, m3 = raw[1], raw[2], raw[3]
-    s2, mu3, mu4 = _variance_powers(raw)
-    s3, s4 = s2**1.5, s2 * s2
-    # a2 = (x - m1)^2, a3 = (x - m1)^3 - 3 s^2 x, a4 = (x - m1)^4 - 4 mu3 x + const
-    a2 = np.array([m1 * m1, -2.0 * m1, 1.0, 0.0, 0.0])
-    a3 = np.array([-(m1**3), 6.0 * m1 * m1 - 3.0 * m2, -3.0 * m1, 1.0, 0.0])
-    a4 = np.array(
-        [0.0, -4.0 * m3 + 12.0 * m1 * m2 - 12.0 * m1**3, 6.0 * m1 * m1, -4.0 * m1, 1.0]
-    )
-    c = (a4 - (2.0 * mu4 / s2) * a2) / s4
-    b = (a3 - (1.5 * s2 * mu3) * a2) / s3
-    return InfluencePolynomial(tuple(c)), InfluencePolynomial(tuple(b[:4]))
+def legacy_influence_polynomials(raw: MomentVector) -> tuple[np.ndarray, np.ndarray]:
+    """``influence_polynomials(raw, legacy=True)``."""
+    # Kept because bench/tracing.py resolves this name with getattr; drop it
+    # together with its ENTRY_POINTS entry.
+    return influence_polynomials(raw, legacy=True)
 
 
 def _moment_expectation(coeffs: np.ndarray, raw: MomentVector) -> float:
@@ -151,10 +112,7 @@ def sigma_analytic(raw: MomentVector, *, legacy: bool = False) -> CovarianceMatr
     C and B have degree <= 4, so their second moments are linear in the
     moments of X up to order 8; no sampling is involved.
     """
-    make = legacy_influence_polynomials if legacy else influence_polynomials
-    cpoly, bpoly = make(raw)
-    cc = np.asarray(cpoly.coeffs)
-    bb = np.asarray(bpoly.coeffs)
+    cc, bb = influence_polynomials(raw, legacy=legacy)
     ec = _moment_expectation(cc, raw)
     eb = _moment_expectation(bb, raw)
     s11 = _moment_expectation(P.polymul(cc, cc), raw) - ec * ec
@@ -186,10 +144,7 @@ def sigma_monte_carlo(
         raise DomainError(f"need reps >= 1, got {reps}")
     if per_rep_n < 2:
         raise DomainError(f"need per_rep_n >= 2, got {per_rep_n}")
-    make = legacy_influence_polynomials if legacy else influence_polynomials
-    cpoly, bpoly = make(sn_raw_moments(shape))
-    cc = np.asarray(cpoly.coeffs)
-    bb = np.asarray(bpoly.coeffs)
+    cc, bb = influence_polynomials(sn_raw_moments(shape), legacy=legacy)
     d = shape.delta
 
     def covariances(xs: np.ndarray) -> np.ndarray:

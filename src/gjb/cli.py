@@ -15,8 +15,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from . import io as gjb_io
 from .errors import GJBError
 from .distributions import SkewNormalShape, sample_sn
@@ -131,9 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_level, default=0.05)
     p.add_argument("--k-cap", type=_positive_int, default=20_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--subsample-check", type=_positive_int, default=None, metavar="M",
-                   help="experimental: also test M random size-10 subsamples "
-                        "of the normal hypothesis and report their p-values")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -320,10 +315,6 @@ def _cmd_decide(args) -> int:
             "seed": args.seed,
         },
     }
-    if args.subsample_check:
-        extras["subsample_p_values"] = _subsample_pvalues(
-            sample.values, args.subsample_check, args.seed
-        )
     report = gjb_io.test_report(
         "decide", 0.0, decision.test, extras,
         wall_time_ms=int(1000 * (time.perf_counter() - t0)),
@@ -332,19 +323,6 @@ def _cmd_decide(args) -> int:
     report.payload["verdict"] = decision.verdict
     gjb_io.write_report(report, args.out, args.format)
     return 1 if decision.verdict == "reject-normality" else 0
-
-
-def _subsample_pvalues(values: np.ndarray, count: int, seed: int) -> list[float]:
-    """Experimental rule: p-values of the normal test on random subsamples."""
-    from .rng import substream
-
-    size = min(10, values.size)
-    g = substream(seed, 2)
-    out = []
-    for _ in range(count):
-        sub = values[g.choice(values.size, size=size, replace=False)]
-        out.append(run_test(sub, 0.0).p_value)
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:

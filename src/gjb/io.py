@@ -77,14 +77,14 @@ class Report:
 def read_sample_csv(path: str) -> SampleFile:
     """Parse a single-column CSV of real numbers.
 
-    Blank lines are skipped and counted; a non-numeric first row is treated
-    as a header and also counted as skipped. Any later non-numeric row, a
-    non-finite value, or a multi-column row raises SampleParseError with
-    its line number.
+    Blank lines are skipped and counted; a non-numeric first non-blank row
+    is treated as a header and also counted as skipped. Any later
+    non-numeric row, a non-finite value, or a multi-column row raises
+    SampleParseError with its line number.
     """
     values: list[float] = []
     skipped = 0
-    seen_data = False
+    header_seen = False
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             fields = [f.strip() for f in row]
@@ -100,8 +100,9 @@ def read_sample_csv(path: str) -> SampleFile:
             try:
                 value = float(text)
             except ValueError:
-                if not seen_data and not values:
-                    skipped += 1  # header row
+                if not values and not header_seen:
+                    header_seen = True
+                    skipped += 1
                     continue
                 raise SampleParseError(
                     f"{path}:{lineno}: not a number: {text!r}", line=lineno
@@ -111,7 +112,6 @@ def read_sample_csv(path: str) -> SampleFile:
                     f"{path}:{lineno}: non-finite value: {text!r}", line=lineno
                 )
             values.append(value)
-            seen_data = True
     if not values:
         raise EmptyInputError(f"{path}: no numeric values found")
     return SampleFile(

@@ -32,7 +32,6 @@ from .errors import DegenerateSampleError, DomainError
 __all__ = [
     "MomentVector",
     "ShapeStatistics",
-    "binomial_coefficient",
     "sn_raw_moments",
     "centered_moment",
     "shape_statistics",
@@ -65,13 +64,6 @@ class MomentVector:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.entries, dtype=float)
-
-
-def binomial_coefficient(p: int, n: int) -> int:
-    """C(p out of n) = n! / (p! (n-p)!), exact integer arithmetic."""
-    if p < 0 or n < 0 or p > n:
-        raise DomainError(f"need 0 <= p <= n, got p={p}, n={n}")
-    return math.comb(n, p)
 
 
 def sn_raw_moments(shape: SkewNormalShape) -> MomentVector:

@@ -6,8 +6,11 @@ Two consequences:
 
 * the stream for a given ``(seed, key)`` is bit-reproducible across runs and
   platforms;
-* replicate ``i`` of a campaign draws from ``substream(seed, i)``, so a
-  campaign's result does not depend on how replicates are grouped.
+* each replicate draws from its own key, so no result depends on how
+  replicates are grouped. The keys in use are ``(seed)`` for ``sample_sn``,
+  ``(seed, i)`` for replicate ``i`` of ``sigma_monte_carlo``,
+  ``(seed, 0, i)`` for replicate ``i`` of a campaign and ``(seed, 1, i)``
+  for resample ``i`` of the bootstrap in ``duplication_decision``.
 
 Standard normals come from numpy's ``Generator.standard_normal`` (ziggurat).
 

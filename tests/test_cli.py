@@ -185,13 +185,6 @@ class TestDecideCommand:
         assert run(["decide", "--data", data, "--seed", "0", "--out", out]) == 0
         assert payload(out)["verdict"] == "accept-symmetry"
 
-    def test_subsample_check_extra(self, tmp_path):
-        data = sample_file(tmp_path, 6.0, 50, seed=1)
-        out = str(tmp_path / "d.json")
-        run(["decide", "--data", data, "--seed", "0", "--subsample-check", "5",
-             "--out", out])
-        assert len(payload(out)["subsample_p_values"]) == 5
-
 
 class TestUsageErrors:
     def test_unknown_flag(self):

@@ -30,6 +30,11 @@ class TestReadSampleCsv:
         assert list(sf.values) == [1.0]
         assert sf.skipped_rows == 1
 
+    def test_only_first_row_may_be_header(self, tmp_path):
+        with pytest.raises(SampleParseError) as info:
+            gjb_io.read_sample_csv(write(tmp_path, "value\nunits\n1.0\n2.5\n3.0\n"))
+        assert info.value.line == 2
+
     def test_non_numeric_row_has_line_number(self, tmp_path):
         with pytest.raises(SampleParseError) as info:
             gjb_io.read_sample_csv(write(tmp_path, "1.0\nabc\n"))

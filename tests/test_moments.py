@@ -13,7 +13,6 @@ from gjb.errors import DegenerateSampleError, DomainError
 from gjb.moments import (
     SKEWNESS_SUP,
     analytic_shape_statistics,
-    binomial_coefficient,
     centered_moment,
     delta_from_skewness,
     shape_statistics,
@@ -29,25 +28,6 @@ def quad_moment(alpha: float, j: int) -> float:
     shape = SkewNormalShape(alpha)
     value, _ = quad(lambda x: x**j * sn_pdf(shape, x), -12.0, 12.0, limit=400)
     return value
-
-
-class TestBinomialCoefficient:
-    @pytest.mark.parametrize("p,n,expected", [(0, 5, 1), (2, 4, 6), (4, 8, 70)])
-    def test_examples(self, p, n, expected):
-        assert binomial_coefficient(p, n) == expected
-
-    def test_p_greater_than_n_rejected(self):
-        with pytest.raises(DomainError):
-            binomial_coefficient(5, 4)
-
-    @given(n=st.integers(0, 8), p=st.integers(0, 8))
-    def test_matches_factorial_formula(self, n, p):
-        if p > n:
-            with pytest.raises(DomainError):
-                binomial_coefficient(p, n)
-        else:
-            expected = math.factorial(n) // (math.factorial(p) * math.factorial(n - p))
-            assert binomial_coefficient(p, n) == expected
 
 
 class TestRawMoments:

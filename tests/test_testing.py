@@ -1,6 +1,7 @@
 """Tests for the test statistic, campaigns, estimator, and decision protocol."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,9 +56,12 @@ def reference_campaign_p_values(config, data_alpha):
 
 
 def reference_bootstrap_alphas(x, resamples, seed):
-    """The bootstrap that the blocked kernel replaced: all resamples at once,
-    skewness by dev**3, and a 100-step vector bisection of the skewness map."""
-    idx = substream(seed, 1).integers(0, x.size, size=(resamples, x.size))
+    """The bootstrap that the blocked kernel replaced: all resamples at once
+    (resample i indexed from substream (seed, 1, i)), skewness by dev**3, and
+    a 100-step vector bisection of the skewness map."""
+    idx = np.stack(
+        [substream(seed, 1, i).integers(0, x.size, size=x.size) for i in range(resamples)]
+    )
     xs = x[idx]
     dev = xs - xs.mean(axis=1, keepdims=True)
     mu2 = (dev**2).mean(axis=1)
@@ -374,6 +378,18 @@ class TestDuplicationDecision:
         monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)  # one row per block
         blocked = duplication_decision(x, seed=7)
         assert (blocked.ci_low, blocked.ci_high) == (default.ci_low, default.ci_high)
+
+    def test_bootstrap_memory_bounded(self):
+        # resamples are drawn and scored one row block at a time, so the peak
+        # stays a few blocks whatever resamples x n is (here 2e7 values)
+        x = sample_sn(SkewNormalShape(1.0), 100_000, seed=6)
+        tracemalloc.start()
+        try:
+            gjb.testing._bootstrap_alphas(x, 200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * gjb.rng.BLOCK_ELEMENTS * 8
 
     def test_too_small_rejected(self):
         with pytest.raises(DegenerateSampleError):
