@@ -23,7 +23,6 @@ from .errors import (
     SingularCovarianceError,
 )
 from .moments import (
-    MomentVector,
     ShapeStatistics,
     analytic_shape_statistics,
     centered_moment,
@@ -64,7 +63,6 @@ __all__ = [
     "sample_sn",
     "half_normal_moments",
     "standard_normal_moments",
-    "MomentVector",
     "ShapeStatistics",
     "sn_raw_moments",
     "centered_moment",

@@ -36,11 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.special import gammaincc
 
 from .distributions import SkewNormalShape, fill_sn
 from .errors import DegenerateSampleError, DomainError, SingularCovarianceError
-from .moments import MomentVector, centered_moment, sn_raw_moments
+from .moments import centered_moment, sn_raw_moments
 from .rng import map_replicates
 
 __all__ = [
@@ -67,7 +66,7 @@ class CovarianceMatrix2:
 
 
 def influence_polynomials(
-    raw: MomentVector, *, legacy: bool = False
+    raw: np.ndarray, *, legacy: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients, in ascending powers of x, of the kurtosis polynomial C
     (degree 4) and the skewness polynomial B (degree 3), constants set to 0.
@@ -92,21 +91,21 @@ def influence_polynomials(
     return c, b
 
 
-def legacy_influence_polynomials(raw: MomentVector) -> tuple[np.ndarray, np.ndarray]:
+def legacy_influence_polynomials(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``influence_polynomials(raw, legacy=True)``."""
     # Kept because bench/tracing.py resolves this name with getattr; drop it
     # together with its ENTRY_POINTS entry.
     return influence_polynomials(raw, legacy=True)
 
 
-def _moment_expectation(coeffs: np.ndarray, raw: MomentVector) -> float:
+def _moment_expectation(coeffs: np.ndarray, raw: np.ndarray) -> float:
     """E[p(X)] for a polynomial of degree <= 8, read off the moment vector."""
     if len(coeffs) > 9:
         raise DomainError("polynomial degree exceeds available moments")
-    return float(np.dot(coeffs, raw.as_array()[: len(coeffs)]))
+    return float(np.dot(coeffs, raw[: len(coeffs)]))
 
 
-def sigma_analytic(raw: MomentVector, *, legacy: bool = False) -> CovarianceMatrix2:
+def sigma_analytic(raw: np.ndarray, *, legacy: bool = False) -> CovarianceMatrix2:
     """Exact covariance from raw moments up to order 8.
 
     C and B have degree <= 4, so their second moments are linear in the
@@ -162,13 +161,12 @@ def sigma_monte_carlo(
     return CovarianceMatrix2(s11=float(s11), s22=float(s22), s12=float(s12))
 
 
-def chi2_survival(x, dof: int = 2):
-    """P(chi^2_dof > x) for a scalar or ndarray ``x``; every entry must be
-    finite and >= 0. The dof=2 case uses the closed form exp(-x/2)."""
+def chi2_survival(x):
+    """P(chi^2_2 > x) = exp(-x/2), the tail of the statistic's limit law
+    (2 degrees of freedom), for a scalar or ndarray ``x``; every entry must
+    be finite and >= 0."""
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
-    if dof < 1:
-        raise DomainError(f"dof must be >= 1, got {dof}")
-    out = np.exp(-0.5 * arr) if dof == 2 else gammaincc(0.5 * dof, 0.5 * arr)
+    out = np.exp(-0.5 * arr)
     return float(out) if arr.ndim == 0 else out

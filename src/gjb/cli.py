@@ -33,10 +33,7 @@ from .testing import (
     simulate_true_model,
 )
 
-_TABLE1_SIZES = (2, 10)
-_TABLE1_ALPHAS = (0.1, 0.5, 1.0, 1.5, 6.0, 10.0)
 _TABLE2_DESK_ALPHAS = (1.5, 6.0, 10.0)
-_TABLE2_FULL_ALPHAS = (0.1, 0.5, 1.0, 1.5, 6.0, 10.0)
 
 
 def _positive_int(text: str) -> int:
@@ -269,11 +266,13 @@ def _cmd_tables(args) -> int:
         reps = 1000 if args.budget == "desk" else 2000
         print(f"Mean p-values under the true model (percent, reps={reps}, "
               f"legacy conventions to match the reference grid)")
-        header = ["size \\ alpha"] + [str(a) for a in _TABLE1_ALPHAS]
+        sizes = sorted({size for size, _ in REFERENCE_MEAN_PVALUES})
+        alphas = sorted({alpha for _, alpha in REFERENCE_MEAN_PVALUES})
+        header = ["size \\ alpha"] + [str(a) for a in alphas]
         rows = []
-        for size in _TABLE1_SIZES:
+        for size in sizes:
             row = [str(size)]
-            for alpha in _TABLE1_ALPHAS:
+            for alpha in alphas:
                 config = CampaignConfig(
                     alpha=alpha, sample_size=size, replications=reps,
                     seed=args.seed, legacy=True,
@@ -285,7 +284,7 @@ def _cmd_tables(args) -> int:
         _print_table(header, rows)
         return 0
 
-    alphas = _TABLE2_DESK_ALPHAS if args.budget == "desk" else _TABLE2_FULL_ALPHAS
+    alphas = _TABLE2_DESK_ALPHAS if args.budget == "desk" else REFERENCE_REJECTION_SIZES
     print(f"Size needed to reject normality at the 5% level (budget={args.budget})")
     header = ["alpha", "n", "reference n"]
     rows = []

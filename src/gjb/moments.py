@@ -17,7 +17,6 @@ agree to ~1e-12, which the test suite pins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +29,6 @@ from .distributions import (
 from .errors import DegenerateSampleError, DomainError
 
 __all__ = [
-    "MomentVector",
     "ShapeStatistics",
     "sn_raw_moments",
     "centered_moment",
@@ -52,22 +50,9 @@ class ShapeStatistics(NamedTuple):
     kurtosis: float
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """Raw moments m_0..m_8 of SN(alpha); m_0 is always 1."""
-
-    entries: tuple[float, ...]
-    alpha: float
-
-    def __getitem__(self, j: int) -> float:
-        return self.entries[j]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=float)
-
-
-def sn_raw_moments(shape: SkewNormalShape) -> MomentVector:
-    """Raw moments of SN(alpha) up to order 8 via the binomial expansion."""
+def sn_raw_moments(shape: SkewNormalShape) -> np.ndarray:
+    """Raw moments m_0..m_8 of SN(alpha), as a length-9 float array, via the
+    binomial expansion; m_0 is always 1."""
     m1 = half_normal_moments()
     m2 = standard_normal_moments()
     a = shape.delta
@@ -78,10 +63,10 @@ def sn_raw_moments(shape: SkewNormalShape) -> MomentVector:
         for h in range(j + 1):
             acc += math.comb(j, h) * a**h * b ** (j - h) * m1[h] * m2[j - h]
         entries.append(acc)
-    return MomentVector(tuple(entries), shape.alpha)
+    return np.array(entries)
 
 
-def centered_moment(order: int, raw: MomentVector) -> float:
+def centered_moment(order: int, raw: np.ndarray) -> float:
     """E(X - m_1)^order from raw moments, by binomial recentring."""
     if order < 1 or order > 8:
         raise DomainError(f"order must be in 1..8, got {order}")
@@ -92,7 +77,7 @@ def centered_moment(order: int, raw: MomentVector) -> float:
     )
 
 
-def shape_statistics(raw: MomentVector) -> ShapeStatistics:
+def shape_statistics(raw: np.ndarray) -> ShapeStatistics:
     """Skewness mu3/mu2^(3/2) and kurtosis mu4/mu2^2 from raw moments."""
     mu2 = centered_moment(2, raw)
     if mu2 <= 0.0:

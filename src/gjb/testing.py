@@ -153,6 +153,17 @@ def _shape_rows(xs: np.ndarray, ddof: int = 0):
     return a_n, b_n, constant
 
 
+def _unit_scale(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that brings max|x| into [0.5, 1).
+
+    Scaling by a power of two is exact, so (a_n, b_n) are unchanged, while
+    the 4th powers in :func:`_shape_rows` can no longer overflow or underflow
+    whatever the scale of the data.
+    """
+    _, e = np.frexp(np.max(np.abs(x)))
+    return np.ldexp(x, -e)
+
+
 def empirical_shape(sample, ddof: int = 0) -> tuple[float, float]:
     """Empirical kurtosis and skewness (a_n, b_n) of a sample.
 
@@ -168,7 +179,7 @@ def empirical_shape(sample, ddof: int = 0) -> tuple[float, float]:
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise DomainError(f"sample has a non-finite value at index {bad[0]}: {x.flat[bad[0]]}")
-    a_n, b_n, constant = _shape_rows(x, ddof)
+    a_n, b_n, constant = _shape_rows(_unit_scale(x), ddof)
     if constant[0]:
         raise DegenerateSampleError("sample is constant (zero variance)")
     return float(a_n[0]), float(b_n[0])
@@ -193,19 +204,17 @@ def gjb_statistic(
     return n * quad
 
 
+# Monte-Carlo covariance budget: replicates x variates per replicate.
+_MC_BUDGET = (10_000, 1_000)
+
+
 def _sigma_for(
-    shape: SkewNormalShape,
-    route: str,
-    seed: int,
-    *,
-    legacy: bool,
-    mc_reps: int,
-    mc_n: int,
+    shape: SkewNormalShape, route: str, seed: int, *, legacy: bool
 ) -> CovarianceMatrix2:
     if route == "analytic":
         return sigma_analytic(sn_raw_moments(shape), legacy=legacy)
     if route == "monte-carlo":
-        return sigma_monte_carlo(shape, mc_reps, mc_n, seed, legacy=legacy)
+        return sigma_monte_carlo(shape, *_MC_BUDGET, seed, legacy=legacy)
     raise DomainError(f"sigma_route must be one of {_SIGMA_ROUTES}, got {route!r}")
 
 
@@ -216,8 +225,6 @@ def run_test(
     sigma_route: str = "analytic",
     duplication_factor: int = 1,
     seed: int = 0,
-    mc_reps: int = 10_000,
-    mc_n: int = 1_000,
     legacy: bool = False,
     level: float = 0.05,
 ) -> TestOutcome:
@@ -234,12 +241,10 @@ def run_test(
     shape = SkewNormalShape(alpha)
     a_n, b_n = empirical_shape(x, ddof=1 if legacy else 0)
     ab = shape_statistics(sn_raw_moments(shape))
-    sigma = _sigma_for(
-        shape, sigma_route, seed, legacy=legacy, mc_reps=mc_reps, mc_n=mc_n
-    )
+    sigma = _sigma_for(shape, sigma_route, seed, legacy=legacy)
     j_base = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, x.size)
     j_n = duplication_factor * j_base
-    p = chi2_survival(j_n, 2)
+    p = chi2_survival(j_n)
     return TestOutcome(
         n=duplication_factor * x.size,
         a_n=a_n,
@@ -262,14 +267,7 @@ def _campaign(config: CampaignConfig, data_alpha: float | None) -> CampaignResul
     """
     shape = SkewNormalShape(config.alpha)
     ab = shape_statistics(sn_raw_moments(shape))
-    sigma = _sigma_for(
-        shape,
-        config.sigma_route,
-        config.seed,
-        legacy=config.legacy,
-        mc_reps=10_000,
-        mc_n=1_000,
-    )
+    sigma = _sigma_for(shape, config.sigma_route, config.seed, legacy=config.legacy)
     n = config.sample_size
     ddof = 1 if config.legacy else 0
     d = 0.0 if data_alpha is None else SkewNormalShape(data_alpha).delta
@@ -285,7 +283,7 @@ def _campaign(config: CampaignConfig, data_alpha: float | None) -> CampaignResul
         if constant.any():
             raise DegenerateSampleError("a replicate sample is constant (zero variance)")
         j = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
-        return chi2_survival(j, 2)
+        return chi2_survival(j)
 
     ps = map_replicates(
         draw, p_values, config.replications, n, config.seed, key_prefix=(0,)
@@ -316,8 +314,6 @@ def rejection_size_search(
     cap: int = 2_000_000,
     reps: int = 500,
     start: int = 10,
-    sigma_route: str = "analytic",
-    legacy: bool = False,
 ) -> SizeSearchResult:
     """Smallest n on the grid (start, 2*start, ...) at which the mean
     p-value of testing SN(alpha) against N(0,1) data drops below ``level``.
@@ -332,14 +328,7 @@ def rejection_size_search(
     trace: list[tuple[int, float]] = []
     n = start
     while n <= cap:
-        config = CampaignConfig(
-            alpha=alpha,
-            sample_size=n,
-            replications=reps,
-            seed=seed,
-            sigma_route=sigma_route,
-            legacy=legacy,
-        )
+        config = CampaignConfig(alpha=alpha, sample_size=n, replications=reps, seed=seed)
         mean_p = simulate_alternative(config, data_alpha=None).mean_p_value
         trace.append((n, mean_p))
         if mean_p < level:
@@ -394,11 +383,10 @@ def duplication_decision(
     seed: int = 0,
     *,
     resamples: int = 1_000,
-    interval: float = 0.95,
 ) -> DecisionOutcome:
     """Decide between symmetry and non-normality by sample duplication.
 
-    Protocol: (i) bootstrap a percentile confidence interval [c, d] for the
+    Protocol: (i) bootstrap 95% percentile confidence bounds [c, d] for the
     moment estimate of alpha (``resamples`` draws with replacement);
     (ii) if c < 0.5 the shape is indistinguishable from symmetric, accept;
     (iii) otherwise duplicate the sample so its total size reaches the
@@ -417,8 +405,11 @@ def duplication_decision(
         raise DomainError(f"need resamples >= 1, got {resamples}")
 
     alpha_hat, _ = estimate_alpha_with_flag(x)  # also checks the sample
+    x = _unit_scale(x)
     boot_alpha = _bootstrap_alphas(x, resamples, seed)
-    tail = 100.0 * (1.0 - interval) / 2.0
+    # tail of the 95% bounds: seeded CIs are pinned to this float
+    # (2.500000000000002); the literal 2.5 moves them in the last digit
+    tail = 100.0 * (1.0 - 0.95) / 2.0
     ci_low, ci_high = np.percentile(boot_alpha, [tail, 100.0 - tail])
 
     if ci_low < 0.5:

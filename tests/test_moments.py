@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gjb.distributions import SkewNormalShape, sn_pdf
@@ -33,7 +31,7 @@ def quad_moment(alpha: float, j: int) -> float:
 class TestRawMoments:
     def test_alpha_zero_is_standard_normal(self):
         raw = sn_raw_moments(SkewNormalShape(0.0))
-        assert raw.entries == (1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0, 0.0, 105.0)
+        assert raw.tolist() == [1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0, 0.0, 105.0]
 
     def test_alpha_one_first_moment(self):
         # delta * c = 1/sqrt(pi)
@@ -123,9 +121,7 @@ class TestShapeStatistics:
         assert stats.skewness == pytest.approx(0.9556, abs=1e-3)
 
     def test_degenerate_variance_rejected(self):
-        from gjb.moments import MomentVector
-
-        bad = MomentVector((1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0), 0.0)
+        bad = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(DegenerateSampleError):
             shape_statistics(bad)
 
@@ -203,10 +199,3 @@ class TestSkewnessInversion:
         scalar = np.array([delta_from_skewness(float(b)) for b in bs])
         assert np.max(np.abs(scalar - ref)) <= 4e-16
 
-
-@settings(max_examples=50)
-@given(alpha=st.floats(-30, 30, allow_nan=False))
-def test_moment_vector_carries_alpha(alpha):
-    raw = sn_raw_moments(SkewNormalShape(alpha))
-    assert raw.alpha == alpha
-    assert raw[0] == 1.0

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gjb.rng
@@ -185,6 +185,18 @@ class TestRunTest:
         assert moved.j_n == pytest.approx(base.j_n, abs=1e-10, rel=1e-10)
         assert moved.p_value == pytest.approx(base.p_value, abs=1e-10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(exponent=st.floats(-150.0, 150.0), offset=st.floats(-1e6, 1e6))
+    @example(exponent=-170.0, offset=0.0)
+    def test_affine_invariance_at_any_scale(self, exponent, offset):
+        # rescaling is exact at any finite scale; an offset t costs only the
+        # rounding of the sample mean (about eps * |t|)
+        x = sample_sn(SkewNormalShape(1.0), 1000, seed=0)
+        s = 10.0**exponent
+        y = s * x + offset * s
+        assert run_test(y, 1.0).j_n == pytest.approx(run_test(x, 1.0).j_n, rel=1e-6)
+        assert estimate_alpha(y) == pytest.approx(estimate_alpha(x), rel=2e-8)
+
     def test_true_model_typically_accepts(self):
         x = sample_sn(SkewNormalShape(1.0), 10_000, seed=17)
         out = run_test(x, 1.0)
@@ -196,7 +208,7 @@ class TestRunTest:
 
         x = sample_sn(SkewNormalShape(2.0), 100, seed=4)
         out = run_test(x, 2.0)
-        assert out.p_value == chi2_survival(out.j_n, 2)
+        assert out.p_value == chi2_survival(out.j_n)
         assert out.j_n >= 0.0
 
     def test_empty_sample_rejected(self):
@@ -390,6 +402,15 @@ class TestDuplicationDecision:
         finally:
             tracemalloc.stop()
         assert peak < 6 * gjb.rng.BLOCK_ELEMENTS * 8
+
+    def test_extreme_scale(self):
+        x = sample_sn(SkewNormalShape(1.0), 1000, seed=0)
+        base = duplication_decision(x)
+        big = duplication_decision(1e100 * x)
+        assert big.verdict == base.verdict
+        assert (big.ci_low, big.ci_high) == pytest.approx(
+            (base.ci_low, base.ci_high), rel=1e-12
+        )
 
     def test_too_small_rejected(self):
         with pytest.raises(DegenerateSampleError):
