@@ -135,9 +135,10 @@ def sigma_monte_carlo(
 ) -> CovarianceMatrix2:
     """Monte-Carlo covariance: average per-replicate sample Var/Cov of C, B.
 
-    Each replicate draws ``per_rep_n`` variates from its own substream
-    ``(seed, replicate)`` and uses the 1/(n-1) sample-variance convention;
-    results are deterministic in ``seed`` and independent of block size.
+    Each replicate draws ``per_rep_n`` variates under the key prefix
+    ``(2,)`` (see :mod:`gjb.rng`) and uses the 1/(n-1) sample-variance
+    convention; results are deterministic in ``seed`` and independent of
+    block size.
     """
     if reps < 1:
         raise DomainError(f"need reps >= 1, got {reps}")
@@ -155,7 +156,8 @@ def sigma_monte_carlo(
         return np.stack(sums, axis=1) / (per_rep_n - 1)
 
     rows = map_replicates(
-        lambda g, row: fill_sn(g, row, d), covariances, reps, per_rep_n, seed
+        lambda g, xs: fill_sn(g, xs, d), covariances, reps, per_rep_n, seed,
+        key_prefix=(2,),
     )
     s11, s22, s12 = rows.mean(axis=0)
     return CovarianceMatrix2(s11=float(s11), s22=float(s22), s12=float(s12))

@@ -101,12 +101,19 @@ def sample_sn(shape: SkewNormalShape, n: int, seed: int) -> np.ndarray:
 
 
 def fill_sn(g: np.random.Generator, out: np.ndarray, delta: float) -> None:
-    """Overwrite ``out`` with ``delta |Z1| + sqrt(1-delta^2) Z2``, drawing
-    Z1 then Z2 from ``g``, each as one vector of ``out``'s size."""
-    g.standard_normal(out=out)
-    np.abs(out, out=out)
+    """Overwrite ``out`` with ``delta |Z1| + sqrt(1-delta^2) Z2``, row by row.
+
+    For ``out`` of shape ``(..., n)`` this takes one ``(..., 2n)`` normal draw
+    from ``g``: each row's Z1 is its first n values and Z2 the next n. For a
+    1-D ``out`` that is Z1 drawn first, then Z2.
+    """
+    n = out.shape[-1]
+    z = g.standard_normal(out.shape[:-1] + (2 * n,))
+    np.abs(z[..., :n], out=out)
     out *= delta
-    out += math.sqrt(1.0 - delta * delta) * g.standard_normal(out.shape)
+    z2 = z[..., n:]
+    z2 *= math.sqrt(1.0 - delta * delta)
+    out += z2
 
 
 def half_normal_moments() -> np.ndarray:

@@ -67,6 +67,8 @@ SKEWNESS_CLAMP = 0.9952
 
 _SIGMA_ROUTES = ("analytic", "monte-carlo")
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class TestOutcome:
@@ -142,26 +144,36 @@ def _shape_rows(xs: np.ndarray, ddof: int = 0):
     """Empirical (a_n, b_n) of each row of a ``(rows, n)`` block, and the mask
     of constant rows, which score b_n = 0 (no asymmetry evidence), a_n = nan."""
     n = xs.shape[1]
-    dev = xs - xs.mean(axis=1, keepdims=True)
+    mean = xs.mean(axis=1)
+    dev = xs - mean[:, None]
     d2 = dev * dev
     v = d2.sum(axis=1) / (n - ddof)
     mu3 = (d2 * dev).mean(axis=1)
     mu4 = (d2 * d2).mean(axis=1)
+    # the float mean of a constant row can miss its value by a few ulps and
+    # leave v tiny but nonzero; rows with v that small are checked exactly
     constant = v == 0.0
+    tiny = np.flatnonzero(v <= (n * _EPS * mean) ** 2)
+    constant[tiny] |= (xs[tiny] == xs[tiny, :1]).all(axis=1)
     a_n = np.divide(mu4, v * v, out=np.full_like(v, np.nan), where=~constant)
     b_n = np.divide(mu3, v**1.5, out=np.zeros_like(v), where=~constant)
     return a_n, b_n, constant
 
 
-def _unit_scale(x: np.ndarray) -> np.ndarray:
-    """``x`` times the power of two that brings max|x| into [0.5, 1).
+def _scale_and_centre(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that brings max|x| into [0.5, 1), then
+    centred on its mean.
 
     Scaling by a power of two is exact, so (a_n, b_n) are unchanged, while
     the 4th powers in :func:`_shape_rows` can no longer overflow or underflow
-    whatever the scale of the data.
+    whatever the scale of the data. Centring once here leaves
+    :func:`_shape_rows` only a tiny residual mean to subtract, which
+    corrects the rounding of the first one (a corrected two-pass mean), so
+    an offset in the data costs little beyond the rounding in its values.
     """
     _, e = np.frexp(np.max(np.abs(x)))
-    return np.ldexp(x, -e)
+    y = np.ldexp(x, -e)
+    return y - y.mean(axis=-1, keepdims=True)
 
 
 def empirical_shape(sample, ddof: int = 0) -> tuple[float, float]:
@@ -179,7 +191,7 @@ def empirical_shape(sample, ddof: int = 0) -> tuple[float, float]:
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise DomainError(f"sample has a non-finite value at index {bad[0]}: {x.flat[bad[0]]}")
-    a_n, b_n, constant = _shape_rows(_unit_scale(x), ddof)
+    a_n, b_n, constant = _shape_rows(_scale_and_centre(x), ddof)
     if constant[0]:
         raise DegenerateSampleError("sample is constant (zero variance)")
     return float(a_n[0]), float(b_n[0])
@@ -263,7 +275,7 @@ def _campaign(config: CampaignConfig, data_alpha: float | None) -> CampaignResul
     """Replicate the test at config.alpha over samples from the data law.
 
     ``data_alpha=None`` draws standard normal data; otherwise SN(data_alpha).
-    Replicate i draws from substream (seed, 0, i).
+    Replicates are drawn under the campaign key prefix ``(0,)``.
     """
     shape = SkewNormalShape(config.alpha)
     ab = shape_statistics(sn_raw_moments(shape))
@@ -272,11 +284,11 @@ def _campaign(config: CampaignConfig, data_alpha: float | None) -> CampaignResul
     ddof = 1 if config.legacy else 0
     d = 0.0 if data_alpha is None else SkewNormalShape(data_alpha).delta
 
-    def draw(g: np.random.Generator, row: np.ndarray) -> None:
+    def draw(g: np.random.Generator, rows: np.ndarray) -> None:
         if d == 0.0:
-            g.standard_normal(out=row)
+            g.standard_normal(out=rows)
         else:
-            fill_sn(g, row, d)
+            fill_sn(g, rows, d)
 
     def p_values(xs: np.ndarray) -> np.ndarray:
         a_n, b_n, constant = _shape_rows(xs, ddof)
@@ -363,12 +375,12 @@ def estimate_alpha(sample) -> float:
 
 
 def _bootstrap_alphas(x: np.ndarray, resamples: int, seed: int) -> np.ndarray:
-    """Shape estimates of ``resamples`` resamples of ``x`` with replacement;
-    resample i draws its indices from substream ``(seed, 1, i)``."""
+    """Shape estimates of ``resamples`` resamples of ``x`` with replacement,
+    drawn under the bootstrap key prefix ``(1,)``."""
     n = x.size
 
-    def draw(g: np.random.Generator, row: np.ndarray) -> None:
-        np.take(x, g.integers(0, n, size=n), out=row)
+    def draw(g: np.random.Generator, rows: np.ndarray) -> None:
+        np.take(x, g.integers(0, n, size=rows.shape), out=rows)
 
     b = map_replicates(
         draw, lambda xs: _shape_rows(xs)[1], resamples, n, seed, key_prefix=(1,)
@@ -405,7 +417,7 @@ def duplication_decision(
         raise DomainError(f"need resamples >= 1, got {resamples}")
 
     alpha_hat, _ = estimate_alpha_with_flag(x)  # also checks the sample
-    x = _unit_scale(x)
+    x = _scale_and_centre(x)
     boot_alpha = _bootstrap_alphas(x, resamples, seed)
     # tail of the 95% bounds: seeded CIs are pinned to this float
     # (2.500000000000002); the literal 2.5 moves them in the last digit

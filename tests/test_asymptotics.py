@@ -20,7 +20,8 @@ from gjb.asymptotics import (
 from gjb.distributions import SkewNormalShape, sample_sn, sn_pdf
 from gjb.errors import DomainError, SingularCovarianceError
 from gjb.moments import sn_raw_moments
-from gjb.rng import substream
+
+from reference_streams import replicate_generator, sn_row
 
 
 def symbolic_oracle_coeffs(raw):
@@ -202,23 +203,25 @@ class TestSigmaMonteCarlo:
             assert math.isfinite(value)
 
     def test_deterministic_and_block_size_independent(self, monkeypatch):
-        kwargs = dict(reps=400, per_rep_n=100, seed=21)
+        # 400 replicates of 1000 are seven chunks of 65 rows: one block by
+        # default, seven when patched
+        kwargs = dict(reps=400, per_rep_n=1000, seed=21)
         default = sigma_monte_carlo(SkewNormalShape(1.5), **kwargs)
         assert sigma_monte_carlo(SkewNormalShape(1.5), **kwargs) == default
-        monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)  # one row per block
+        monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)  # one chunk per block
         assert sigma_monte_carlo(SkewNormalShape(1.5), **kwargs) == default
 
     @pytest.mark.parametrize("alpha,legacy", [(0.0, False), (1.5, False), (1.5, True)])
     def test_matches_per_replicate_reference(self, alpha, legacy):
-        # the per-replicate loop the blocked version replaced, kept as reference
+        # the per-replicate loop the blocked version replaced, kept as
+        # reference; each replicate drawn on its own from its stream chunk
         shape = SkewNormalShape(alpha)
         raw = sn_raw_moments(shape)
         cc, bb = influence_polynomials(raw, legacy=legacy)
         d = shape.delta
         rows = []
         for i in range(300):
-            g = substream(8, i)
-            z = d * np.abs(g.standard_normal(50)) + math.sqrt(1 - d * d) * g.standard_normal(50)
+            z = sn_row(*replicate_generator(8, (2,), i, 50), 50, d)
             cov = np.cov(P.polyval(z, cc), P.polyval(z, bb), ddof=1)
             rows.append((cov[0, 0], cov[1, 1], cov[0, 1]))
         ref = np.mean(rows, axis=0)

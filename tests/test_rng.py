@@ -3,16 +3,30 @@
 import numpy as np
 import pytest
 
+import gjb.asymptotics
+import gjb.distributions
 import gjb.rng
-from gjb.rng import block_rows, map_replicates, substream, worker_count
+import gjb.testing
+from gjb.asymptotics import sigma_monte_carlo
+from gjb.distributions import SkewNormalShape, sample_sn
+from gjb.rng import block_rows, chunk_rows, map_replicates, substream, worker_count
+from gjb.testing import CampaignConfig, simulate_true_model
+
+from reference_streams import replicate_generator
 
 
-def _normals(g, row):
-    g.standard_normal(out=row)
+def _normals(g, rows):
+    g.standard_normal(out=rows)
 
 
 def _identity(xs):
     return xs
+
+
+def reference_replicate(seed, key_prefix, i, n):
+    """Replicate i of a ``_normals`` consumer, drawn on its own."""
+    g, rows, row = replicate_generator(seed, key_prefix, i, n)
+    return g.standard_normal((rows, n))[row]
 
 
 def test_substream_deterministic():
@@ -34,22 +48,61 @@ def test_substream_keys_are_distinct():
             assert not np.array_equal(draws[k1], draws[k2]), (k1, k2)
 
 
+def _key(g):
+    return tuple(g.bit_generator.state["state"]["key"].tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_consumer_keys_are_distinct(seed, monkeypatch):
+    # sample_sn, campaigns, the bootstrap and sigma_monte_carlo each draw
+    # under their own Philox key, read off the generators they really use;
+    # a consumer sharing sample_sn's key would replay sample_sn(seed)
+    seen = []
+
+    def spy(draw, kernel, reps, n, seed, **kwargs):
+        def recorded(g, rows):
+            seen.append(_key(g))
+            draw(g, rows)
+
+        return map_replicates(recorded, kernel, reps, n, seed, **kwargs)
+
+    monkeypatch.setattr(gjb.testing, "map_replicates", spy)
+    monkeypatch.setattr(gjb.asymptotics, "map_replicates", spy)
+    monkeypatch.setattr(gjb.distributions, "fill_sn", lambda g, out, d: seen.append(_key(g)))
+    sample_sn(SkewNormalShape(1.0), 10, seed)
+    simulate_true_model(CampaignConfig(alpha=1.0, sample_size=10, replications=3, seed=seed))
+    gjb.testing._bootstrap_alphas(np.arange(5.0), 3, seed)
+    sigma_monte_carlo(SkewNormalShape(1.0), 3, 10, seed)
+    assert len(seen) == 4
+    assert len(set(seen)) == 4, seen
+
+
+def test_chunk_rows():
+    assert [chunk_rows(n) for n in (1, 2, 10, 2**16, 2**16 + 1, 2**20)] == [
+        2**16, 2**15, 6553, 1, 1, 1
+    ]
+
+
 def test_map_replicates_block_size_irrelevant(monkeypatch):
+    # n = 2^14: four rows per chunk, so 10 replicates span three chunks, all
+    # in one block by default and one chunk per block when patched
     def row_sums(xs):
         return xs.sum(axis=1)
 
-    default = map_replicates(_normals, row_sums, 500, 4, seed=3)
+    n = 2**14
+    default = map_replicates(_normals, row_sums, 10, n, seed=3)
+    assert block_rows(n) >= 10
     monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)
-    assert block_rows(4) == 1
-    one_row = map_replicates(_normals, row_sums, 500, 4, seed=3)
-    assert np.array_equal(default, one_row)
+    assert block_rows(n) == chunk_rows(n) == 4
+    one_chunk = map_replicates(_normals, row_sums, 10, n, seed=3)
+    assert np.array_equal(default, one_chunk)
 
 
 def test_map_replicates_key_prefix_namespaces():
     plain = map_replicates(_normals, _identity, 10, 1, seed=3)
     prefixed = map_replicates(_normals, _identity, 10, 1, seed=3, key_prefix=(1,))
     assert not np.array_equal(plain, prefixed)
-    assert np.array_equal(prefixed[4], substream(3, 1, 4).standard_normal(1))
+    assert np.array_equal(prefixed[4], reference_replicate(3, (1,), 4, 1))
 
 
 def test_worker_count_is_one(monkeypatch):
@@ -57,16 +110,21 @@ def test_worker_count_is_one(monkeypatch):
     assert worker_count() == 1
 
 
-@pytest.mark.parametrize("reps", [1, 5])
+@pytest.mark.parametrize("reps", [1, 5, 4 * 2**16 + 3])
 def test_map_replicates_order(reps, monkeypatch):
-    monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 6)  # two rows per block
-    out = map_replicates(_normals, _identity, reps, 3, seed=0)
-    expected = [substream(0, i).standard_normal(3) for i in range(reps)]
-    assert np.array_equal(out, np.stack(expected))
+    # n = 1: 2^16 rows per chunk; blocks of one chunk, then of four
+    for block_elements in (6, 2**18):
+        monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", block_elements)
+        out = map_replicates(_normals, _identity, reps, 1, seed=0, key_prefix=(0,))
+        for i in {0, reps // 2, reps - 1, 2**16 - 1, 2**16, 3 * 2**16 + 1} & set(range(reps)):
+            assert np.array_equal(out[i], reference_replicate(0, (0,), i, 1)), i
 
 
-@pytest.mark.parametrize("n", [1, 3, 1000, gjb.rng.BLOCK_ELEMENTS, 2 * gjb.rng.BLOCK_ELEMENTS])
+@pytest.mark.parametrize(
+    "n", [1, 3, 1000, 2**16, 2**16 + 1, gjb.rng.BLOCK_ELEMENTS, 2 * gjb.rng.BLOCK_ELEMENTS]
+)
 def test_block_rows_bounds_block_elements(n):
     rows = block_rows(n)
-    assert rows >= 1
-    assert rows == 1 or rows * n <= gjb.rng.BLOCK_ELEMENTS < (rows + 1) * n
+    chunk = chunk_rows(n)
+    assert rows % chunk == 0
+    assert rows == chunk or rows * n <= gjb.rng.BLOCK_ELEMENTS < (rows + chunk) * n
