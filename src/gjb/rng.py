@@ -72,7 +72,7 @@ def map_replicates(
     n: int,
     seed: int,
     *,
-    key_prefix: tuple[int, ...] = (),
+    key_prefix: tuple[int, ...],
 ) -> np.ndarray:
     """Row-wise ``kernel`` results for replicates 0..reps-1, in order.
 
@@ -81,7 +81,9 @@ def map_replicates(
     generator ``g``, drawing them in row order. ``kernel`` maps a block of
     whole chunks to one result per row, and the results are concatenated
     along the first axis. ``key_prefix`` names the consumer, so distinct
-    consumers of the same seed never share a stream.
+    consumers of the same seed never share a stream. It has no default: the
+    empty prefix is ``substream(seed)``'s key, so chunk 0 would replay
+    ``sample_sn(seed)``.
     """
     key = np.random.SeedSequence(seed, spawn_key=key_prefix).generate_state(2, np.uint64)
     per_chunk = chunk_rows(n)

@@ -90,19 +90,19 @@ def test_map_replicates_block_size_irrelevant(monkeypatch):
         return xs.sum(axis=1)
 
     n = 2**14
-    default = map_replicates(_normals, row_sums, 10, n, seed=3)
+    default = map_replicates(_normals, row_sums, 10, n, seed=3, key_prefix=(0,))
     assert block_rows(n) >= 10
     monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)
     assert block_rows(n) == chunk_rows(n) == 4
-    one_chunk = map_replicates(_normals, row_sums, 10, n, seed=3)
+    one_chunk = map_replicates(_normals, row_sums, 10, n, seed=3, key_prefix=(0,))
     assert np.array_equal(default, one_chunk)
 
 
 def test_map_replicates_key_prefix_namespaces():
-    plain = map_replicates(_normals, _identity, 10, 1, seed=3)
-    prefixed = map_replicates(_normals, _identity, 10, 1, seed=3, key_prefix=(1,))
-    assert not np.array_equal(plain, prefixed)
-    assert np.array_equal(prefixed[4], reference_replicate(3, (1,), 4, 1))
+    zero = map_replicates(_normals, _identity, 10, 1, seed=3, key_prefix=(0,))
+    one = map_replicates(_normals, _identity, 10, 1, seed=3, key_prefix=(1,))
+    assert not np.array_equal(zero, one)
+    assert np.array_equal(one[4], reference_replicate(3, (1,), 4, 1))
 
 
 def test_worker_count_is_one(monkeypatch):
@@ -112,12 +112,18 @@ def test_worker_count_is_one(monkeypatch):
 
 @pytest.mark.parametrize("reps", [1, 5, 4 * 2**16 + 3])
 def test_map_replicates_order(reps, monkeypatch):
-    # n = 1: 2^16 rows per chunk; blocks of one chunk, then of four
+    # n = 1: 2^16 rows per chunk; blocks of one chunk, then of four. Small
+    # campaigns are checked row by row, the long one at the chunk seams.
+    if reps <= 5:
+        rows = list(range(reps))
+    else:
+        rows = [0, 2**16 - 1, 2**16, 3 * 2**16 + 1, reps // 2, reps - 1]
+    expected = np.stack([reference_replicate(0, (0,), i, 1) for i in rows])
     for block_elements in (6, 2**18):
         monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", block_elements)
         out = map_replicates(_normals, _identity, reps, 1, seed=0, key_prefix=(0,))
-        for i in {0, reps // 2, reps - 1, 2**16 - 1, 2**16, 3 * 2**16 + 1} & set(range(reps)):
-            assert np.array_equal(out[i], reference_replicate(0, (0,), i, 1)), i
+        assert out.shape == (reps, 1)
+        assert np.array_equal(out[rows], expected)
 
 
 @pytest.mark.parametrize(
@@ -126,5 +132,7 @@ def test_map_replicates_order(reps, monkeypatch):
 def test_block_rows_bounds_block_elements(n):
     rows = block_rows(n)
     chunk = chunk_rows(n)
+    assert chunk >= 1
+    assert rows >= chunk
     assert rows % chunk == 0
     assert rows == chunk or rows * n <= gjb.rng.BLOCK_ELEMENTS < (rows + chunk) * n

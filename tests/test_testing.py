@@ -454,9 +454,11 @@ class TestDuplicationDecision:
         assert (alphas[constant] == 0.0).all()
 
     def test_block_size_irrelevant(self, monkeypatch):
-        x = sample_sn(SkewNormalShape(2.0), 80, seed=3)
+        # 1000 resamples of 2000 are 32 chunks of 32 rows: two blocks by
+        # default, 32 when patched
+        x = sample_sn(SkewNormalShape(2.0), 2000, seed=3)
         default = duplication_decision(x, seed=7)
-        monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)  # one row per block
+        monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)  # one chunk per block
         blocked = duplication_decision(x, seed=7)
         assert (blocked.ci_low, blocked.ci_high) == (default.ci_low, default.ci_high)
 
