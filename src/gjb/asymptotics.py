@@ -19,7 +19,8 @@ under normality.
 The covariance is computed by two first-class routes: ``sigma_analytic``
 (exact linear algebra on raw moments up to order 8) and
 ``sigma_monte_carlo`` (replicated sampling, averaging per-replicate sample
-variances with the 1/(n-1) convention over row blocks of replicates).
+variances with the 1/(n-1) convention, one stream chunk of replicates at a
+time).
 
 Both polynomials come from one builder, :func:`influence_polynomials`, as
 plain numpy coefficient arrays. ``legacy=True`` selects the variant
@@ -40,7 +41,7 @@ from numpy.polynomial import polynomial as P
 from .distributions import SkewNormalShape, fill_sn
 from .errors import DegenerateSampleError, DomainError, SingularCovarianceError
 from .moments import centered_moment, sn_raw_moments
-from .rng import map_replicates
+from .rng import chunk_rows, map_replicates
 
 __all__ = [
     "CovarianceMatrix2",
@@ -125,6 +126,18 @@ def sigma_analytic(raw: np.ndarray, *, legacy: bool = False) -> CovarianceMatrix
     return sigma
 
 
+def _horner(x: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``P.polyval(x, coeffs)`` written into ``out``, with the same operations
+    in the same order, so the same bits for finite ``x`` and a nonzero
+    leading coefficient."""
+    np.multiply(x, coeffs[-1], out=out)
+    out += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        out *= x
+        out += c
+    return out
+
+
 def sigma_monte_carlo(
     shape: SkewNormalShape,
     reps: int,
@@ -137,8 +150,8 @@ def sigma_monte_carlo(
 
     Each replicate draws ``per_rep_n`` variates under the key prefix
     ``(2,)`` (see :mod:`gjb.rng`) and uses the 1/(n-1) sample-variance
-    convention; results are deterministic in ``seed`` and independent of
-    block size.
+    convention; results are deterministic in ``seed``, and each replicate's
+    row does not depend on ``reps``.
     """
     if reps < 1:
         raise DomainError(f"need reps >= 1, got {reps}")
@@ -146,13 +159,15 @@ def sigma_monte_carlo(
         raise DomainError(f"need per_rep_n >= 2, got {per_rep_n}")
     cc, bb = influence_polynomials(sn_raw_moments(shape), legacy=legacy)
     d = shape.delta
+    # scratch for one stream chunk, reused by every chunk
+    cz, bz, prod = np.empty((3, min(chunk_rows(per_rep_n), reps), per_rep_n))
 
     def covariances(xs: np.ndarray) -> np.ndarray:
-        cz = P.polyval(xs, cc)
-        bz = P.polyval(xs, bb)
-        cz -= cz.mean(axis=1, keepdims=True)
-        bz -= bz.mean(axis=1, keepdims=True)
-        sums = [(cz * cz).sum(axis=1), (bz * bz).sum(axis=1), (cz * bz).sum(axis=1)]
+        r = len(xs)
+        c, b, t = _horner(xs, cc, cz[:r]), _horner(xs, bb, bz[:r]), prod[:r]
+        c -= c.mean(axis=1, keepdims=True)
+        b -= b.mean(axis=1, keepdims=True)
+        sums = [np.multiply(u, w, out=t).sum(axis=1) for u, w in ((c, c), (b, b), (c, b))]
         return np.stack(sums, axis=1) / (per_rep_n - 1)
 
     rows = map_replicates(

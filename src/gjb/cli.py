@@ -6,7 +6,7 @@ Exit codes: 0 success (including decide's accept/inconclusive verdicts),
 
 Every subcommand that draws randomness takes --seed and is bit-reproducible
 in its report payload (wall_time_ms excluded). Commands run in a single
-thread; campaign replicates are processed in bounded row blocks.
+thread; campaign replicates are processed one stream chunk at a time.
 """
 
 from __future__ import annotations

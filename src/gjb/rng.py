@@ -19,12 +19,13 @@ Standard normals are numpy's ziggurat (``Generator.standard_normal``) and
 bootstrap indices come from ``Generator.integers``; both draw sequentially,
 so replicate ``i`` is row ``i % R`` of chunk ``i // R`` whether that chunk
 is drawn whole or short. Each replicate is therefore a pure function of
-(seed, consumer, i, n): it depends neither on the replicate count nor on the
-block size, and it is bit-reproducible across runs and platforms.
+(seed, consumer, i, n): it does not depend on the replicate count, and it is
+bit-reproducible across runs and platforms.
 
-The library is single-threaded: :func:`map_replicates` draws replicates into
-row blocks of whole chunks, at most :data:`BLOCK_ELEMENTS` values unless one
-chunk is larger, and reduces each block with a row-wise kernel.
+The library is single-threaded: :func:`map_replicates` draws one chunk at a
+time into one reused ``(R, n)`` buffer and reduces it with a row-wise kernel
+before drawing the next, so its memory is O(R(n) n) whatever the replicate
+count.
 """
 
 from __future__ import annotations
@@ -33,12 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-# Upper bound on rows * n for one block (8 MB of float64) when a chunk fits;
-# a block always holds at least one chunk.
-BLOCK_ELEMENTS = 1 << 20
-
-# Values per stream chunk. It defines the replicate streams, so unlike
-# BLOCK_ELEMENTS it is no tuning knob: changing it changes every result.
+# Values per stream chunk. It defines the replicate streams, so it is no
+# tuning knob: changing it changes every result.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -58,13 +55,6 @@ def chunk_rows(n: int) -> int:
     return max(1, _CHUNK_ELEMENTS // n)
 
 
-def block_rows(n: int) -> int:
-    """Rows of length ``n`` per block: the most whole chunks that fit in
-    ``BLOCK_ELEMENTS`` values, at least one chunk."""
-    per_chunk = chunk_rows(n)
-    return per_chunk * max(1, BLOCK_ELEMENTS // (per_chunk * n))
-
-
 def map_replicates(
     draw: Callable[[np.random.Generator, np.ndarray], None],
     kernel: Callable[[np.ndarray], np.ndarray],
@@ -76,24 +66,25 @@ def map_replicates(
 ) -> np.ndarray:
     """Row-wise ``kernel`` results for replicates 0..reps-1, in order.
 
-    ``draw(g, rows)`` fills the ``(r, n)`` rows of one stream chunk (r is
+    Each stream chunk is drawn and reduced before the next one is drawn.
+    ``draw(g, rows)`` fills the ``(r, n)`` rows of one chunk (r is
     ``chunk_rows(n)``, or fewer for the last chunk) from the chunk's
-    generator ``g``, drawing them in row order. ``kernel`` maps a block of
-    whole chunks to one result per row, and the results are concatenated
-    along the first axis. ``key_prefix`` names the consumer, so distinct
-    consumers of the same seed never share a stream. It has no default: the
-    empty prefix is ``substream(seed)``'s key, so chunk 0 would replay
-    ``sample_sn(seed)``.
+    generator ``g``, drawing them in row order; the rows are one buffer
+    reused for every chunk. ``kernel`` maps those rows to one result per
+    row, and the results are gathered along the first axis. ``key_prefix``
+    names the consumer, so distinct consumers of the same seed never share a
+    stream. It has no default: the empty prefix is ``substream(seed)``'s
+    key, so chunk 0 would replay ``sample_sn(seed)``.
     """
     key = np.random.SeedSequence(seed, spawn_key=key_prefix).generate_state(2, np.uint64)
     per_chunk = chunk_rows(n)
-    step = block_rows(n)
-    parts = []
-    for start in range(0, reps, step):
-        xs = np.empty((min(step, reps - start), n))
-        for lo in range(0, len(xs), per_chunk):
-            counter = [0, (start + lo) // per_chunk, 0, 0]
-            g = np.random.Generator(np.random.Philox(key=key, counter=counter))
-            draw(g, xs[lo : lo + per_chunk])
-        parts.append(kernel(xs))
-    return np.concatenate(parts)
+    buf = np.empty((min(per_chunk, reps), n))
+    out = None
+    for j, start in enumerate(range(0, reps, per_chunk)):
+        rows = buf[: reps - start]
+        draw(np.random.Generator(np.random.Philox(key=key, counter=[0, j, 0, 0])), rows)
+        result = kernel(rows)
+        if out is None:
+            out = np.empty((reps,) + result.shape[1:], result.dtype)
+        out[start : start + len(rows)] = result
+    return out

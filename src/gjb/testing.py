@@ -41,7 +41,7 @@ from .moments import delta_from_skewness, shape_statistics, sn_raw_moments
 from .reference import rejection_size_hint
 # substream is unused here, but bench/tests/test_bench.py checks that the
 # traced run rebinds gjb.testing.substream; drop it together with that check.
-from .rng import map_replicates, substream  # noqa: F401
+from .rng import chunk_rows, map_replicates, substream  # noqa: F401
 
 __all__ = [
     "TestOutcome",
@@ -140,23 +140,37 @@ class DecisionOutcome:
     test: TestOutcome
 
 
-def _shape_rows(xs: np.ndarray, ddof: int = 0):
-    """Empirical (a_n, b_n) of each row of a ``(rows, n)`` block, and the mask
-    of constant rows, which score b_n = 0 (no asymmetry evidence), a_n = nan."""
+def _skew_rows(xs: np.ndarray, ddof: int, dev: np.ndarray, d2: np.ndarray):
+    """Empirical skewness b_n of each row of a ``(rows, n)`` block, its
+    variance (``n - ddof`` denominator) and the mask of constant rows, which
+    score b_n = 0 (no asymmetry evidence).
+
+    ``dev`` and ``d2`` are caller-owned scratch of the block's shape: the
+    kernel allocates nothing of that size, and leaves the squared deviations
+    in ``d2``.
+    """
     n = xs.shape[1]
     mean = xs.mean(axis=1)
-    dev = xs - mean[:, None]
-    d2 = dev * dev
+    np.subtract(xs, mean[:, None], out=dev)
+    np.multiply(dev, dev, out=d2)
     v = d2.sum(axis=1) / (n - ddof)
-    mu3 = (d2 * dev).mean(axis=1)
-    mu4 = (d2 * d2).mean(axis=1)
+    mu3 = np.multiply(d2, dev, out=dev).mean(axis=1)
     # the float mean of a constant row can miss its value by a few ulps and
     # leave v tiny but nonzero; rows with v that small are checked exactly
     constant = v == 0.0
     tiny = np.flatnonzero(v <= (n * _EPS * mean) ** 2)
     constant[tiny] |= (xs[tiny] == xs[tiny, :1]).all(axis=1)
-    a_n = np.divide(mu4, v * v, out=np.full_like(v, np.nan), where=~constant)
     b_n = np.divide(mu3, v**1.5, out=np.zeros_like(v), where=~constant)
+    return b_n, v, constant
+
+
+def _shape_rows(xs: np.ndarray, ddof: int = 0):
+    """Empirical (a_n, b_n) of each row of a ``(rows, n)`` block, and the mask
+    of constant rows, which score b_n = 0 (no asymmetry evidence), a_n = nan."""
+    d2 = np.empty_like(xs)
+    b_n, v, constant = _skew_rows(xs, ddof, np.empty_like(xs), d2)
+    mu4 = np.multiply(d2, d2, out=d2).mean(axis=1)
+    a_n = np.divide(mu4, v * v, out=np.full_like(v, np.nan), where=~constant)
     return a_n, b_n, constant
 
 
@@ -378,13 +392,19 @@ def _bootstrap_alphas(x: np.ndarray, resamples: int, seed: int) -> np.ndarray:
     """Shape estimates of ``resamples`` resamples of ``x`` with replacement,
     drawn under the bootstrap key prefix ``(1,)``."""
     n = x.size
+    # skewness scratch for one stream chunk, reused by every chunk
+    dev, d2 = np.empty((2, min(chunk_rows(n), resamples), n))
 
     def draw(g: np.random.Generator, rows: np.ndarray) -> None:
-        np.take(x, g.integers(0, n, size=rows.shape), out=rows)
+        # the indices are in range by construction; mode="clip" spares the
+        # buffered copy of ``out`` that the default mode="raise" makes
+        np.take(x, g.integers(0, n, size=rows.shape), out=rows, mode="clip")
 
-    b = map_replicates(
-        draw, lambda xs: _shape_rows(xs)[1], resamples, n, seed, key_prefix=(1,)
-    )
+    def skewness(xs: np.ndarray) -> np.ndarray:
+        r = len(xs)
+        return _skew_rows(xs, 0, dev[:r], d2[:r])[0]
+
+    b = map_replicates(draw, skewness, resamples, n, seed, key_prefix=(1,))
     return _alpha_from_skewness(b)
 
 

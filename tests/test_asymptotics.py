@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+import gjb.asymptotics
 import gjb.rng
 from scipy.integrate import quad
 from scipy.stats import chi2 as scipy_chi2
@@ -21,6 +22,7 @@ from gjb.distributions import SkewNormalShape, sample_sn, sn_pdf
 from gjb.errors import DomainError, SingularCovarianceError
 from gjb.moments import sn_raw_moments
 
+from allocation_probe import per_call_allocations
 from reference_streams import replicate_generator, sn_row
 
 
@@ -88,6 +90,16 @@ class TestInfluencePolynomials:
         xs = np.linspace(-3, 3, 7)
         direct = sum(cj * xs**j for j, cj in enumerate(c))
         assert P.polyval(xs, c) == pytest.approx(direct, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha,legacy", [(0.0, False), (1.5, False), (-6.0, True)])
+    def test_in_place_horner_is_polyval_bitwise(self, alpha, legacy):
+        # sigma_monte_carlo evaluates C and B in scratch arrays; its seeded
+        # estimates stay those of P.polyval only if every bit agrees
+        xs = sample_sn(SkewNormalShape(alpha), 3000, seed=2).reshape(3, 1000)
+        for coeffs in influence_polynomials(sn_raw_moments(SkewNormalShape(alpha)), legacy=legacy):
+            out = np.empty_like(xs)
+            assert gjb.asymptotics._horner(xs, coeffs, out) is out
+            assert np.array_equal(out, P.polyval(xs, coeffs))
 
     def test_legacy_matches_at_symmetry(self):
         raw = sn_raw_moments(SkewNormalShape(0.0))
@@ -203,13 +215,39 @@ class TestSigmaMonteCarlo:
             assert math.isfinite(value)
 
     def test_deterministic_and_block_size_independent(self, monkeypatch):
-        # 400 replicates of 1000 are seven chunks of 65 rows: one block by
-        # default, seven when patched
-        kwargs = dict(reps=400, per_rep_n=1000, seed=21)
-        default = sigma_monte_carlo(SkewNormalShape(1.5), **kwargs)
-        assert sigma_monte_carlo(SkewNormalShape(1.5), **kwargs) == default
-        monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)  # one chunk per block
-        assert sigma_monte_carlo(SkewNormalShape(1.5), **kwargs) == default
+        # n = 1000: 65 rows per chunk, one chunk per kernel call. 400
+        # replicates end on a short block of 10 rows, 455 on a full one; each
+        # replicate's covariance row is the same in both, and the estimate is
+        # the mean of those rows
+        rows = {}
+        real = gjb.asymptotics.map_replicates
+
+        def spy(draw, kernel, reps, n, seed, **kwargs):
+            rows[reps] = real(draw, kernel, reps, n, seed, **kwargs)
+            return rows[reps]
+
+        monkeypatch.setattr(gjb.asymptotics, "map_replicates", spy)
+        kwargs = dict(per_rep_n=1000, seed=21)
+        default = sigma_monte_carlo(SkewNormalShape(1.5), reps=400, **kwargs)
+        assert sigma_monte_carlo(SkewNormalShape(1.5), reps=400, **kwargs) == default
+        sigma_monte_carlo(SkewNormalShape(1.5), reps=455, **kwargs)
+        assert gjb.rng.chunk_rows(1000) == 65
+        assert np.array_equal(rows[400], rows[455][:400])
+        s11, s22, s12 = rows[400].mean(axis=0)
+        assert (default.s11, default.s22, default.s12) == (s11, s22, s12)
+
+    def test_kernel_allocates_no_chunk_temporaries(self, monkeypatch):
+        # C and B are evaluated, centred and multiplied in scratch arrays
+        # reused by every chunk
+        n = 1000
+        chunk_bytes = gjb.rng.chunk_rows(n) * n * 8
+        extra = per_call_allocations(
+            monkeypatch,
+            gjb.asymptotics,
+            lambda: sigma_monte_carlo(SkewNormalShape(1.5), reps=200, per_rep_n=n, seed=3),
+        )
+        assert len(extra["kernel"]) == 4
+        assert max(extra["kernel"]) < 0.5 * chunk_bytes
 
     @pytest.mark.parametrize("alpha,legacy", [(0.0, False), (1.5, False), (1.5, True)])
     def test_matches_per_replicate_reference(self, alpha, legacy):

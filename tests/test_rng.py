@@ -9,7 +9,7 @@ import gjb.rng
 import gjb.testing
 from gjb.asymptotics import sigma_monte_carlo
 from gjb.distributions import SkewNormalShape, sample_sn
-from gjb.rng import block_rows, chunk_rows, map_replicates, substream, worker_count
+from gjb.rng import chunk_rows, map_replicates, substream, worker_count
 from gjb.testing import CampaignConfig, simulate_true_model
 
 from reference_streams import replicate_generator
@@ -83,19 +83,26 @@ def test_chunk_rows():
     ]
 
 
-def test_map_replicates_block_size_irrelevant(monkeypatch):
-    # n = 2^14: four rows per chunk, so 10 replicates span three chunks, all
-    # in one block by default and one chunk per block when patched
+def test_map_replicates_block_size_irrelevant():
+    # n = 2^14: four rows per chunk, and the kernel sees one chunk per call.
+    # 10 replicates end on a short chunk of 2 rows, 12 on a full one and 5 on
+    # one row; every replicate is the same whichever block it falls in.
+    blocks = []
+
     def row_sums(xs):
+        blocks.append(len(xs))
         return xs.sum(axis=1)
 
     n = 2**14
-    default = map_replicates(_normals, row_sums, 10, n, seed=3, key_prefix=(0,))
-    assert block_rows(n) >= 10
-    monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)
-    assert block_rows(n) == chunk_rows(n) == 4
-    one_chunk = map_replicates(_normals, row_sums, 10, n, seed=3, key_prefix=(0,))
-    assert np.array_equal(default, one_chunk)
+    assert chunk_rows(n) == 4
+    full = map_replicates(_normals, row_sums, 12, n, seed=3, key_prefix=(0,))
+    assert blocks == [4, 4, 4]
+    for reps, sizes in ((10, [4, 4, 2]), (5, [4, 1]), (1, [1])):
+        blocks.clear()
+        out = map_replicates(_normals, row_sums, reps, n, seed=3, key_prefix=(0,))
+        assert blocks == sizes
+        assert np.array_equal(out, full[:reps])
+    assert full[9] == reference_replicate(3, (0,), 9, n).sum()
 
 
 def test_map_replicates_key_prefix_namespaces():
@@ -111,28 +118,14 @@ def test_worker_count_is_one(monkeypatch):
 
 
 @pytest.mark.parametrize("reps", [1, 5, 4 * 2**16 + 3])
-def test_map_replicates_order(reps, monkeypatch):
-    # n = 1: 2^16 rows per chunk; blocks of one chunk, then of four. Small
-    # campaigns are checked row by row, the long one at the chunk seams.
+def test_map_replicates_order(reps):
+    # n = 1: 2^16 rows per chunk. Small campaigns are checked row by row, the
+    # long one (four full chunks and a short one) at the chunk seams.
     if reps <= 5:
         rows = list(range(reps))
     else:
-        rows = [0, 2**16 - 1, 2**16, 3 * 2**16 + 1, reps // 2, reps - 1]
+        rows = [0, 2**16 - 1, 2**16, 3 * 2**16 + 1, 4 * 2**16, reps // 2, reps - 1]
     expected = np.stack([reference_replicate(0, (0,), i, 1) for i in rows])
-    for block_elements in (6, 2**18):
-        monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", block_elements)
-        out = map_replicates(_normals, _identity, reps, 1, seed=0, key_prefix=(0,))
-        assert out.shape == (reps, 1)
-        assert np.array_equal(out[rows], expected)
-
-
-@pytest.mark.parametrize(
-    "n", [1, 3, 1000, 2**16, 2**16 + 1, gjb.rng.BLOCK_ELEMENTS, 2 * gjb.rng.BLOCK_ELEMENTS]
-)
-def test_block_rows_bounds_block_elements(n):
-    rows = block_rows(n)
-    chunk = chunk_rows(n)
-    assert chunk >= 1
-    assert rows >= chunk
-    assert rows % chunk == 0
-    assert rows == chunk or rows * n <= gjb.rng.BLOCK_ELEMENTS < (rows + chunk) * n
+    out = map_replicates(_normals, _identity, reps, 1, seed=0, key_prefix=(0,))
+    assert out.shape == (reps, 1)
+    assert np.array_equal(out[rows], expected)

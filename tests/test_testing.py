@@ -28,6 +28,7 @@ from gjb.testing import (
     simulate_true_model,
 )
 
+from allocation_probe import per_call_allocations
 from reference_streams import replicate_generator, sn_row
 
 
@@ -287,13 +288,18 @@ class TestCampaigns:
         ref = reference_campaign_p_values(config, data_alpha)
         assert np.max(np.abs(ps - ref)) <= 1e-12
 
-    def test_block_size_irrelevant(self, monkeypatch):
-        # 200 replicates of 2000 are seven chunks of 32 rows: one block by
-        # default, seven when patched
-        config = CampaignConfig(alpha=1.0, sample_size=2000, replications=200, seed=5)
-        default = simulate_true_model(config).p_values
-        monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)  # one chunk per block
-        assert np.array_equal(simulate_true_model(config).p_values, default)
+    def test_block_size_irrelevant(self):
+        # n = 2000: 32 rows per chunk, one chunk per kernel call. 200
+        # replicates end on a short block of 8 rows, 224 on a full one and 33
+        # on one row; each replicate's p-value is the same in all three.
+        def p_values(reps):
+            config = CampaignConfig(alpha=1.0, sample_size=2000, replications=reps, seed=5)
+            return simulate_true_model(config).p_values
+
+        assert gjb.rng.chunk_rows(2000) == 32
+        full = p_values(224)
+        assert np.array_equal(p_values(200), full[:200])
+        assert np.array_equal(p_values(33), full[:33])
 
     @pytest.mark.parametrize("data_alpha", [None, 1.0])
     def test_replicates_independent_of_replicate_count(self, data_alpha):
@@ -430,49 +436,80 @@ class TestDuplicationDecision:
             assert outcome.duplication_factor == 2
 
     @pytest.mark.parametrize(
-        "x",
+        "x,resamples",
         [
-            sample_sn(SkewNormalShape(6.0), 50, seed=1),
-            np.array([1.0, 2.0, 4.0]),  # about one resample in nine is constant
-            np.random.default_rng(3).standard_exponential(400),  # clamped
+            (sample_sn(SkewNormalShape(6.0), 50, seed=1), 300),
+            (np.array([1.0, 2.0, 4.0]), 300),  # about one resample in nine is constant
+            (np.random.default_rng(3).standard_exponential(400), 300),  # clamped
+            # 31 chunks of 32 rows and a short one of 8
+            (sample_sn(SkewNormalShape(2.0), 2000, seed=5), 1000),
+            # one 5 among 2000 twos: about 37% of the resamples are constant,
+            # spread over all 32 chunks
+            (np.r_[np.full(1999, 2.0), 5.0], 1000),
         ],
-        ids=["sn6", "tiny", "exponential"],
+        ids=["sn6", "tiny", "exponential", "many-chunks", "constant-in-chunks"],
     )
-    def test_bootstrap_matches_reference(self, x):
-        alphas = gjb.testing._bootstrap_alphas(x, 300, seed=4)
-        ref = reference_bootstrap_alphas(x, 300, seed=4)
+    def test_bootstrap_matches_reference(self, x, resamples):
+        alphas = gjb.testing._bootstrap_alphas(x, resamples, seed=4)
+        ref = reference_bootstrap_alphas(x, resamples, seed=4)
         np.testing.assert_allclose(alphas, ref, rtol=1e-10, atol=1e-15)
 
-    @pytest.mark.parametrize("x", [[1.0, 2.0, 4.0], [0.1, 0.2, 0.4]], ids=["integers", "tenths"])
+    @pytest.mark.parametrize(
+        "x",
+        [[1.0, 2.0, 4.0], [0.1, 0.2, 0.4], [0.1] * 1999 + [0.7]],
+        ids=["integers", "tenths", "tenths-in-chunks"],
+    )
     def test_constant_resamples_score_zero(self, x):
         # a resample repeating one value is no asymmetry evidence, even when
         # the float mean of the repeats misses the value
         alphas = gjb.testing._bootstrap_alphas(gjb.testing._scale_and_centre(np.array(x)), 300, 4)
-        idx = reference_bootstrap_indices(3, 300, 4)
-        constant = (idx == idx[:, :1]).all(axis=1)
+        idx = reference_bootstrap_indices(len(x), 300, 4)
+        constant = (np.asarray(x)[idx] == np.asarray(x)[idx[:, :1]]).all(axis=1)
         assert constant.sum() > 10
         assert (alphas[constant] == 0.0).all()
+        assert (alphas[~constant] != 0.0).all()
 
-    def test_block_size_irrelevant(self, monkeypatch):
-        # 1000 resamples of 2000 are 32 chunks of 32 rows: two blocks by
-        # default, 32 when patched
+    def test_block_size_irrelevant(self):
+        # n = 2000: 1000 resamples are 31 chunks of 32 rows and a short one of
+        # 8; each resample scores the same as in a run of 32 full chunks, and
+        # the decision's bounds are the percentiles of those scores
         x = sample_sn(SkewNormalShape(2.0), 2000, seed=3)
-        default = duplication_decision(x, seed=7)
-        monkeypatch.setattr(gjb.rng, "BLOCK_ELEMENTS", 3)  # one chunk per block
-        blocked = duplication_decision(x, seed=7)
-        assert (blocked.ci_low, blocked.ci_high) == (default.ci_low, default.ci_high)
+        xc = gjb.testing._scale_and_centre(x)
+        alphas = gjb.testing._bootstrap_alphas(xc, 1000, seed=7)
+        assert np.array_equal(alphas, gjb.testing._bootstrap_alphas(xc, 1024, seed=7)[:1000])
+        outcome = duplication_decision(x, seed=7)
+        tail = 100.0 * (1.0 - 0.95) / 2.0
+        expected = np.percentile(alphas, [tail, 100.0 - tail])
+        assert (outcome.ci_low, outcome.ci_high) == tuple(expected)
 
     def test_bootstrap_memory_bounded(self):
-        # resamples are drawn and scored one row block at a time, so the peak
-        # stays a few blocks whatever resamples x n is (here 2e7 values)
-        x = sample_sn(SkewNormalShape(1.0), 100_000, seed=6)
+        # one stream chunk (here one resample of 10^5) is drawn and scored at
+        # a time into reused buffers: the peak is the chunk's rows, its two
+        # skewness scratch arrays and its indices, four rows' worth whatever
+        # resamples x n is (here 2e7 values). A buffered gather adds a fifth.
+        n = 100_000
+        x = sample_sn(SkewNormalShape(1.0), n, seed=6)
         tracemalloc.start()
         try:
             gjb.testing._bootstrap_alphas(x, 200, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * gjb.rng.BLOCK_ELEMENTS * 8
+        assert peak < 4.5 * n * 8
+
+    def test_bootstrap_kernels_allocate_no_chunk_temporaries(self, monkeypatch):
+        # the gather writes straight into the chunk's rows, allocating only
+        # the indices, and the skewness kernel works in its scratch arrays;
+        # a chunk-sized temporary in either would churn memory every chunk
+        n = 20_000
+        chunk_bytes = gjb.rng.chunk_rows(n) * n * 8
+        x = sample_sn(SkewNormalShape(1.0), n, seed=6)
+        extra = per_call_allocations(
+            monkeypatch, gjb.testing, lambda: gjb.testing._bootstrap_alphas(x, 10, seed=0)
+        )
+        assert len(extra["draw"]) == len(extra["kernel"]) == 4
+        assert max(extra["draw"]) < 1.5 * chunk_bytes
+        assert max(extra["kernel"]) < 0.5 * chunk_bytes
 
     def test_extreme_scale(self):
         x = sample_sn(SkewNormalShape(1.0), 1000, seed=0)
