@@ -7,11 +7,18 @@ Exit codes: 0 success (including decide's accept/inconclusive verdicts),
 Every subcommand that draws randomness takes --seed and is bit-reproducible
 in its report payload (wall_time_ms excluded). Commands run in a single
 thread; campaign replicates are processed one stream chunk at a time.
+
+Options shared by several subcommands are declared once, in parent parsers.
+Report commands (test, simulate, power, reject-size, decide) return a
+``Report``; ``main`` alone times the command, stamps ``wall_time_ms``,
+writes the report and maps the outcome to an exit code. sample and tables
+print their own output.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -57,77 +64,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="draw a reproducible SN(alpha) sample as CSV")
+    # option groups shared by several subcommands, declared once each
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out", default=None, help="report file (default: stdout)")
+    report.add_argument("--format", choices=("json", "csv"), default="json")
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--level", type=_level, default=0.05)
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--sigma", choices=("analytic", "mc"), default="analytic",
+                       help="covariance route (mc = monte-carlo)")
+    model.add_argument("--legacy", action="store_true",
+                       help="reproduce the original implementation's conventions")
+
+    p = sub.add_parser("sample", parents=[seed],
+                       help="draw a reproducible SN(alpha) sample as CSV")
     p.add_argument("--alpha", type=float, required=True, help="shape parameter")
     p.add_argument("--n", type=_positive_int, required=True, help="number of draws")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
+    p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser("test", help="test whether a CSV sample follows SN(alpha)")
+    p = sub.add_parser("test", parents=[seed, level, model, report],
+                       help="test whether a CSV sample follows SN(alpha)")
     p.add_argument("--data", required=True, help="single-column CSV sample file")
     p.add_argument("--alpha", type=float, required=True, help="hypothesized shape")
-    p.add_argument("--sigma", choices=("analytic", "mc"), default="analytic",
-                   help="covariance route (mc = monte-carlo)")
     p.add_argument("--duplicate", type=_positive_int, default=1, metavar="K",
                    help="test K concatenated copies of the sample")
-    p.add_argument("--seed", type=int, default=0, help="seed for the mc route")
-    p.add_argument("--level", type=_level, default=0.05)
-    p.add_argument("--legacy", action="store_true",
-                   help="reproduce the original implementation's conventions")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(handler=_cmd_test)
 
-    p = sub.add_parser("simulate", help="mean p-value under the true model")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--size", type=_positive_int, required=True)
-    p.add_argument("--reps", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", choices=("analytic", "mc"), default="analytic")
-    p.add_argument("--legacy", action="store_true",
-                   help="reproduce the original implementation's conventions")
-    p.add_argument("--full", action="store_true",
-                   help="include per-replicate p-values in the report")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    for name, help_text in (("simulate", "mean p-value under the true model"),
+                            ("power", "mean p-value against an alternative law")):
+        p = sub.add_parser(name, parents=[seed, model, report], help=help_text)
+        p.add_argument("--alpha", type=float, required=True, help="hypothesized shape")
+        p.add_argument("--size", type=_positive_int, required=True)
+        p.add_argument("--reps", type=_positive_int, default=1000)
+        p.add_argument("--full", action="store_true",
+                       help="include per-replicate p-values in the report")
+        p.set_defaults(handler=_cmd_campaign)
+        if name == "power":
+            p.add_argument("--data-alpha", type=float, default=None,
+                           help="draw data from SN(this); default: standard normal")
 
-    p = sub.add_parser("power", help="mean p-value against an alternative law")
-    p.add_argument("--alpha", type=float, required=True, help="hypothesized shape")
-    p.add_argument("--data-alpha", type=float, default=None,
-                   help="draw data from SN(this); default: standard normal")
-    p.add_argument("--size", type=_positive_int, required=True)
-    p.add_argument("--reps", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", choices=("analytic", "mc"), default="analytic")
-    p.add_argument("--legacy", action="store_true")
-    p.add_argument("--full", action="store_true")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("reject-size",
+    p = sub.add_parser("reject-size", parents=[seed, level, report],
                        help="sample size needed to reject normality against SN(alpha)")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--level", type=_level, default=0.05)
     p.add_argument("--cap", type=_positive_int, default=2_000_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=_positive_int, default=500)
     p.add_argument("--start", type=_positive_int, default=10)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(handler=_cmd_reject_size)
 
-    p = sub.add_parser("tables", help="reproduce the built-in reference tables")
+    p = sub.add_parser("tables", parents=[seed],
+                       help="reproduce the built-in reference tables")
     p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--budget", choices=("desk", "full"), default="desk",
                    help="desk: minutes-scale; full: adds the large-n columns")
-    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(handler=_cmd_tables)
 
-    p = sub.add_parser("decide",
+    p = sub.add_parser("decide", parents=[seed, level, report],
                        help="duplication protocol: accept symmetry or reject normality")
     p.add_argument("--data", required=True)
-    p.add_argument("--level", type=_level, default=0.05)
     p.add_argument("--k-cap", type=_positive_int, default=20_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(handler=_cmd_decide)
 
     return parser
 
@@ -136,14 +134,12 @@ def _sigma_route(flag: str) -> str:
     return "monte-carlo" if flag == "mc" else "analytic"
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     values = sample_sn(SkewNormalShape(args.alpha), args.n, args.seed)
     gjb_io.write_sample_csv(values, args.out if args.out else sys.stdout)
-    return 0
 
 
-def _cmd_test(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_test(args) -> gjb_io.Report:
     sample = gjb_io.read_sample_csv(args.data)
     outcome = run_test(
         sample.values,
@@ -165,16 +161,10 @@ def _cmd_test(args) -> int:
             "legacy": args.legacy,
         }
     }
-    report = gjb_io.test_report(
-        "test", args.alpha, outcome, extras,
-        wall_time_ms=int(1000 * (time.perf_counter() - t0)),
-    )
-    gjb_io.write_report(report, args.out, args.format)
-    return 0
+    return gjb_io.test_report("test", args.alpha, outcome, extras)
 
 
-def _campaign_command(args, true_model: bool) -> int:
-    t0 = time.perf_counter()
+def _cmd_campaign(args) -> gjb_io.Report:
     config = CampaignConfig(
         alpha=args.alpha,
         sample_size=args.size,
@@ -183,14 +173,11 @@ def _campaign_command(args, true_model: bool) -> int:
         sigma_route=_sigma_route(args.sigma),
         legacy=args.legacy,
     )
-    if true_model:
-        result = simulate_true_model(config)
-        data_alpha = args.alpha
-        command = "simulate"
+    if args.command == "simulate":
+        data_alpha, result = args.alpha, simulate_true_model(config)
     else:
-        result = simulate_alternative(config, data_alpha=args.data_alpha)
         data_alpha = args.data_alpha
-        command = "power"
+        result = simulate_alternative(config, data_alpha=data_alpha)
     payload = {
         "alpha": args.alpha,
         "data_alpha": data_alpha,
@@ -203,16 +190,10 @@ def _campaign_command(args, true_model: bool) -> int:
     }
     if args.full:
         payload["p_values"] = list(result.p_values)
-    report = gjb_io.Report(
-        command=command, payload=payload,
-        wall_time_ms=int(1000 * (time.perf_counter() - t0)),
-    )
-    gjb_io.write_report(report, args.out, args.format)
-    return 0
+    return gjb_io.Report(command=args.command, payload=payload)
 
 
-def _cmd_reject_size(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_reject_size(args) -> gjb_io.Report:
     result = rejection_size_search(
         args.alpha, args.level, args.seed,
         cap=args.cap, reps=args.reps, start=args.start,
@@ -227,12 +208,7 @@ def _cmd_reject_size(args) -> int:
         "capped": result.capped,
         "trace": [[n, p] for n, p in result.trace],
     }
-    report = gjb_io.Report(
-        command="reject-size", payload=payload,
-        wall_time_ms=int(1000 * (time.perf_counter() - t0)),
-    )
-    gjb_io.write_report(report, args.out, args.format)
-    return 0
+    return gjb_io.Report(command="reject-size", payload=payload)
 
 
 def _print_table(header: list[str], rows: list[list[str]]) -> None:
@@ -245,7 +221,7 @@ def _print_table(header: list[str], rows: list[list[str]]) -> None:
         print(fmt(row))
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args) -> None:
     if args.which == 3:
         header = ["alpha", "kurtosis", "skewness", "ref kurtosis", "ref skewness"]
         rows = []
@@ -259,10 +235,7 @@ def _cmd_tables(args) -> int:
             rows.append([alpha, f"{stats.kurtosis:.5f}", f"{stats.skewness:.5f}",
                          ref_k, ref_s])
         print("Kurtosis and skewness by shape (two independent paths, reference alongside)")
-        _print_table(header, rows)
-        return 0
-
-    if args.which == 1:
+    elif args.which == 1:
         reps = 1000 if args.budget == "desk" else 2000
         print(f"Mean p-values under the true model (percent, reps={reps}, "
               f"legacy conventions to match the reference grid)")
@@ -281,28 +254,26 @@ def _cmd_tables(args) -> int:
                 ref = REFERENCE_MEAN_PVALUES[(size, alpha)]
                 row.append(f"{100 * mean_p:.2f} (ref {ref})")
             rows.append(row)
-        _print_table(header, rows)
-        return 0
-
-    alphas = _TABLE2_DESK_ALPHAS if args.budget == "desk" else REFERENCE_REJECTION_SIZES
-    print(f"Size needed to reject normality at the 5% level (budget={args.budget})")
-    header = ["alpha", "n", "reference n"]
-    rows = []
-    for alpha in alphas:
-        result = rejection_size_search(alpha, 0.05, args.seed, cap=4_000_000)
-        n_text = str(result.n) if result.n is not None else "> cap"
-        rows.append([alpha, n_text, REFERENCE_REJECTION_SIZES[alpha]])
+    else:
+        alphas = _TABLE2_DESK_ALPHAS if args.budget == "desk" else REFERENCE_REJECTION_SIZES
+        print(f"Size needed to reject normality at the 5% level (budget={args.budget})")
+        header = ["alpha", "n", "reference n"]
+        rows = []
+        for alpha in alphas:
+            result = rejection_size_search(alpha, 0.05, args.seed, cap=4_000_000)
+            n_text = str(result.n) if result.n is not None else "> cap"
+            rows.append([alpha, n_text, REFERENCE_REJECTION_SIZES[alpha]])
     _print_table(header, rows)
-    return 0
 
 
-def _cmd_decide(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_decide(args) -> gjb_io.Report:
     sample = gjb_io.read_sample_csv(args.data)
     decision = duplication_decision(
         sample.values, level=args.level, k_cap=args.k_cap, seed=args.seed
     )
     extras = {
+        # the decision verdict supersedes the inner test's accept/reject
+        "verdict": decision.verdict,
         "alpha_hat": decision.alpha_hat,
         "ci_low": decision.ci_low,
         "ci_high": decision.ci_high,
@@ -314,33 +285,24 @@ def _cmd_decide(args) -> int:
             "seed": args.seed,
         },
     }
-    report = gjb_io.test_report(
-        "decide", 0.0, decision.test, extras,
-        wall_time_ms=int(1000 * (time.perf_counter() - t0)),
-    )
-    # the decision verdict supersedes the inner test's accept/reject
-    report.payload["verdict"] = decision.verdict
-    gjb_io.write_report(report, args.out, args.format)
-    return 1 if decision.verdict == "reject-normality" else 0
+    return gjb_io.test_report("decide", 0.0, decision.test, extras)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "sample": _cmd_sample,
-        "test": _cmd_test,
-        "simulate": lambda a: _campaign_command(a, true_model=True),
-        "power": lambda a: _campaign_command(a, true_model=False),
-        "reject-size": _cmd_reject_size,
-        "tables": _cmd_tables,
-        "decide": _cmd_decide,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        t0 = time.perf_counter()
+        report = args.handler(args)
+        if report is None:  # sample and tables print their own output
+            return 0
+        report = dataclasses.replace(
+            report, wall_time_ms=int(1000 * (time.perf_counter() - t0))
+        )
+        gjb_io.write_report(report, args.out, args.format)
     except (GJBError, OSError) as exc:
         print(f"gjb: error: {exc}", file=sys.stderr)
         return 3
+    return 1 if report.payload.get("verdict") == "reject-normality" else 0
 
 
 if __name__ == "__main__":

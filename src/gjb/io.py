@@ -141,7 +141,6 @@ def test_report(
     alpha: float,
     outcome: TestOutcome,
     extras: dict[str, Any] | None = None,
-    wall_time_ms: int = 0,
 ) -> Report:
     """Assemble the fixed-schema report for a single test outcome."""
     payload: dict[str, Any] = {
@@ -164,7 +163,7 @@ def test_report(
     }
     if extras:
         payload.update(extras)
-    return Report(command=command, payload=payload, wall_time_ms=wall_time_ms)
+    return Report(command=command, payload=payload)
 
 
 def _flatten(obj: dict[str, Any], prefix: str = "") -> dict[str, str]:

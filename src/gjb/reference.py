@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "REFERENCE_MEAN_PVALUES",
     "REFERENCE_REJECTION_SIZES",
@@ -63,14 +65,5 @@ def rejection_size_hint(alpha: float) -> int:
 
     Log-log interpolation on the reference grid, clamped at its ends.
     """
-    a = abs(alpha)
-    if a <= _GRID[0]:
-        return REFERENCE_REJECTION_SIZES[_GRID[0]]
-    if a >= _GRID[-1]:
-        return REFERENCE_REJECTION_SIZES[_GRID[-1]]
-    la = math.log(a)
-    for i in range(len(_GRID) - 1):
-        if _LOG_A[i] <= la <= _LOG_A[i + 1]:
-            t = (la - _LOG_A[i]) / (_LOG_A[i + 1] - _LOG_A[i])
-            return int(round(math.exp(_LOG_N[i] + t * (_LOG_N[i + 1] - _LOG_N[i]))))
-    raise AssertionError("unreachable")
+    la = math.log(max(abs(alpha), _GRID[0]))
+    return int(round(math.exp(np.interp(la, _LOG_A, _LOG_N))))

@@ -234,6 +234,11 @@ def gjb_statistic(
 _MC_BUDGET = (10_000, 1_000)
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"level must be in (0, 1), got {level}")
+
+
 def _sigma_for(
     shape: SkewNormalShape, route: str, seed: int, *, legacy: bool
 ) -> CovarianceMatrix2:
@@ -263,6 +268,7 @@ def run_test(
     """
     if duplication_factor < 1:
         raise DomainError(f"need duplication_factor >= 1, got {duplication_factor}")
+    _check_level(level)
     x = np.asarray(sample, dtype=float)
     shape = SkewNormalShape(alpha)
     a_n, b_n = empirical_shape(x, ddof=1 if legacy else 0)
@@ -349,8 +355,9 @@ def rejection_size_search(
     """
     if alpha == 0.0:
         raise DomainError("alpha must be nonzero (the alternative is N(0,1))")
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {level}")
+    _check_level(level)
+    if start < 2:
+        raise DomainError(f"need start >= 2, got {start}")
     trace: list[tuple[int, float]] = []
     n = start
     while n <= cap:
@@ -435,6 +442,9 @@ def duplication_decision(
     n = x.size
     if resamples < 1:
         raise DomainError(f"need resamples >= 1, got {resamples}")
+    if k_cap < 1:
+        raise DomainError(f"need k_cap >= 1, got {k_cap}")
+    _check_level(level)
 
     alpha_hat, _ = estimate_alpha_with_flag(x)  # also checks the sample
     x = _scale_and_centre(x)
@@ -444,24 +454,18 @@ def duplication_decision(
     tail = 100.0 * (1.0 - 0.95) / 2.0
     ci_low, ci_high = np.percentile(boot_alpha, [tail, 100.0 - tail])
 
-    if ci_low < 0.5:
-        test = run_test(x, 0.0, level=level)
-        return DecisionOutcome(
-            verdict="accept-symmetry",
-            alpha_hat=alpha_hat,
-            ci_low=float(ci_low),
-            ci_high=float(ci_high),
-            duplication_factor=1,
-            capped=False,
-            test=test,
-        )
-
-    target = rejection_size_hint(alpha_hat)
-    k_needed = max(1, -(-target // n))
-    k = min(k_needed, k_cap, max(1, 1_000_000 // n))
-    capped = k < k_needed
+    symmetric = ci_low < 0.5
+    if symmetric:
+        k, capped = 1, False
+    else:
+        k_needed = max(1, -(-rejection_size_hint(alpha_hat) // n))
+        k = min(k_needed, k_cap, max(1, 1_000_000 // n))
+        capped = k < k_needed
     test = run_test(x, 0.0, duplication_factor=k, level=level)
-    verdict = "reject-normality" if test.p_value < level else "inconclusive"
+    if symmetric:
+        verdict = "accept-symmetry"
+    else:
+        verdict = "reject-normality" if test.p_value < level else "inconclusive"
     return DecisionOutcome(
         verdict=verdict,
         alpha_hat=alpha_hat,

@@ -1,10 +1,16 @@
 """End-to-end CLI tests: flags, exit codes, determinism of report payloads."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gjb
 from gjb.cli import main
 from gjb.distributions import SkewNormalShape, sample_sn
 from gjb.io import write_sample_csv
@@ -184,6 +190,76 @@ class TestDecideCommand:
         out = str(tmp_path / "d.json")
         assert run(["decide", "--data", data, "--seed", "0", "--out", out]) == 0
         assert payload(out)["verdict"] == "accept-symmetry"
+
+
+def flat_items(obj, prefix=""):
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from flat_items(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def assert_cell_matches(text, value):
+    if isinstance(value, list):
+        pieces = text.split(";") if value else []
+        assert len(pieces) == len(value)
+        for piece, v in zip(pieces, value):
+            assert (json.loads(piece) if isinstance(v, list) else float(piece)) == v
+    elif isinstance(value, (bool, str)) or value is None:
+        assert text == str(value)
+    else:
+        assert float(text) == value
+
+
+class TestCsvFormat:
+    """A CSV report is the JSON report flattened into one header and one row."""
+
+    def check(self, tmp_path, args, code=0):
+        out_j, out_c = str(tmp_path / "r.json"), str(tmp_path / "r.csv")
+        assert run(args + ["--out", out_j]) == code
+        assert run(args + ["--format", "csv", "--out", out_c]) == code
+        expected = list(flat_items(json.loads(open(out_j).read())))
+        with open(out_c, newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert header == [key for key, _ in expected]
+        for (key, value), text in zip(expected, row):
+            if key != "wall_time_ms":
+                assert_cell_matches(text, value)
+        return dict(zip(header, row))
+
+    def test_test(self, tmp_path):
+        data = sample_file(tmp_path, 1.0, 500, seed=3)
+        row = self.check(tmp_path, ["test", "--data", data, "--alpha", "1"])
+        assert row["config.sigma_route"] == "analytic"
+
+    def test_simulate_full(self, tmp_path):
+        row = self.check(tmp_path, ["simulate", "--alpha", "1", "--size", "10",
+                                    "--reps", "20", "--seed", "4", "--full"])
+        assert len(row["p_values"].split(";")) == 20
+
+    def test_reject_size(self, tmp_path):
+        row = self.check(tmp_path, ["reject-size", "--alpha", "10", "--reps", "100",
+                                    "--seed", "2"])
+        assert row["capped"] == "False"
+
+    def test_decide_reject(self, tmp_path):
+        data = sample_file(tmp_path, 6.0, 50, seed=1)
+        row = self.check(tmp_path, ["decide", "--data", data, "--seed", "0"], code=1)
+        assert row["verdict"] == "reject-normality"
+
+    def test_decide_exit_code_through_module_entry_point(self, tmp_path):
+        data = sample_file(tmp_path, 6.0, 50, seed=1)
+        src = str(Path(gjb.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gjb.cli", "decide", "--data", data, "--format", "csv"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        header, row = list(csv.reader(proc.stdout.splitlines()))
+        assert dict(zip(header, row))["verdict"] == "reject-normality"
 
 
 class TestUsageErrors:

@@ -105,6 +105,24 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
         entry([1.0, 2.0, bad, 4.0])
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda x: duplication_decision(x, k_cap=0), "need k_cap >= 1, got 0"),
+        (lambda x: duplication_decision(x, level=1.5), r"level must be in \(0, 1\), got 1.5"),
+        (lambda x: duplication_decision(x, level=-1.0), r"level must be in \(0, 1\), got -1.0"),
+        (lambda x: run_test(x, 0.0, level=1.5), r"level must be in \(0, 1\), got 1.5"),
+        (lambda x: run_test(x, 0.0, level=0.0), r"level must be in \(0, 1\), got 0.0"),
+        (lambda x: rejection_size_search(1.0, start=1), "need start >= 2, got 1"),
+    ],
+    ids=["k_cap", "decide-level-high", "decide-level-negative", "test-level-high",
+         "test-level-zero", "start"],
+)
+def test_bad_argument_named_at_entry(call, message):
+    with pytest.raises(DomainError, match=message):
+        call(sample_sn(SkewNormalShape(6.0), 50, seed=1))
+
+
 class TestEmpiricalShape:
     def test_hand_example(self):
         # mu2 = 2/3, mu3 = 0, mu4 = 2/3 -> a_n = 1.5, b_n = 0
