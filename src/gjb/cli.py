@@ -43,11 +43,13 @@ from .testing import (
 _TABLE2_DESK_ALPHAS = (1.5, 6.0, 10.0)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(k: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be >= {k}, got {value}")
+        return value
+    return integer
 
 
 def _level(text: str) -> float:
@@ -81,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", parents=[seed],
                        help="draw a reproducible SN(alpha) sample as CSV")
     p.add_argument("--alpha", type=float, required=True, help="shape parameter")
-    p.add_argument("--n", type=_positive_int, required=True, help="number of draws")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="number of draws")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(handler=_cmd_sample)
 
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="test whether a CSV sample follows SN(alpha)")
     p.add_argument("--data", required=True, help="single-column CSV sample file")
     p.add_argument("--alpha", type=float, required=True, help="hypothesized shape")
-    p.add_argument("--duplicate", type=_positive_int, default=1, metavar="K",
+    p.add_argument("--duplicate", type=_int_at_least(1), default=1, metavar="K",
                    help="test K concatenated copies of the sample")
     p.set_defaults(handler=_cmd_test)
 
@@ -97,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                             ("power", "mean p-value against an alternative law")):
         p = sub.add_parser(name, parents=[seed, model, report], help=help_text)
         p.add_argument("--alpha", type=float, required=True, help="hypothesized shape")
-        p.add_argument("--size", type=_positive_int, required=True)
-        p.add_argument("--reps", type=_positive_int, default=1000)
+        p.add_argument("--size", type=_int_at_least(2), required=True)
+        p.add_argument("--reps", type=_int_at_least(1), default=1000)
         p.add_argument("--full", action="store_true",
                        help="include per-replicate p-values in the report")
         p.set_defaults(handler=_cmd_campaign)
@@ -109,9 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reject-size", parents=[seed, level, report],
                        help="sample size needed to reject normality against SN(alpha)")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--cap", type=_positive_int, default=2_000_000)
-    p.add_argument("--reps", type=_positive_int, default=500)
-    p.add_argument("--start", type=_positive_int, default=10)
+    p.add_argument("--cap", type=_int_at_least(1), default=2_000_000)
+    p.add_argument("--reps", type=_int_at_least(1), default=500)
+    p.add_argument("--start", type=_int_at_least(2), default=10)
     p.set_defaults(handler=_cmd_reject_size)
 
     p = sub.add_parser("tables", parents=[seed],
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", parents=[seed, level, report],
                        help="duplication protocol: accept symmetry or reject normality")
     p.add_argument("--data", required=True)
-    p.add_argument("--k-cap", type=_positive_int, default=20_000)
+    p.add_argument("--k-cap", type=_int_at_least(1), default=20_000)
     p.set_defaults(handler=_cmd_decide)
 
     return parser

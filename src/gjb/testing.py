@@ -37,7 +37,7 @@ from .asymptotics import (
 )
 from .distributions import SkewNormalShape, fill_sn
 from .errors import DegenerateSampleError, DomainError, SingularCovarianceError
-from .moments import delta_from_skewness, shape_statistics, sn_raw_moments
+from .moments import ShapeStatistics, delta_from_skewness, shape_statistics, sn_raw_moments
 from .reference import rejection_size_hint
 # substream is unused here, but bench/tests/test_bench.py checks that the
 # traced run rebinds gjb.testing.substream; drop it together with that check.
@@ -239,14 +239,19 @@ def _check_level(level: float) -> None:
         raise DomainError(f"level must be in (0, 1), got {level}")
 
 
-def _sigma_for(
+def _null_law(
     shape: SkewNormalShape, route: str, seed: int, *, legacy: bool
-) -> CovarianceMatrix2:
+) -> tuple[ShapeStatistics, CovarianceMatrix2]:
+    """Theoretical (a, b) of SN(alpha) and the covariance Sigma by ``route``,
+    from one evaluation of the raw moments."""
+    raw = sn_raw_moments(shape)
     if route == "analytic":
-        return sigma_analytic(sn_raw_moments(shape), legacy=legacy)
-    if route == "monte-carlo":
-        return sigma_monte_carlo(shape, *_MC_BUDGET, seed, legacy=legacy)
-    raise DomainError(f"sigma_route must be one of {_SIGMA_ROUTES}, got {route!r}")
+        sigma = sigma_analytic(raw, legacy=legacy)
+    elif route == "monte-carlo":
+        sigma = sigma_monte_carlo(shape, *_MC_BUDGET, seed, legacy=legacy)
+    else:
+        raise DomainError(f"sigma_route must be one of {_SIGMA_ROUTES}, got {route!r}")
+    return shape_statistics(raw), sigma
 
 
 def run_test(
@@ -272,8 +277,7 @@ def run_test(
     x = np.asarray(sample, dtype=float)
     shape = SkewNormalShape(alpha)
     a_n, b_n = empirical_shape(x, ddof=1 if legacy else 0)
-    ab = shape_statistics(sn_raw_moments(shape))
-    sigma = _sigma_for(shape, sigma_route, seed, legacy=legacy)
+    ab, sigma = _null_law(shape, sigma_route, seed, legacy=legacy)
     j_base = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, x.size)
     j_n = duplication_factor * j_base
     p = chi2_survival(j_n)
@@ -298,8 +302,7 @@ def _campaign(config: CampaignConfig, data_alpha: float | None) -> CampaignResul
     Replicates are drawn under the campaign key prefix ``(0,)``.
     """
     shape = SkewNormalShape(config.alpha)
-    ab = shape_statistics(sn_raw_moments(shape))
-    sigma = _sigma_for(shape, config.sigma_route, config.seed, legacy=config.legacy)
+    ab, sigma = _null_law(shape, config.sigma_route, config.seed, legacy=config.legacy)
     n = config.sample_size
     ddof = 1 if config.legacy else 0
     d = 0.0 if data_alpha is None else SkewNormalShape(data_alpha).delta

@@ -273,6 +273,17 @@ class TestUsageErrors:
             run(["test", "--alpha", "1"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alpha", "1", "--size", "1"],
+        ["power", "--alpha", "1", "--size", "1"],
+        ["reject-size", "--alpha", "1", "--start", "1"],
+    ])
+    def test_sample_size_below_two_names_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert f"argument {argv[-2]}: must be >= 2, got 1" in capsys.readouterr().err
+
     def test_bad_level(self):
         with pytest.raises(SystemExit) as info:
             run(["decide", "--data", "x.csv", "--level", "1.5"])
@@ -286,3 +297,16 @@ class TestUsageErrors:
         for name in ("sample", "test", "simulate", "power", "reject-size",
                      "tables", "decide"):
             assert name in out
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests' oracles
+    src = str(Path(gjb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import gjb.cli, sys; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from gjb.distributions import (
     SkewNormalShape,
@@ -36,6 +37,17 @@ class TestDeltaOfAlpha:
         assert -1.0 < d < 1.0
         assert math.copysign(1.0, d) == math.copysign(1.0, alpha)
         assert d == pytest.approx(alpha / math.sqrt(1 + alpha * alpha), rel=1e-15)
+
+    def test_formula_bits_kept_below_square_overflow(self):
+        # every seeded SN sample depends on these bits
+        grid = np.logspace(-300, math.log10(1.3e154), 100_001)
+        for alpha in np.concatenate([grid, -grid]).tolist():
+            assert delta_of_alpha(alpha) == alpha / math.sqrt(1.0 + alpha * alpha)
+
+    @pytest.mark.parametrize("alpha", [1.4e154, 1e200, 1.7976931348623157e308])
+    def test_saturates_past_square_overflow(self, alpha):
+        assert delta_of_alpha(alpha) == 1.0
+        assert delta_of_alpha(-alpha) == -1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -84,6 +96,35 @@ class TestPdf:
         shape = SkewNormalShape(2.0)
         xs = np.linspace(-6, 6, 101)
         assert np.all(sn_pdf(shape, xs) > 0.0)
+
+    @pytest.mark.parametrize("alpha", [-4.625, -1.0, 0.0, 0.3, 2.0, 4.625])
+    def test_matches_ndtr(self, alpha):
+        # |alpha x| <= 37 keeps ndtr above its underflow at z ~ -37.7
+        xs = np.linspace(-8.0, 8.0, 1601)
+        phi = np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)
+        np.testing.assert_allclose(
+            sn_pdf(SkewNormalShape(alpha), xs), 2.0 * phi * ndtr(alpha * xs),
+            rtol=1e-12, atol=0.0,
+        )
+
+    def test_float_for_scalar_ndarray_for_array(self):
+        shape = SkewNormalShape(1.0)
+        for x in (0.5, np.float64(0.5), np.array(0.5)):
+            assert type(sn_pdf(shape, x)) is float
+        out = sn_pdf(shape, np.array([0.5, 1.0]))
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64 and out.shape == (2,)
+
+    @pytest.mark.parametrize("alpha", [-1e300, -38.0, 0.0, 38.0, 1e300])
+    def test_far_tail_finite_and_nonnegative(self, alpha):
+        # at |alpha| = 1e300 alpha x overflows to +-inf, where Phi is 0 or 1
+        xs = np.array([-1e200, -1e10, -40.0, -1.0, 0.0, 1.0, 40.0, 1e10, 1e200])
+        out = sn_pdf(SkewNormalShape(alpha), xs)
+        assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
+
+    def test_positive_below_ndtr_underflow(self):
+        # Phi(-38) ~ 3e-316 is subnormal, where ndtr already returns 0
+        assert sn_pdf(SkewNormalShape(-38.0), 1.0) > 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):

@@ -255,6 +255,13 @@ class TestRunTest:
         with pytest.raises(DomainError):
             run_test([1.0, 2.0, 3.0], 1.0, duplication_factor=0)
 
+    def test_shape_past_square_overflow_is_the_saturated_law(self):
+        # delta is exactly 1 from |alpha| ~ 1.4e8 on; past alpha^2 -> inf
+        # neither sampling nor the test may fall back to the normal law
+        x = sample_sn(SkewNormalShape(1e200), 500, seed=2)
+        assert np.array_equal(x, sample_sn(SkewNormalShape(1e100), 500, seed=2))
+        assert run_test(x, 1e200) == run_test(x, 1e100)
+
     def test_sigma_routes_agree(self):
         x = sample_sn(SkewNormalShape(1.0), 2_000, seed=6)
         analytic = run_test(x, 1.0, sigma_route="analytic")
