@@ -1,5 +1,7 @@
 """Tests for CSV ingestion and report serialization."""
 
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from gjb import io as gjb_io
+from gjb.cli import main
 from gjb.asymptotics import CovarianceMatrix2
 from gjb.errors import EmptyInputError, SampleParseError
 from gjb.testing import TestOutcome
@@ -185,3 +188,74 @@ def json_text(report) -> str:
     finally:
         sys.stdout = old
     return buffer.getvalue()
+
+
+# SHA-256 of the exact bytes each writer emits. The writers' output is part
+# of the CLI contract, so these digests only change with a documented
+# format change; parsing the output back would not notice one.
+SAMPLE_VALUES = np.array([1.25, -3.5e-7, 0.1, 12345.678901234567, -0.0, 1e300, 2.0 / 3.0])
+PINNED_SHA256 = {
+    "test_report.json":
+        "6b490228334d64d7e71e5ffa49b647f4472786997d1e5e3cfcace2c579953ba7",
+    "test_report.csv":
+        "aac2460ae82978053f087a79e7cfbaff7956fd87a3d8f932328e6623668451ca",
+    "numpy_payload.json":
+        "5197558b44b74bfefd98eb73a5669e099fd83ff67475527a7af78d93a351fd11",
+    "numpy_payload.csv":
+        "e79205c5c9148ce9d89105581a086114d7744852281bcefc182fa72938691d8c",
+    "sample.csv":
+        "6180f8df42563ec36a7bacbf29829eaa434b737cd61eb43603a7a9046611a702",
+    "sample_cli.csv":
+        "41048800a43d243994ead92fe4dcef1399a46db0f27d13fea67d2b7ea5f1729a",
+}
+
+
+def pinned_report(kind: str) -> gjb_io.Report:
+    if kind == "test_report":
+        report = gjb_io.test_report(
+            "test", 1.0, make_outcome(),
+            extras={"config": {"data": "x.csv", "seed": 3, "legacy": False}},
+        )
+    else:
+        report = gjb_io.Report(command="simulate", payload={
+            "alpha": 1.5,
+            "data_alpha": None,
+            "n": np.int64(10),
+            "mean_p_value": np.float64(0.4123456789012345),
+            "p_values": [np.float64(0.1), np.float64(1.0 / 3.0), np.float64(0.0),
+                         np.float64(1.0), np.float64(2.5e-300)],
+            "trace": [[10, 0.5], [20, 0.01]],
+        })
+    return dataclasses.replace(report, wall_time_ms=17)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestWrittenBytes:
+    @pytest.mark.parametrize("kind", ["test_report", "numpy_payload"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_bytes_to_path(self, tmp_path, kind, fmt):
+        path = tmp_path / f"report.{fmt}"
+        gjb_io.write_report(pinned_report(kind), str(path), fmt)
+        assert sha256(path.read_bytes()) == PINNED_SHA256[f"{kind}.{fmt}"]
+
+    @pytest.mark.parametrize("kind", ["test_report", "numpy_payload"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_bytes_to_stdout(self, capsys, kind, fmt):
+        gjb_io.write_report(pinned_report(kind), None, fmt)
+        assert sha256(capsys.readouterr().out.encode()) == PINNED_SHA256[f"{kind}.{fmt}"]
+
+    def test_sample_bytes_to_path(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        gjb_io.write_sample_csv(SAMPLE_VALUES, str(path))
+        assert sha256(path.read_bytes()) == PINNED_SHA256["sample.csv"]
+
+    def test_sample_command_bytes_to_stdout_and_path(self, tmp_path, capsys):
+        argv = ["sample", "--alpha", "2", "--n", "25", "--seed", "11"]
+        assert main(argv) == 0
+        assert sha256(capsys.readouterr().out.encode()) == PINNED_SHA256["sample_cli.csv"]
+        path = tmp_path / "s.csv"
+        assert main(argv + ["--out", str(path)]) == 0
+        assert sha256(path.read_bytes()) == PINNED_SHA256["sample_cli.csv"]
