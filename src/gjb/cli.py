@@ -138,7 +138,7 @@ def _sigma_route(flag: str) -> str:
 
 def _cmd_sample(args) -> None:
     values = sample_sn(SkewNormalShape(args.alpha), args.n, args.seed)
-    gjb_io.write_sample_csv(values, args.out if args.out else sys.stdout)
+    gjb_io.write_sample_csv(values, args.out)
 
 
 def _cmd_test(args) -> gjb_io.Report:

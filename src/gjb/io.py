@@ -20,8 +20,10 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, IO
+from io import StringIO
+from typing import IO, Any, Iterator
 
 import numpy as np
 
@@ -43,7 +45,6 @@ __all__ = [
 @dataclass(frozen=True)
 class SampleFile:
     values: np.ndarray
-    source_path: str
     parsed_rows: int
     skipped_rows: int
 
@@ -116,24 +117,16 @@ def read_sample_csv(path: str) -> SampleFile:
         raise EmptyInputError(f"{path}: no numeric values found")
     return SampleFile(
         values=np.asarray(values, dtype=float),
-        source_path=path,
         parsed_rows=len(values),
         skipped_rows=skipped,
     )
 
 
-def write_sample_csv(values: np.ndarray, dest: str | IO[str]) -> None:
-    """Write one value per line with full round-trip precision."""
-    def _write(fh: IO[str]) -> None:
-        for v in values:
-            fh.write(repr(float(v)))
-            fh.write("\n")
-
-    if isinstance(dest, str):
-        with open(dest, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(dest)
+def write_sample_csv(values: np.ndarray, dest: str | None = None) -> None:
+    """Write one value per line with full round-trip precision to ``dest``
+    (path) or stdout (None)."""
+    with _sink(dest) as fh:
+        fh.writelines(f"{float(v)!r}\n" for v in values)
 
 
 def test_report(
@@ -166,23 +159,28 @@ def test_report(
     return Report(command=command, payload=payload)
 
 
+@contextmanager
+def _sink(dest: str | None) -> Iterator[IO[str]]:
+    """The file at path ``dest``, or stdout for None."""
+    if dest is None:
+        yield sys.stdout  # looked up per call: callers may redirect it
+        return
+    with open(dest, "w", newline="") as fh:
+        yield fh
+
+
 def _flatten(obj: dict[str, Any], prefix: str = "") -> dict[str, str]:
+    """One CSV cell per leaf of a ``_jsonable`` payload."""
     flat: dict[str, str] = {}
     for key, value in obj.items():
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             flat.update(_flatten(value, prefix=f"{name}."))
-        elif isinstance(value, (list, tuple, np.ndarray)):
-            flat[name] = ";".join(_scalar_text(v) for v in value)
+        elif isinstance(value, list):
+            flat[name] = ";".join(map(str, value))
         else:
-            flat[name] = _scalar_text(value)
+            flat[name] = str(value)
     return flat
-
-
-def _scalar_text(value: Any) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 def _jsonable(value: Any) -> Any:
@@ -202,20 +200,10 @@ def write_report(report: Report, dest: str | None = None, fmt: str = "json") -> 
     obj = _jsonable(report.to_dict())
     if fmt == "json":
         text = json.dumps(obj, indent=2) + "\n"
-        if dest is None:
-            sys.stdout.write(text)
-        else:
-            with open(dest, "w") as fh:
-                fh.write(text)
-        return
-    flat = _flatten(obj)
-    def _write_csv(fh: IO[str]) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(flat.keys())
-        writer.writerow(flat.values())
-
-    if dest is None:
-        _write_csv(sys.stdout)
     else:
-        with open(dest, "w", newline="") as fh:
-            _write_csv(fh)
+        flat = _flatten(obj)
+        buffer = StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([flat.keys(), flat.values()])
+        text = buffer.getvalue()
+    with _sink(dest) as fh:
+        fh.write(text)
