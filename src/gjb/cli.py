@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # option groups shared by several subcommands, declared once each
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0)
+    seed.add_argument("--seed", type=_int_at_least(0), default=0)
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--out", default=None, help="report file (default: stdout)")
     report.add_argument("--format", choices=("json", "csv"), default="json")

@@ -1,8 +1,11 @@
 """Sample-file ingestion and report serialization.
 
-Input format: single-column CSV, one numeric value per line, decimal point
-'.', optional single header row (auto-detected when the first row is not
-numeric). Multi-column files are rejected rather than guessing a column.
+Input format: single-column CSV in UTF-8 (a leading byte-order mark is
+dropped), one numeric value per line, decimal point '.', optional single
+header row (auto-detected when the first row is not numeric). Multi-column
+files are rejected rather than guessing a column. A file that does not
+decode or that the CSV reader rejects raises SampleParseError, like a bad
+row.
 
 Report format: a flat JSON object with fixed, documented keys
 
@@ -12,6 +15,9 @@ Report format: a flat JSON object with fixed, documented keys
 plus command-specific extras. Numbers are serialized with full round-trip
 precision (>= 15 significant digits). CSV output is the same payload as a
 single flat row, nested keys joined with '.', list values joined with ';'.
+
+Every writer sends its text to a path, or to stdout when the destination
+is None.
 """
 
 from __future__ import annotations
@@ -78,41 +84,55 @@ class Report:
 def read_sample_csv(path: str) -> SampleFile:
     """Parse a single-column CSV of real numbers.
 
-    Blank lines are skipped and counted; a non-numeric first non-blank row
-    is treated as a header and also counted as skipped. Any later
-    non-numeric row, a non-finite value, or a multi-column row raises
-    SampleParseError with its line number.
+    The file is read as UTF-8; a leading byte-order mark is dropped. Blank
+    lines are skipped and counted; a non-numeric first non-blank row is
+    treated as a header and also counted as skipped. Any later non-numeric
+    row, a non-finite value, or a multi-column row raises SampleParseError
+    with its line number, as does a row the CSV reader rejects; a file that
+    is not UTF-8 raises SampleParseError naming the file.
     """
     values: list[float] = []
     skipped = 0
     header_seen = False
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            fields = [f.strip() for f in row]
-            if not any(fields):
-                skipped += 1
-                continue
-            if sum(1 for f in fields if f) > 1:
-                raise SampleParseError(
-                    f"{path}:{lineno}: expected a single column, got {len(fields)} fields",
-                    line=lineno,
-                )
-            text = next(f for f in fields if f)
-            try:
-                value = float(text)
-            except ValueError:
-                if not values and not header_seen:
-                    header_seen = True
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                lineno = reader.line_num
+                fields = [f.strip() for f in row]
+                if not any(fields):
                     skipped += 1
                     continue
-                raise SampleParseError(
-                    f"{path}:{lineno}: not a number: {text!r}", line=lineno
-                ) from None
-            if not math.isfinite(value):
-                raise SampleParseError(
-                    f"{path}:{lineno}: non-finite value: {text!r}", line=lineno
-                )
-            values.append(value)
+                if sum(1 for f in fields if f) > 1:
+                    raise SampleParseError(
+                        f"{path}:{lineno}: expected a single column, got {len(fields)} fields",
+                        line=lineno,
+                    )
+                text = next(f for f in fields if f)
+                try:
+                    value = float(text)
+                except ValueError:
+                    if not values and not header_seen:
+                        header_seen = True
+                        skipped += 1
+                        continue
+                    raise SampleParseError(
+                        f"{path}:{lineno}: not a number: {text!r}", line=lineno
+                    ) from None
+                if not math.isfinite(value):
+                    raise SampleParseError(
+                        f"{path}:{lineno}: non-finite value: {text!r}", line=lineno
+                    )
+                values.append(value)
+        except UnicodeDecodeError as exc:
+            # decoding runs ahead of the reader, so no line is known here
+            raise SampleParseError(
+                f"{path}: not UTF-8 text: {exc.reason} (byte {exc.object[exc.start]:#04x})"
+            ) from None
+        except csv.Error as exc:
+            raise SampleParseError(
+                f"{path}:{reader.line_num}: {exc}", line=reader.line_num
+            ) from None
     if not values:
         raise EmptyInputError(f"{path}: no numeric values found")
     return SampleFile(

@@ -46,6 +46,12 @@ class TestSampleCommand:
         values = np.loadtxt(out)
         assert abs(values.mean() - 0.5641895835477563) < 0.004
 
+    def test_empty_out_is_runtime_error(self, capsys):
+        assert run(["sample", "--alpha", "0", "--n", "3", "--out", ""]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
+
     def test_n_zero_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             run(["sample", "--alpha", "0", "--n", "0"])
@@ -262,6 +268,18 @@ class TestCsvFormat:
         assert dict(zip(header, row))["verdict"] == "reject-normality"
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize("content", [
+        "1.5\n2.5\n".encode("utf-16"),  # starts with b"\xff\xfe": not UTF-8
+        b"1.0\n2.0\n" + b"9" * 131_073 + b"\n",  # over the CSV field limit
+    ], ids=["utf-16", "oversized-field"])
+    def test_decide_exits_with_parse_error(self, tmp_path, capsys, content):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(content)
+        assert run(["decide", "--data", str(data)]) == 3
+        assert str(data) in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as info:
@@ -283,6 +301,16 @@ class TestUsageErrors:
             run(argv)
         assert info.value.code == 2
         assert f"argument {argv[-2]}: must be >= 2, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--alpha", "0", "--n", "3"],
+        ["decide", "--data", "s.csv"],
+    ])
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(argv + ["--seed", "-1"])
+        assert info.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_bad_level(self):
         with pytest.raises(SystemExit) as info:

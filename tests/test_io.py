@@ -70,6 +70,27 @@ class TestReadSampleCsv:
         with pytest.raises(SampleParseError):
             gjb_io.read_sample_csv(write(tmp_path, "1,5\n"))
 
+    def test_utf8_bom_keeps_first_value(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n-0.5\n3.0\n")
+        sf = gjb_io.read_sample_csv(str(path))
+        assert list(sf.values) == [1.5, 2.5, -0.5, 3.0]
+        assert sf.skipped_rows == 0
+
+    def test_undecodable_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes("1.5\n2.5\n".encode("utf-16"))  # starts with b"\xff\xfe"
+        with pytest.raises(SampleParseError, match="not UTF-8") as info:
+            gjb_io.read_sample_csv(str(path))
+        assert str(path) in str(info.value)
+
+    def test_oversized_field_is_parse_error_with_line(self, tmp_path):
+        path = write(tmp_path, "1.0\n2.0\n" + "9" * 131_073 + "\n")
+        with pytest.raises(SampleParseError, match="field limit") as info:
+            gjb_io.read_sample_csv(path)
+        assert info.value.line == 3
+        assert f"{path}:3:" in str(info.value)
+
     def test_roundtrip_with_writer(self, tmp_path):
         values = np.array([1.25, -3.5e-7, 0.1, 12345.678901234567])
         path = str(tmp_path / "out.csv")
@@ -246,6 +267,10 @@ class TestWrittenBytes:
     def test_report_bytes_to_stdout(self, capsys, kind, fmt):
         gjb_io.write_report(pinned_report(kind), None, fmt)
         assert sha256(capsys.readouterr().out.encode()) == PINNED_SHA256[f"{kind}.{fmt}"]
+
+    def test_sample_bytes_to_stdout(self, capsys):
+        gjb_io.write_sample_csv(SAMPLE_VALUES, None)
+        assert sha256(capsys.readouterr().out.encode()) == PINNED_SHA256["sample.csv"]
 
     def test_sample_bytes_to_path(self, tmp_path):
         path = tmp_path / "sample.csv"
