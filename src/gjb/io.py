@@ -5,7 +5,11 @@ dropped), one numeric value per line, decimal point '.', optional single
 header row (auto-detected when the first row is not numeric). Multi-column
 files are rejected rather than guessing a column. A file that does not
 decode or that the CSV reader rejects raises SampleParseError, like a bad
-row.
+row. Plain files are streamed in blocks of lines through ``float()``; a
+file with a line the CSV reader might read differently (a quote, a comma,
+a lone carriage return, an over-long line) or a line that fails is read
+again through ``csv.reader``, so both paths give the same values, counts
+and errors.
 
 Report format: a flat JSON object with fixed, documented keys
 
@@ -29,6 +33,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from io import StringIO
+from itertools import filterfalse, islice
 from typing import IO, Any, Iterator
 
 import numpy as np
@@ -37,6 +42,8 @@ from .errors import EmptyInputError, SampleParseError
 from .testing import TestOutcome
 
 SCHEMA_VERSION = "1"
+# lines per np.fromiter call on the plain path: bounds the text held at once
+_BLOCK_LINES = 4096
 
 __all__ = [
     "SampleFile",
@@ -90,7 +97,55 @@ def read_sample_csv(path: str) -> SampleFile:
     row, a non-finite value, or a multi-column row raises SampleParseError
     with its line number, as does a row the CSV reader rejects; a file that
     is not UTF-8 raises SampleParseError naming the file.
+
+    A plain file is streamed in blocks of lines, each line converted with
+    ``float()``, the same conversion the CSV reader's rows get. A file with a
+    line holding a quote or a comma, a carriage return not followed by a
+    line feed, more characters than ``csv.field_size_limit()``, a value
+    ``float()`` rejects or a non-finite value is read again through the CSV
+    reader, which alone raises the errors above. Values, row counts and
+    errors are the same on both paths.
     """
+    sample = _read_plain(path)
+    return _read_csv(path) if sample is None else sample
+
+
+def _read_plain(path: str) -> SampleFile | None:
+    """``path`` read block by block with ``float()``, or None when it holds
+    a line the CSV reader might split, unquote or reject, a value ``float()``
+    rejects, a non-finite value, or no value: ``_read_csv`` reads those."""
+    blocks: list[np.ndarray] = []
+    skipped = 0
+    header_checked = False
+    limit = csv.field_size_limit()
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            while lines := list(islice(fh, _BLOCK_LINES)):
+                text = "".join(lines)
+                if ('"' in text or "," in text
+                        or ("\r" in text and text.count("\r") != text.count("\r\n"))
+                        or (len(text) > limit and max(map(len, lines)) > limit)):
+                    return None
+                numeric = list(filterfalse(str.isspace, lines))
+                skipped += len(lines) - len(numeric)
+                if numeric and not header_checked:
+                    header_checked = True
+                    try:
+                        float(numeric[0])
+                    except ValueError:
+                        del numeric[0]
+                        skipped += 1
+                blocks.append(np.fromiter(map(float, numeric), float, len(numeric)))
+    except ValueError:  # float() or the UTF-8 decoder rejected the text
+        return None
+    values = np.concatenate(blocks) if blocks else np.empty(0)
+    if not values.size or not np.isfinite(values).all():
+        return None
+    return SampleFile(values=values, parsed_rows=values.size, skipped_rows=skipped)
+
+
+def _read_csv(path: str) -> SampleFile:
+    """``path`` read row by row through ``csv.reader``; see read_sample_csv."""
     values: list[float] = []
     skipped = 0
     header_seen = False

@@ -9,8 +9,13 @@ duplication protocol:
 * exact kurtosis/skewness values by shape.
 
 The mean p-value grid embeds the conventions of the original
-implementation (see ``legacy`` in the asymptotics and testing modules);
-the rejection-size and shape grids do not depend on them materially.
+implementation (see ``legacy`` in the asymptotics and testing modules),
+and so does the rejection-size grid: with N(0, 1) data tested against
+alpha = 6 at n = 120, the mean p-value is 0.0524 under the legacy
+conventions and 0.0019 under the exact ones, so the reference sizes sit
+near the legacy crossings. ``tables --which 2`` searches under the exact
+conventions and lands away from them. The shape grid is exact and does
+not depend on the conventions.
 """
 
 from __future__ import annotations

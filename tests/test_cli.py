@@ -198,6 +198,35 @@ class TestDecideCommand:
         assert payload(out)["verdict"] == "accept-symmetry"
 
 
+class TestInputLayouts:
+    """One sample written in several layouts gives one report."""
+
+    LAYOUTS = {
+        "lf": lambda lines: "".join(f"{v}\n" for v in lines),
+        "crlf": lambda lines: "".join(f"{v}\r\n" for v in lines),
+        "header": lambda lines: "value\n" + "".join(f"{v}\n" for v in lines),
+        "trailing-blank-lines": lambda lines: "".join(f"{v}\n" for v in lines) + "\n \n\n",
+    }
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--alpha", "1"],
+        ["decide", "--seed", "3"],
+    ], ids=["test", "decide"])
+    def test_payload_does_not_depend_on_layout(self, tmp_path, argv):
+        lines = [repr(float(v)) for v in sample_sn(SkewNormalShape(1.0), 300, 11)]
+        data, out = tmp_path / "data.csv", str(tmp_path / "r.json")
+        reports = {}
+        for name, layout in self.LAYOUTS.items():
+            data.write_text(layout(lines), newline="")
+            code = run(argv + ["--data", str(data), "--out", out])
+            report = payload(out)
+            report.get("config", {}).pop("skipped_rows", None)
+            reports[name] = code, report
+        assert reports["lf"][1]["n"] == 300
+        for name in self.LAYOUTS:
+            assert reports[name] == reports["lf"], name
+
+
 def flat_items(obj, prefix=""):
     for key, value in obj.items():
         if isinstance(value, dict):
@@ -327,13 +356,15 @@ class TestUsageErrors:
             assert name in out
 
 
-def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy serves the tests' oracles
+def test_import_loads_no_scipy_pandas_or_pools():
+    # numpy is the only runtime dependency (scipy serves the tests' oracles),
+    # and the library starts no threads or processes
     src = str(Path(gjb.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import gjb.cli, sys; "
-            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+            "print([m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'pandas', 'multiprocessing') or m.startswith('concurrent.futures')])")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,16 @@
 """Tests for CSV ingestion and report serialization."""
 
+import csv
 import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gjb import io as gjb_io
 from gjb.cli import main
@@ -97,6 +101,105 @@ class TestReadSampleCsv:
         gjb_io.write_sample_csv(values, path)
         back = gjb_io.read_sample_csv(path)
         assert np.array_equal(back.values, values)
+
+    def test_peak_memory_is_under_three_doubles_per_row(self, tmp_path):
+        # a list of floats costs ~40 B/row and the whole text split into
+        # lines ~100 B/row; the streamed path holds one block and the array
+        n = 100_000
+        path = str(tmp_path / "big.csv")
+        gjb_io.write_sample_csv(np.random.default_rng(0).standard_normal(n), path)
+        tracemalloc.start()
+        try:
+            sample = gjb_io.read_sample_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.parsed_rows == n
+        assert peak < 3 * 8 * n
+
+
+FIELD_LIMIT = csv.field_size_limit()
+# Lines the streamed path reads itself, and lines on which it and the CSV
+# reader could part ways: each file mixes the first with a few of the second.
+PLAIN_LINES = st.tuples(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from([
+            "", "  ", "\t", "\u2003",  # blank and whitespace-only
+            "1_000", "0x1p3", "\u0663\u0661", "\uff17", "\u3000-2.5\u00a0",
+        ]),
+    ),
+    st.sampled_from(["\n", "\r\n"]),
+)
+ODD_LINES = st.tuples(
+    st.one_of(
+        st.sampled_from([
+            "x", "value",  # a header, or a non-numeric later row
+            '"1.5"', '"1\n2"', '"', 'a"b',  # quotes, one spanning two lines
+            "1,", ",1", "1,5",
+            "nan", "inf", "-Infinity", "1\x00", "\x00",
+            # fields of FIELD_LIMIT - 1, FIELD_LIMIT and FIELD_LIMIT + 1 characters
+            "0." + "0" * (FIELD_LIMIT - 3), "0." + "0" * (FIELD_LIMIT - 2),
+            "0." + "0" * (FIELD_LIMIT - 1),
+        ]),
+        st.text(max_size=4),
+    ),
+    st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"]),
+)
+
+
+@st.composite
+def sample_files(draw) -> bytes:
+    odd = draw(st.lists(ODD_LINES, max_size=2)) if draw(st.booleans()) else []
+    line = st.one_of(PLAIN_LINES, st.sampled_from(odd)) if odd else PLAIN_LINES
+
+    def lines():
+        return "".join(a + b for a, b in draw(st.lists(line, max_size=8)))
+
+    # padding puts the second group of lines in a later block than the first
+    padding = draw(st.sampled_from([0, gjb_io._BLOCK_LINES - 1, gjb_io._BLOCK_LINES]))
+    text = lines() + "0.5\n" * padding + lines()
+    if draw(st.booleans()):
+        text = "".join(draw(ODD_LINES)) + text  # a header, or a row taken for one
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = text.encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]  # never valid UTF-8
+    return data
+
+
+def read_outcome(read, path):
+    try:
+        sample = read(path)
+    except (SampleParseError, EmptyInputError) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    assert sample.values.dtype == np.float64
+    return sample.values.tobytes(), sample.parsed_rows, sample.skipped_rows
+
+
+class TestStreamedPathMatchesCsvReader:
+    """read_sample_csv against the csv.reader loop it falls back to."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=sample_files())
+    # files on which a reader that trusted float() alone, or that took a
+    # header in any block, would part ways with the CSV reader
+    @example(data=b'"1.5"\n2.5\n')  # quoted, so a value, not a header
+    @example(data=b"1,\n2.5\n")  # "1" and an empty field: a value
+    @example(data=b",1\n2.5\n")
+    @example(data=b"1.0\r2.0\r\r\n3.0\n")  # lone carriage returns
+    @example(data=("0." + "0" * (FIELD_LIMIT - 1) + "\n").encode())  # over the limit
+    @example(data=b"1.0\ninf\n")
+    @example(data=b"1.0\n" * gjb_io._BLOCK_LINES + b"x\n")  # no header in a later block
+    def test_same_values_counts_and_errors(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("equiv") / "data.csv"
+        path.write_bytes(data)
+        assert read_outcome(gjb_io.read_sample_csv, str(path)) == read_outcome(
+            gjb_io._read_csv, str(path))
 
 
 def make_outcome(p=0.5, j=1.3862943611198906) -> TestOutcome:
