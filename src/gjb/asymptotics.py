@@ -41,7 +41,7 @@ from numpy.polynomial import polynomial as P
 from .distributions import SkewNormalShape, fill_sn
 from .errors import DegenerateSampleError, DomainError, SingularCovarianceError
 from .moments import centered_moment, sn_raw_moments
-from .rng import chunk_rows, map_replicates
+from .rng import map_replicates
 
 __all__ = [
     "CovarianceMatrix2",
@@ -159,19 +159,23 @@ def sigma_monte_carlo(
         raise DomainError(f"need per_rep_n >= 2, got {per_rep_n}")
     cc, bb = influence_polynomials(sn_raw_moments(shape), legacy=legacy)
     d = shape.delta
-    # scratch for one stream chunk, reused by every chunk
-    cz, bz, prod = np.empty((3, min(chunk_rows(per_rep_n), reps), per_rep_n))
 
-    def covariances(xs: np.ndarray) -> np.ndarray:
-        r = len(xs)
-        c, b, t = _horner(xs, cc, cz[:r]), _horner(xs, bb, bz[:r]), prod[:r]
-        c -= c.mean(axis=1, keepdims=True)
-        b -= b.mean(axis=1, keepdims=True)
-        sums = [np.multiply(u, w, out=t).sum(axis=1) for u, w in ((c, c), (b, b), (c, b))]
-        return np.stack(sums, axis=1) / (per_rep_n - 1)
+    def make_covariances(block: tuple[int, int]):
+        cz, bz = np.empty((2,) + block)  # the lane's scratch for C and B
+
+        def covariances(xs: np.ndarray) -> np.ndarray:
+            r = len(xs)
+            c, b = _horner(xs, cc, cz[:r]), _horner(xs, bb, bz[:r])
+            c -= c.mean(axis=1, keepdims=True)
+            b -= b.mean(axis=1, keepdims=True)
+            # the products overwrite the drawn rows, which are used up
+            sums = [np.multiply(u, w, out=xs).sum(axis=1) for u, w in ((c, c), (b, b), (c, b))]
+            return np.stack(sums, axis=1) / (per_rep_n - 1)
+
+        return covariances
 
     rows = map_replicates(
-        lambda g, xs: fill_sn(g, xs, d), covariances, reps, per_rep_n, seed,
+        lambda g, xs: fill_sn(g, xs, d), make_covariances, reps, per_rep_n, seed,
         key_prefix=(2,),
     )
     s11, s22, s12 = rows.mean(axis=0)

@@ -5,8 +5,10 @@ Exit codes: 0 success (including decide's accept/inconclusive verdicts),
 1 decide rejected normality, 2 usage error, 3 runtime error.
 
 Every subcommand that draws randomness takes --seed and is bit-reproducible
-in its report payload (wall_time_ms excluded). Commands run in a single
-thread; campaign replicates are processed one stream chunk at a time.
+in its report payload (wall_time_ms excluded). Campaign replicates, the
+decide bootstrap and Monte-Carlo covariances are processed in stream chunks
+shared among every usable core; the payloads are bit-identical for any core
+count or affinity mask.
 
 Options shared by several subcommands are declared once, in parent parsers.
 Report commands (test, simulate, power, reject-size, decide) return a
@@ -282,6 +284,8 @@ def _cmd_decide(args) -> gjb_io.Report:
         "capped": decision.capped,
         "config": {
             "data": args.data,
+            "parsed_rows": sample.parsed_rows,
+            "skipped_rows": sample.skipped_rows,
             "level": args.level,
             "k_cap": args.k_cap,
             "seed": args.seed,

@@ -5,11 +5,12 @@ dropped), one numeric value per line, decimal point '.', optional single
 header row (auto-detected when the first row is not numeric). Multi-column
 files are rejected rather than guessing a column. A file that does not
 decode or that the CSV reader rejects raises SampleParseError, like a bad
-row. Plain files are streamed in blocks of lines through ``float()``; a
-file with a line the CSV reader might read differently (a quote, a comma,
-a lone carriage return, an over-long line) or a line that fails is read
-again through ``csv.reader``, so both paths give the same values, counts
-and errors.
+row. Plain files, which may start with a quoted header such as R's
+``"value"``, are streamed in blocks of lines through ``float()``; a file
+with a line the CSV reader might read differently (any other quote, a
+comma, a lone carriage return, an over-long line) or a line that fails is
+read again through ``csv.reader``, so both paths give the same values,
+counts and errors.
 
 Report format: a flat JSON object with fixed, documented keys
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -44,6 +46,9 @@ from .testing import TestOutcome
 SCHEMA_VERSION = "1"
 # lines per np.fromiter call on the plain path: bounds the text held at once
 _BLOCK_LINES = 4096
+# one quoted field on a line of its own (R's write.csv quotes its header);
+# the CSV reader reads it as the text between the quotes
+_QUOTED_LINE = re.compile(r'"([^",\r\n]*)"(\r?\n)?')
 
 __all__ = [
     "SampleFile",
@@ -99,8 +104,10 @@ def read_sample_csv(path: str) -> SampleFile:
     is not UTF-8 raises SampleParseError naming the file.
 
     A plain file is streamed in blocks of lines, each line converted with
-    ``float()``, the same conversion the CSV reader's rows get. A file with a
-    line holding a quote or a comma, a carriage return not followed by a
+    ``float()``, the same conversion the CSV reader's rows get; its first
+    non-blank line may be one quoted field without a comma or an inner
+    quote, which is read as the text between the quotes. A file with any
+    other line holding a quote or a comma, a carriage return not followed by a
     line feed, more characters than ``csv.field_size_limit()``, a value
     ``float()`` rejects or a non-finite value is read again through the CSV
     reader, which alone raises the errors above. Values, row counts and
@@ -113,7 +120,11 @@ def read_sample_csv(path: str) -> SampleFile:
 def _read_plain(path: str) -> SampleFile | None:
     """``path`` read block by block with ``float()``, or None when it holds
     a line the CSV reader might split, unquote or reject, a value ``float()``
-    rejects, a non-finite value, or no value: ``_read_csv`` reads those."""
+    rejects, a non-finite value, or no value: ``_read_csv`` reads those.
+
+    The first non-blank line may be one quoted field without a comma or an
+    inner quote, such as a quoted header; it is read as the CSV reader reads
+    it, as the text between the quotes."""
     blocks: list[np.ndarray] = []
     skipped = 0
     header_checked = False
@@ -121,6 +132,10 @@ def _read_plain(path: str) -> SampleFile | None:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             while lines := list(islice(fh, _BLOCK_LINES)):
+                if not header_checked:
+                    first = next((i for i, line in enumerate(lines) if not line.isspace()), 0)
+                    if quoted := _QUOTED_LINE.fullmatch(lines[first]):
+                        lines[first] = quoted[1] + (quoted[2] or "")
                 text = "".join(lines)
                 if ('"' in text or "," in text
                         or ("\r" in text and text.count("\r") != text.count("\r\n"))

@@ -22,14 +22,23 @@ is drawn whole or short. Each replicate is therefore a pure function of
 (seed, consumer, i, n): it does not depend on the replicate count, and it is
 bit-reproducible across runs and platforms.
 
-The library is single-threaded: :func:`map_replicates` draws one chunk at a
-time into one reused ``(R, n)`` buffer and reduces it with a row-wise kernel
-before drawing the next, so its memory is O(R(n) n) whatever the replicate
+:func:`map_replicates` shares a consumer's chunks among as many lanes as
+the process has usable cores (:func:`worker_count`), at most one lane per
+chunk. Lane 0 is the caller's thread; every other lane is a thread started
+for the call and joined before it returns. Lane ``w`` of ``L`` draws and
+reduces chunks ``j = w, w + L, ...`` one at a time in a ``(R, n)`` row
+buffer and kernel scratch of its own, and writes each chunk's results at the
+chunk's own offset. numpy releases the GIL in the draws, gathers and ufunc
+loops that fill and reduce the rows, so the lanes run in parallel. Since
+every chunk owns its counter range, results are bit-identical for any core
+count or affinity mask, and memory is O(L R(n) n) whatever the replicate
 count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import Callable
 
 import numpy as np
@@ -45,9 +54,18 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def worker_count() -> int:
-    """Always 1: the library starts no threads and runs replicates serially."""
-    return 1
+    """Lanes :func:`map_replicates` may run stream chunks on: the cores this
+    process may use. Results do not depend on it."""
+    return _usable_cores()
 
 
 def chunk_rows(n: int) -> int:
@@ -57,34 +75,92 @@ def chunk_rows(n: int) -> int:
 
 def map_replicates(
     draw: Callable[[np.random.Generator, np.ndarray], None],
-    kernel: Callable[[np.ndarray], np.ndarray],
+    make_kernel: Callable[[tuple[int, int]], Callable[[np.ndarray], np.ndarray]],
     reps: int,
     n: int,
     seed: int,
     *,
     key_prefix: tuple[int, ...],
 ) -> np.ndarray:
-    """Row-wise ``kernel`` results for replicates 0..reps-1, in order.
+    """Row-wise kernel results for replicates 0..reps-1, in order.
 
-    Each stream chunk is drawn and reduced before the next one is drawn.
     ``draw(g, rows)`` fills the ``(r, n)`` rows of one chunk (r is
     ``chunk_rows(n)``, or fewer for the last chunk) from the chunk's
-    generator ``g``, drawing them in row order; the rows are one buffer
-    reused for every chunk. ``kernel`` maps those rows to one result per
-    row, and the results are gathered along the first axis. ``key_prefix``
-    names the consumer, so distinct consumers of the same seed never share a
-    stream. It has no default: the empty prefix is ``substream(seed)``'s
-    key, so chunk 0 would replay ``sample_sn(seed)``.
+    generator ``g``, drawing them in row order. Each lane calls
+    ``make_kernel(shape)`` once, with the shape of its row buffer, for a
+    kernel of its own that maps those rows to one result per row; the kernel
+    may overwrite the rows and keep scratch of that shape between chunks.
+    Lanes run at once, so ``draw`` and the kernels may write only their own
+    lane's rows and scratch.
+    The results are gathered along the first axis. ``key_prefix`` names the
+    consumer, so distinct consumers of the same seed never share a stream.
+    It has no default: the empty prefix is ``substream(seed)``'s key, so
+    chunk 0 would replay ``sample_sn(seed)``.
+
+    If chunks raise, the exception of the lowest-index failing chunk is
+    raised, whatever the lane count: a lane stops before any chunk above the
+    lowest failure seen so far, and every lane stops at its next chunk on a
+    Ctrl-C. Every thread is joined before this returns or raises.
     """
     key = np.random.SeedSequence(seed, spawn_key=key_prefix).generate_state(2, np.uint64)
     per_chunk = chunk_rows(n)
-    buf = np.empty((min(per_chunk, reps), n))
-    out = None
-    for j, start in enumerate(range(0, reps, per_chunk)):
-        rows = buf[: reps - start]
-        draw(np.random.Generator(np.random.Philox(key=key, counter=[0, j, 0, 0])), rows)
-        result = kernel(rows)
-        if out is None:
-            out = np.empty((reps,) + result.shape[1:], result.dtype)
-        out[start : start + len(rows)] = result
+    chunks = -(-reps // per_chunk)
+    shape = (min(per_chunk, reps), n)
+
+    def lane():
+        """A chunk runner with a row buffer and a kernel of its own."""
+        buf = np.empty(shape)
+        kernel = make_kernel(shape)
+
+        def run(j: int) -> np.ndarray:
+            rows = buf[: reps - j * per_chunk]
+            draw(np.random.Generator(np.random.Philox(key=key, counter=[0, j, 0, 0])), rows)
+            return kernel(rows)
+
+        return run
+
+    # chunk 0 fixes the results' dtype and trailing shape before lanes start
+    run = lane()
+    first = run(0)
+    out = np.empty((reps,) + first.shape[1:], first.dtype)
+    out[: len(first)] = first
+    lanes = min(chunks, _usable_cores())
+    failed = [chunks]  # lowest failing chunk so far; -1 stops every lane
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+
+    def work(w: int, run=None) -> None:
+        j = w
+        try:
+            run = run or lane()
+            # lane 0 has run chunk 0 already
+            for j in range(w or lanes, chunks, lanes):
+                if j > failed[0]:
+                    return
+                out[j * per_chunk : (j + 1) * per_chunk] = run(j)
+        except Exception as exc:  # raised once every lane has stopped
+            with lock:
+                errors[j] = exc
+                failed[0] = min(failed[0], j)
+        except BaseException as exc:  # a Ctrl-C: stop every lane at its next chunk
+            errors[j] = exc
+            failed[0] = -1
+            raise
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, lanes)]
+    started = []
+    try:
+        for t in threads:
+            t.start()
+            started.append(t)
+        work(0, run)
+        for t in started:
+            t.join()
+    except BaseException:  # an interrupt, or a lane that could not start
+        failed[0] = -1
+        for t in started:
+            t.join()
+        raise
+    if errors:
+        raise errors[min(errors)]
     return out

@@ -41,7 +41,7 @@ from .moments import ShapeStatistics, delta_from_skewness, shape_statistics, sn_
 from .reference import rejection_size_hint
 # substream is unused here, but bench/tests/test_bench.py checks that the
 # traced run rebinds gjb.testing.substream; drop it together with that check.
-from .rng import chunk_rows, map_replicates, substream  # noqa: F401
+from .rng import map_replicates, substream  # noqa: F401
 
 __all__ = [
     "TestOutcome",
@@ -140,35 +140,42 @@ class DecisionOutcome:
     test: TestOutcome
 
 
-def _skew_rows(xs: np.ndarray, ddof: int, dev: np.ndarray, d2: np.ndarray):
+def _skew_rows(xs: np.ndarray, ddof: int, d2: np.ndarray):
     """Empirical skewness b_n of each row of a ``(rows, n)`` block, its
     variance (``n - ddof`` denominator) and the mask of constant rows, which
     score b_n = 0 (no asymmetry evidence).
 
-    ``dev`` and ``d2`` are caller-owned scratch of the block's shape: the
-    kernel allocates nothing of that size, and leaves the squared deviations
-    in ``d2``.
+    The block is overwritten: it holds the deviations from the row means
+    while they are needed, then their cubes. ``d2`` is caller-owned scratch
+    of the block's shape, so the kernel allocates nothing of that size; it
+    is left holding the squared deviations.
     """
     n = xs.shape[1]
     mean = xs.mean(axis=1)
-    np.subtract(xs, mean[:, None], out=dev)
+    dev = np.subtract(xs, mean[:, None], out=xs)
     np.multiply(dev, dev, out=d2)
     v = d2.sum(axis=1) / (n - ddof)
-    mu3 = np.multiply(d2, dev, out=dev).mean(axis=1)
     # the float mean of a constant row can miss its value by a few ulps and
-    # leave v tiny but nonzero; rows with v that small are checked exactly
+    # leave v tiny but nonzero; rows with v that small are checked exactly.
+    # Their deviations are at most about n^1.5 eps |mean|, so for any n below
+    # 10^10 each value is within a factor 2 of the mean, subtracting it is
+    # exact, and equal deviations mean equal values.
     constant = v == 0.0
     tiny = np.flatnonzero(v <= (n * _EPS * mean) ** 2)
-    constant[tiny] |= (xs[tiny] == xs[tiny, :1]).all(axis=1)
+    constant[tiny] |= (dev[tiny] == dev[tiny, :1]).all(axis=1)
+    mu3 = np.multiply(d2, dev, out=dev).mean(axis=1)
     b_n = np.divide(mu3, v**1.5, out=np.zeros_like(v), where=~constant)
     return b_n, v, constant
 
 
-def _shape_rows(xs: np.ndarray, ddof: int = 0):
+def _shape_rows(xs: np.ndarray, ddof: int, d2: np.ndarray):
     """Empirical (a_n, b_n) of each row of a ``(rows, n)`` block, and the mask
-    of constant rows, which score b_n = 0 (no asymmetry evidence), a_n = nan."""
-    d2 = np.empty_like(xs)
-    b_n, v, constant = _skew_rows(xs, ddof, np.empty_like(xs), d2)
+    of constant rows, which score b_n = 0 (no asymmetry evidence), a_n = nan.
+
+    Overwrites the block and the scratch ``d2`` of its shape, like
+    :func:`_skew_rows`.
+    """
+    b_n, v, constant = _skew_rows(xs, ddof, d2)
     mu4 = np.multiply(d2, d2, out=d2).mean(axis=1)
     a_n = np.divide(mu4, v * v, out=np.full_like(v, np.nan), where=~constant)
     return a_n, b_n, constant
@@ -205,7 +212,8 @@ def empirical_shape(sample, ddof: int = 0) -> tuple[float, float]:
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise DomainError(f"sample has a non-finite value at index {bad[0]}: {x.flat[bad[0]]}")
-    a_n, b_n, constant = _shape_rows(_scale_and_centre(x), ddof)
+    y = _scale_and_centre(x)
+    a_n, b_n, constant = _shape_rows(y, ddof, np.empty_like(y))
     if constant[0]:
         raise DegenerateSampleError("sample is constant (zero variance)")
     return float(a_n[0]), float(b_n[0])
@@ -313,15 +321,20 @@ def _campaign(config: CampaignConfig, data_alpha: float | None) -> CampaignResul
         else:
             fill_sn(g, rows, d)
 
-    def p_values(xs: np.ndarray) -> np.ndarray:
-        a_n, b_n, constant = _shape_rows(xs, ddof)
-        if constant.any():
-            raise DegenerateSampleError("a replicate sample is constant (zero variance)")
-        j = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
-        return chi2_survival(j)
+    def make_p_values(block: tuple[int, int]):
+        d2 = np.empty(block)
+
+        def p_values(xs: np.ndarray) -> np.ndarray:
+            a_n, b_n, constant = _shape_rows(xs, ddof, d2[: len(xs)])
+            if constant.any():
+                raise DegenerateSampleError("a replicate sample is constant (zero variance)")
+            j = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
+            return chi2_survival(j)
+
+        return p_values
 
     ps = map_replicates(
-        draw, p_values, config.replications, n, config.seed, key_prefix=(0,)
+        draw, make_p_values, config.replications, n, config.seed, key_prefix=(0,)
     )
     return CampaignResult(mean_p_value=float(ps.mean()), p_values=ps)
 
@@ -402,19 +415,17 @@ def _bootstrap_alphas(x: np.ndarray, resamples: int, seed: int) -> np.ndarray:
     """Shape estimates of ``resamples`` resamples of ``x`` with replacement,
     drawn under the bootstrap key prefix ``(1,)``."""
     n = x.size
-    # skewness scratch for one stream chunk, reused by every chunk
-    dev, d2 = np.empty((2, min(chunk_rows(n), resamples), n))
 
     def draw(g: np.random.Generator, rows: np.ndarray) -> None:
         # the indices are in range by construction; mode="clip" spares the
         # buffered copy of ``out`` that the default mode="raise" makes
         np.take(x, g.integers(0, n, size=rows.shape), out=rows, mode="clip")
 
-    def skewness(xs: np.ndarray) -> np.ndarray:
-        r = len(xs)
-        return _skew_rows(xs, 0, dev[:r], d2[:r])[0]
+    def make_skewness(block: tuple[int, int]):
+        d2 = np.empty(block)  # the lane's skewness scratch
+        return lambda xs: _skew_rows(xs, 0, d2[: len(xs)])[0]
 
-    b = map_replicates(draw, skewness, resamples, n, seed, key_prefix=(1,))
+    b = map_replicates(draw, make_skewness, resamples, n, seed, key_prefix=(1,))
     return _alpha_from_skewness(b)
 
 

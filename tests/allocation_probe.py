@@ -2,11 +2,19 @@
 
 import tracemalloc
 
+import gjb.rng
+
 
 def per_call_allocations(monkeypatch, module, run):
     """Call ``run()`` with ``module.map_replicates`` wrapped, and return, for
     ``"draw"`` and ``"kernel"``, the peak bytes each call allocated beyond
-    what was live when it started, one entry per stream chunk."""
+    what was live when it started, one entry per stream chunk.
+
+    The call runs on one lane: tracemalloc's peak is the process's, so
+    chunks running at once on other lanes would count toward each other's.
+    The kernel factory's own scratch is allocated before the first chunk
+    and is not counted.
+    """
     extra = {"draw": [], "kernel": []}
     real = module.map_replicates
 
@@ -20,10 +28,14 @@ def per_call_allocations(monkeypatch, module, run):
 
         return wrapped
 
-    def spy(draw, kernel, *args, **kwargs):
-        return real(measured("draw", draw), measured("kernel", kernel), *args, **kwargs)
+    def spy(draw, make_kernel, *args, **kwargs):
+        def make_measured(block):
+            return measured("kernel", make_kernel(block))
+
+        return real(measured("draw", draw), make_measured, *args, **kwargs)
 
     monkeypatch.setattr(module, "map_replicates", spy)
+    monkeypatch.setattr(gjb.rng, "_usable_cores", lambda: 1)
     tracemalloc.start()
     try:
         run()

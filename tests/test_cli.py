@@ -21,7 +21,7 @@ def run(args):
 
 
 def payload(path):
-    obj = json.loads(open(path).read())
+    obj = json.loads(Path(path).read_text())
     obj.pop("wall_time_ms")
     return obj
 
@@ -37,7 +37,7 @@ class TestSampleCommand:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert run(["sample", "--alpha", "0", "--n", "5", "--seed", "7", "--out", a]) == 0
         assert run(["sample", "--alpha", "0", "--n", "5", "--seed", "7", "--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_mean_matches_first_moment(self, tmp_path):
         out = str(tmp_path / "big.csv")
@@ -199,13 +199,17 @@ class TestDecideCommand:
 
 
 class TestInputLayouts:
-    """One sample written in several layouts gives one report."""
+    """One sample written in several layouts gives one report, apart from
+    the count of skipped lines."""
 
     LAYOUTS = {
-        "lf": lambda lines: "".join(f"{v}\n" for v in lines),
-        "crlf": lambda lines: "".join(f"{v}\r\n" for v in lines),
-        "header": lambda lines: "value\n" + "".join(f"{v}\n" for v in lines),
-        "trailing-blank-lines": lambda lines: "".join(f"{v}\n" for v in lines) + "\n \n\n",
+        "lf": (0, lambda lines: "".join(f"{v}\n" for v in lines)),
+        "crlf": (0, lambda lines: "".join(f"{v}\r\n" for v in lines)),
+        "header": (1, lambda lines: "value\n" + "".join(f"{v}\n" for v in lines)),
+        "quoted-header": (1, lambda lines: '"value"\r\n' + "".join(f"{v}\r\n" for v in lines)),
+        "trailing-blank-lines": (
+            3, lambda lines: "".join(f"{v}\n" for v in lines) + "\n \n\n"
+        ),
     }
 
     @pytest.mark.parametrize("argv", [
@@ -216,13 +220,14 @@ class TestInputLayouts:
         lines = [repr(float(v)) for v in sample_sn(SkewNormalShape(1.0), 300, 11)]
         data, out = tmp_path / "data.csv", str(tmp_path / "r.json")
         reports = {}
-        for name, layout in self.LAYOUTS.items():
+        for name, (skipped, layout) in self.LAYOUTS.items():
             data.write_text(layout(lines), newline="")
             code = run(argv + ["--data", str(data), "--out", out])
             report = payload(out)
-            report.get("config", {}).pop("skipped_rows", None)
+            assert report["config"].pop("skipped_rows") == skipped, name
             reports[name] = code, report
         assert reports["lf"][1]["n"] == 300
+        assert reports["lf"][1]["config"]["parsed_rows"] == 300
         for name in self.LAYOUTS:
             assert reports[name] == reports["lf"], name
 
@@ -254,7 +259,7 @@ class TestCsvFormat:
         out_j, out_c = str(tmp_path / "r.json"), str(tmp_path / "r.csv")
         assert run(args + ["--out", out_j]) == code
         assert run(args + ["--format", "csv", "--out", out_c]) == code
-        expected = list(flat_items(json.loads(open(out_j).read())))
+        expected = list(flat_items(json.loads(Path(out_j).read_text())))
         with open(out_c, newline="") as fh:
             header, row = list(csv.reader(fh))
         assert header == [key for key, _ in expected]
@@ -357,8 +362,9 @@ class TestUsageErrors:
 
 
 def test_import_loads_no_scipy_pandas_or_pools():
-    # numpy is the only runtime dependency (scipy serves the tests' oracles),
-    # and the library starts no threads or processes
+    # numpy is the only runtime dependency (scipy serves the tests' oracles).
+    # The library starts threads only inside map_replicates, plain threads
+    # joined before it returns, and no processes: it imports no pool
     src = str(Path(gjb.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +137,9 @@ ODD_LINES = st.tuples(
         st.sampled_from([
             "x", "value",  # a header, or a non-numeric later row
             '"1.5"', '"1\n2"', '"', 'a"b',  # quotes, one spanning two lines
+            # quoted headers, as R writes them, and malformed ones
+            '"value"', '""', '" "', '"nan"', '"a,b"', '"va"lue"', '"value',
+            'value"', ' "value"', '"value" ', '"x"y', '"1"2',
             "1,", ",1", "1,5",
             "nan", "inf", "-Infinity", "1\x00", "\x00",
             # fields of FIELD_LIMIT - 1, FIELD_LIMIT and FIELD_LIMIT + 1 characters
@@ -184,6 +188,17 @@ def read_outcome(read, path):
 class TestStreamedPathMatchesCsvReader:
     """read_sample_csv against the csv.reader loop it falls back to."""
 
+    @pytest.mark.parametrize("header", ['"value"\n', '"value"\r\n', '\n"x 1"\n'],
+                             ids=["lf", "crlf", "after-blank-line"])
+    def test_quoted_header_stays_on_streamed_path(self, tmp_path, header):
+        # R's write.csv quotes the header; the rest of the file is plain
+        path = tmp_path / "data.csv"
+        path.write_text(header + "1.5\n2.5\n", newline="")
+        sample = gjb_io._read_plain(str(path))
+        assert sample is not None
+        assert (sample.values.tolist(), sample.parsed_rows) == ([1.5, 2.5], 2)
+        assert sample.skipped_rows == header.count("\n")  # blank lines and the header
+
     @settings(max_examples=300, deadline=None)
     @given(data=sample_files())
     # files on which a reader that trusted float() alone, or that took a
@@ -195,6 +210,10 @@ class TestStreamedPathMatchesCsvReader:
     @example(data=("0." + "0" * (FIELD_LIMIT - 1) + "\n").encode())  # over the limit
     @example(data=b"1.0\ninf\n")
     @example(data=b"1.0\n" * gjb_io._BLOCK_LINES + b"x\n")  # no header in a later block
+    @example(data=b'\n"value"\r\n1.5\n')  # a quoted header, read as one
+    @example(data=b'""\n"value"\n1.5\n')  # a blank field, then a quoted header
+    @example(data=b'"value"\n1.5\n"2.5"\n')  # a later quoted line
+    @example(data=b'"1"2\n3\n')  # text after the closing quote: the value 12
     def test_same_values_counts_and_errors(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("equiv") / "data.csv"
         path.write_bytes(data)
@@ -240,7 +259,7 @@ class TestReports:
         report = gjb_io.test_report("test", 1.0, make_outcome())
         path = str(tmp_path / "report.json")
         gjb_io.write_report(report, path, "json")
-        back = gjb_io.Report.from_dict(json.loads(open(path).read()))
+        back = gjb_io.Report.from_dict(json.loads(Path(path).read_text()))
         assert back.to_dict() == report.to_dict()
 
     def test_randomized_roundtrips(self, tmp_path):
@@ -266,7 +285,7 @@ class TestReports:
             )
             report = gjb_io.test_report("test", float(rng.normal()), outcome)
             gjb_io.write_report(report, path, "json")
-            back = gjb_io.Report.from_dict(json.loads(open(path).read()))
+            back = gjb_io.Report.from_dict(json.loads(Path(path).read_text()))
             assert back.to_dict() == report.to_dict(), f"roundtrip {i}"
 
     def test_full_precision(self, tmp_path):
@@ -274,13 +293,13 @@ class TestReports:
         report = gjb_io.Report(command="x", payload={"v": value})
         path = str(tmp_path / "p.json")
         gjb_io.write_report(report, path, "json")
-        assert json.loads(open(path).read())["v"] == value
+        assert json.loads(Path(path).read_text())["v"] == value
 
     def test_csv_flat_row(self, tmp_path):
         report = gjb_io.test_report("test", 1.0, make_outcome())
         path = str(tmp_path / "report.csv")
         gjb_io.write_report(report, path, "csv")
-        header, row = open(path).read().splitlines()
+        header, row = Path(path).read_text().splitlines()
         names = header.split(",")
         assert "sigma.s11" in names
         assert "p_value" in names
@@ -290,7 +309,7 @@ class TestReports:
         report = gjb_io.Report(command="simulate", payload={"p_values": [0.25, 0.5]})
         path = str(tmp_path / "c.csv")
         gjb_io.write_report(report, path, "csv")
-        header, row = open(path).read().splitlines()
+        header, row = Path(path).read_text().splitlines()
         assert "p_values" in header
         assert "0.25;0.5" in row
 

@@ -1,5 +1,10 @@
 """Tests for the seeded substream machinery and the replicate loop."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,7 @@ import gjb.rng
 import gjb.testing
 from gjb.asymptotics import sigma_monte_carlo
 from gjb.distributions import SkewNormalShape, sample_sn
+from gjb.errors import DegenerateSampleError
 from gjb.rng import chunk_rows, map_replicates, substream, worker_count
 from gjb.testing import CampaignConfig, simulate_true_model
 
@@ -19,8 +25,13 @@ def _normals(g, rows):
     g.standard_normal(out=rows)
 
 
-def _identity(xs):
-    return xs
+def _identity(block):
+    return lambda xs: xs
+
+
+def _on_lanes(monkeypatch, lanes):
+    """Make ``map_replicates`` run on ``lanes`` lanes, whatever the host has."""
+    monkeypatch.setattr(gjb.rng, "_usable_cores", lambda: lanes)
 
 
 def reference_replicate(seed, key_prefix, i, n):
@@ -86,12 +97,16 @@ def test_chunk_rows():
 def test_map_replicates_block_size_irrelevant():
     # n = 2^14: four rows per chunk, and the kernel sees one chunk per call.
     # 10 replicates end on a short chunk of 2 rows, 12 on a full one and 5 on
-    # one row; every replicate is the same whichever block it falls in.
+    # one row; every replicate is the same whichever block it falls in. Lanes
+    # may run the chunks in any order, so the block sizes are compared sorted.
     blocks = []
 
-    def row_sums(xs):
-        blocks.append(len(xs))
-        return xs.sum(axis=1)
+    def row_sums(block):
+        def kernel(xs):
+            blocks.append(len(xs))
+            return xs.sum(axis=1)
+
+        return kernel
 
     n = 2**14
     assert chunk_rows(n) == 4
@@ -100,7 +115,7 @@ def test_map_replicates_block_size_irrelevant():
     for reps, sizes in ((10, [4, 4, 2]), (5, [4, 1]), (1, [1])):
         blocks.clear()
         out = map_replicates(_normals, row_sums, reps, n, seed=3, key_prefix=(0,))
-        assert blocks == sizes
+        assert sorted(blocks, reverse=True) == sizes
         assert np.array_equal(out, full[:reps])
     assert full[9] == reference_replicate(3, (0,), 9, n).sum()
 
@@ -112,20 +127,173 @@ def test_map_replicates_key_prefix_namespaces():
     assert np.array_equal(one[4], reference_replicate(3, (1,), 4, 1))
 
 
-def test_worker_count_is_one(monkeypatch):
+def test_worker_count_is_the_lane_budget(monkeypatch):
+    # the cores this process may use; no environment variable changes it
     monkeypatch.setenv("GJB_THREADS", "3")
-    assert worker_count() == 1
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:
+        usable = os.cpu_count()
+    assert worker_count() == usable >= 1
+    _on_lanes(monkeypatch, 5)
+    assert worker_count() == 5
 
 
 @pytest.mark.parametrize("reps", [1, 5, 4 * 2**16 + 3])
-def test_map_replicates_order(reps):
+def test_map_replicates_order(reps, monkeypatch):
     # n = 1: 2^16 rows per chunk. Small campaigns are checked row by row, the
-    # long one (four full chunks and a short one) at the chunk seams.
+    # long one (four full chunks and a short one) at the chunk seams, on
+    # one, two and three lanes: each lane runs its own chunks, and every
+    # result lands at its replicate's offset
     if reps <= 5:
         rows = list(range(reps))
     else:
         rows = [0, 2**16 - 1, 2**16, 3 * 2**16 + 1, 4 * 2**16, reps // 2, reps - 1]
     expected = np.stack([reference_replicate(0, (0,), i, 1) for i in rows])
-    out = map_replicates(_normals, _identity, reps, 1, seed=0, key_prefix=(0,))
-    assert out.shape == (reps, 1)
-    assert np.array_equal(out[rows], expected)
+    for lanes in (1, 2, 3):
+        _on_lanes(monkeypatch, lanes)
+        out = map_replicates(_normals, _identity, reps, 1, seed=0, key_prefix=(0,))
+        assert out.shape == (reps, 1)
+        assert np.array_equal(out[rows], expected), lanes
+
+
+class _ChunkFailure(Exception):
+    pass
+
+
+def _chunk_index(g, rows):
+    """Fill the rows with the index of the chunk whose generator ``g`` is."""
+    rows.fill(g.bit_generator.state["state"]["counter"][1])
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_lowest_failing_chunk_raises(lanes, monkeypatch):
+    # n = 2^16: one row per chunk, ten chunks. Chunks 4 and 5 fail, and the
+    # lane of chunk 4 is held up before it, so on several lanes 5's failure
+    # is seen first: that lane still runs chunk 4, and 4's error is raised
+    _on_lanes(monkeypatch, lanes)
+    seen = []
+
+    def failing(block):
+        def kernel(xs):
+            j = int(xs[0, 0])
+            seen.append(j)
+            if j < 4 and j % lanes == 4 % lanes:
+                time.sleep(0.05)
+            if j in (4, 5):
+                raise _ChunkFailure(j)
+            return xs[:, 0]
+
+        return kernel
+
+    before = threading.active_count()
+    with pytest.raises(_ChunkFailure) as info:
+        map_replicates(_chunk_index, failing, 10, 2**16, seed=0, key_prefix=(0,))
+    assert info.value.args == (4,)
+    assert threading.active_count() == before
+    assert 4 in seen
+    assert (5 in seen) == (lanes > 1)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_constant_replicate_error_on_any_lane_count(lanes, monkeypatch):
+    # the campaign kernel's error leaves map_replicates whichever lane hit
+    # it, after every lane has been joined
+    _on_lanes(monkeypatch, lanes)
+
+    def constant_in_chunk_two(g, rows, d):
+        g.standard_normal(out=rows)
+        if g.bit_generator.state["state"]["counter"][1] == 2:
+            rows[-1] = 1.0
+
+    monkeypatch.setattr(gjb.testing, "fill_sn", constant_in_chunk_two)
+    config = CampaignConfig(alpha=1.0, sample_size=2**14, replications=20, seed=0)
+    before = threading.active_count()
+    with pytest.raises(DegenerateSampleError, match="a replicate sample is constant"):
+        simulate_true_model(config)
+    assert threading.active_count() == before
+
+
+def test_threads_start_and_are_joined(monkeypatch):
+    # lane threads live only inside the call; a one-chunk call starts none
+    _on_lanes(monkeypatch, 3)
+    before = threading.active_count()
+    during = []
+
+    def counting(block):
+        def kernel(xs):
+            during.append(threading.active_count())
+            return xs[:, 0]
+
+        return kernel
+
+    map_replicates(_normals, counting, 3, 2**14, seed=0, key_prefix=(0,))
+    assert during == [before]
+    assert threading.active_count() == before
+    during.clear()
+    map_replicates(_normals, counting, 9, 2**16, seed=0, key_prefix=(0,))
+    assert len(during) == 9
+    assert max(during) > before
+    assert threading.active_count() == before
+
+
+def test_interrupt_on_lane_zero_stops_every_lane(monkeypatch):
+    # a Ctrl-C reaches the caller's thread, lane 0, at chunk 20 while the
+    # slower lane 1 is still on its first chunks: lane 1 stops at its next
+    # chunk instead of running the odd chunks below 20
+    _on_lanes(monkeypatch, 2)
+    caller = threading.current_thread()
+    seen = []
+
+    def interrupted(block):
+        def kernel(xs):
+            j = int(xs[0, 0])
+            seen.append(j)
+            if threading.current_thread() is not caller:
+                time.sleep(0.01)
+            elif j == 20:
+                raise KeyboardInterrupt
+            return xs[:, 0]
+
+        return kernel
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        map_replicates(_chunk_index, interrupted, 40, 2**16, seed=0, key_prefix=(0,))
+    assert threading.active_count() == before
+    assert len([j for j in seen if j % 2]) < 6
+
+
+def test_more_lanes_than_cores_under_fast_thread_switching(monkeypatch):
+    # eight lanes, switching threads every microsecond: every chunk's
+    # results still land at its own offset, and of several failing chunks
+    # the lowest one's error is raised
+    def row_sums(block):
+        return lambda xs: xs.sum(axis=1)
+
+    def failing(block):
+        def kernel(xs):
+            j = int(xs[0, 0])
+            if j in (9, 17, 40, 63):
+                raise _ChunkFailure(j)
+            return xs[:, 0]
+
+        return kernel
+
+    n = 2**12  # 16 rows per chunk, 64 chunks
+    _on_lanes(monkeypatch, 1)
+    expected = map_replicates(_normals, row_sums, 1024, n, seed=5, key_prefix=(0,))
+    _on_lanes(monkeypatch, 8)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            out = map_replicates(_normals, row_sums, 1024, n, seed=5, key_prefix=(0,))
+            assert np.array_equal(out, expected)
+            with pytest.raises(_ChunkFailure) as info:
+                map_replicates(_chunk_index, failing, 1024, n, seed=5, key_prefix=(0,))
+            assert info.value.args == (9,)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before

@@ -8,9 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import numpy.polynomial.polynomial as P
+
+import gjb.asymptotics
 import gjb.rng
 import gjb.testing
-from gjb.asymptotics import CovarianceMatrix2, sigma_analytic
+from gjb.asymptotics import (
+    CovarianceMatrix2,
+    influence_polynomials,
+    sigma_analytic,
+    sigma_monte_carlo,
+)
 from gjb.distributions import SkewNormalShape, sample_sn
 from gjb.errors import DegenerateSampleError, DomainError
 from gjb.moments import shape_statistics, sn_raw_moments
@@ -507,20 +515,24 @@ class TestDuplicationDecision:
         expected = np.percentile(alphas, [tail, 100.0 - tail])
         assert (outcome.ci_low, outcome.ci_high) == tuple(expected)
 
-    def test_bootstrap_memory_bounded(self):
-        # one stream chunk (here one resample of 10^5) is drawn and scored at
-        # a time into reused buffers: the peak is the chunk's rows, its two
-        # skewness scratch arrays and its indices, four rows' worth whatever
-        # resamples x n is (here 2e7 values). A buffered gather adds a fifth.
+    def test_bootstrap_memory_bounded(self, monkeypatch):
+        # each lane draws and scores one stream chunk (here one resample of
+        # 10^5) at a time into reused buffers: its peak is the chunk's rows,
+        # which the skewness kernel overwrites with the deviations, one
+        # scratch array and the indices, three rows' worth whatever
+        # resamples x n is (here 2e7 values). A buffered gather or a second
+        # scratch array adds a fourth.
         n = 100_000
         x = sample_sn(SkewNormalShape(1.0), n, seed=6)
-        tracemalloc.start()
-        try:
-            gjb.testing._bootstrap_alphas(x, 200, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4.5 * n * 8
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(gjb.rng, "_usable_cores", lambda: lanes)
+            tracemalloc.start()
+            try:
+                gjb.testing._bootstrap_alphas(x, 200, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3.5 * n * 8 * lanes, lanes
 
     def test_bootstrap_kernels_allocate_no_chunk_temporaries(self, monkeypatch):
         # the gather writes straight into the chunk's rows, allocating only
@@ -548,3 +560,48 @@ class TestDuplicationDecision:
     def test_too_small_rejected(self):
         with pytest.raises(DegenerateSampleError):
             duplication_decision([1.0, 2.0], seed=0)
+
+
+def test_replicate_consumers_do_not_depend_on_lane_count(monkeypatch):
+    # every consumer's chunks are shared among 1, 2 or 3 lanes with the same
+    # bits, and those bits are the reference streams'. Each call spans
+    # several chunks: the campaign 4 of 93 rows, the bootstrap 32 of 32 and
+    # the Monte-Carlo covariance 5 of 65.
+    config = CampaignConfig(alpha=1.0, sample_size=700, replications=300, seed=11)
+    x = sample_sn(SkewNormalShape(2.0), 2000, seed=5)
+    xc = gjb.testing._scale_and_centre(x)
+    shape = SkewNormalShape(1.5)
+    real = gjb.asymptotics.map_replicates
+    mc_rows = []
+
+    def spy(*args, **kwargs):
+        mc_rows.append(real(*args, **kwargs))
+        return mc_rows[-1]
+
+    monkeypatch.setattr(gjb.asymptotics, "map_replicates", spy)
+    runs = []
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(gjb.rng, "_usable_cores", lambda: lanes)
+        decision = duplication_decision(x, seed=7)
+        sigma_monte_carlo(shape, reps=300, per_rep_n=1000, seed=8)
+        runs.append((
+            simulate_true_model(config).p_values,
+            gjb.testing._bootstrap_alphas(xc, 1000, seed=7),
+            mc_rows[-1],
+            np.array([decision.ci_low, decision.ci_high]),
+        ))
+    for other in runs[1:]:
+        for got, expected in zip(other, runs[0]):
+            assert np.array_equal(got, expected)
+    ps, alphas, rows, _ = runs[0]
+    assert np.max(np.abs(ps - reference_campaign_p_values(config, 1.0))) <= 1e-12
+    np.testing.assert_allclose(
+        alphas, reference_bootstrap_alphas(xc, 1000, seed=7), rtol=1e-10, atol=1e-15
+    )
+    cc, bb = influence_polynomials(sn_raw_moments(shape))
+    for i in (0, 64, 65, 200, 299):
+        z = sn_row(*replicate_generator(8, (2,), i, 1000), 1000, shape.delta)
+        cov = np.cov(P.polyval(z, cc), P.polyval(z, bb), ddof=1)
+        np.testing.assert_allclose(
+            rows[i], [cov[0, 0], cov[1, 1], cov[0, 1]], rtol=1e-9, atol=1e-12
+        )
