@@ -6,14 +6,7 @@ asymptotic covariance built from the law's first eight moments; the
 statistic is asymptotically chi-squared with 2 degrees of freedom.
 """
 
-from .distributions import (
-    SkewNormalShape,
-    delta_of_alpha,
-    half_normal_moments,
-    sample_sn,
-    sn_pdf,
-    standard_normal_moments,
-)
+from .distributions import SkewNormalShape, delta_of_alpha, sample_sn, sn_pdf
 from .errors import (
     DegenerateSampleError,
     DomainError,
@@ -61,8 +54,6 @@ __all__ = [
     "delta_of_alpha",
     "sn_pdf",
     "sample_sn",
-    "half_normal_moments",
-    "standard_normal_moments",
     "ShapeStatistics",
     "sn_raw_moments",
     "centered_moment",

@@ -177,11 +177,8 @@ def _cmd_campaign(args) -> gjb_io.Report:
         sigma_route=_sigma_route(args.sigma),
         legacy=args.legacy,
     )
-    if args.command == "simulate":
-        data_alpha, result = args.alpha, simulate_true_model(config)
-    else:
-        data_alpha = args.data_alpha
-        result = simulate_alternative(config, data_alpha=data_alpha)
+    data_alpha = args.alpha if args.command == "simulate" else args.data_alpha
+    result = simulate_alternative(config, data_alpha=data_alpha)
     payload = {
         "alpha": args.alpha,
         "data_alpha": data_alpha,

@@ -1,4 +1,4 @@
-"""Skew-normal and half-normal primitives.
+"""Skew-normal primitives.
 
 The standard skew-normal law SN(alpha) has density ``2 phi(x) Phi(alpha x)``
 where phi/Phi are the standard normal density and cdf. Sampling uses the
@@ -26,21 +26,7 @@ __all__ = [
     "sn_pdf",
     "sample_sn",
     "fill_sn",
-    "half_normal_moments",
-    "standard_normal_moments",
 ]
-
-# sqrt(2/pi): first moment of the standard half-normal law.
-HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
-
-# Raw moments of |N(0,1)| and N(0,1), orders 0..8.
-_HALF_NORMAL_MOMENTS = np.array(
-    [1.0, HALF_NORMAL_MEAN, 1.0, 2.0 * HALF_NORMAL_MEAN, 3.0,
-     8.0 * HALF_NORMAL_MEAN, 15.0, 48.0 * HALF_NORMAL_MEAN, 105.0]
-)
-_STANDARD_NORMAL_MOMENTS = np.array(
-    [1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0, 0.0, 105.0]
-)
 
 
 def delta_of_alpha(alpha: float) -> float:
@@ -129,12 +115,3 @@ def fill_sn(g: np.random.Generator, out: np.ndarray, delta: float) -> None:
     z2 *= math.sqrt(1.0 - delta * delta)
     out += z2
 
-
-def half_normal_moments() -> np.ndarray:
-    """Raw moments of |N(0,1)|, orders 0..8: (1, c, 1, 2c, 3, 8c, 15, 48c, 105)."""
-    return _HALF_NORMAL_MOMENTS.copy()
-
-
-def standard_normal_moments() -> np.ndarray:
-    """Raw moments of N(0,1), orders 0..8: odd ones vanish, evens are (1,1,3,15,105)."""
-    return _STANDARD_NORMAL_MOMENTS.copy()

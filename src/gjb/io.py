@@ -62,9 +62,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampleFile:
+    """The values read from a sample file and the count of blank and header
+    lines skipped; ``parsed_rows`` is the count of values."""
+
     values: np.ndarray
-    parsed_rows: int
     skipped_rows: int
+
+    @property
+    def parsed_rows(self) -> int:
+        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -74,23 +80,14 @@ class Report:
     command: str
     payload: dict[str, Any]
     wall_time_ms: int = 0
-    schema_version: str = SCHEMA_VERSION
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             **self.payload,
             "wall_time_ms": self.wall_time_ms,
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict[str, Any]) -> "Report":
-        data = dict(obj)
-        version = data.pop("schema_version")
-        command = data.pop("command")
-        wall = data.pop("wall_time_ms", 0)
-        return cls(command=command, payload=data, wall_time_ms=wall, schema_version=version)
 
 
 def read_sample_csv(path: str) -> SampleFile:
@@ -156,7 +153,7 @@ def _read_plain(path: str) -> SampleFile | None:
     values = np.concatenate(blocks) if blocks else np.empty(0)
     if not values.size or not np.isfinite(values).all():
         return None
-    return SampleFile(values=values, parsed_rows=values.size, skipped_rows=skipped)
+    return SampleFile(values=values, skipped_rows=skipped)
 
 
 def _read_csv(path: str) -> SampleFile:
@@ -205,11 +202,7 @@ def _read_csv(path: str) -> SampleFile:
             ) from None
     if not values:
         raise EmptyInputError(f"{path}: no numeric values found")
-    return SampleFile(
-        values=np.asarray(values, dtype=float),
-        parsed_rows=len(values),
-        skipped_rows=skipped,
-    )
+    return SampleFile(values=np.asarray(values, dtype=float), skipped_rows=skipped)
 
 
 def write_sample_csv(values: np.ndarray, dest: str | None = None) -> None:

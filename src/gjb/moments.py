@@ -21,11 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import (
-    SkewNormalShape,
-    half_normal_moments,
-    standard_normal_moments,
-)
+from .distributions import SkewNormalShape
 from .errors import DegenerateSampleError, DomainError
 
 __all__ = [
@@ -42,6 +38,12 @@ __all__ = [
 # Supremum of |skewness| over the family (delta -> 1 limit).
 SKEWNESS_SUP = math.sqrt(2.0) * (4.0 - math.pi) / (math.pi - 2.0) ** 1.5
 
+# Raw moments E|Z|^h of the half-normal law and E Z^h of N(0,1), h = 0..8:
+# the base moments of the binomial expansion, with c = sqrt(2/pi).
+_c = math.sqrt(2.0 / math.pi)
+_HALF_NORMAL_MOMENTS = (1.0, _c, 1.0, 2.0 * _c, 3.0, 8.0 * _c, 15.0, 48.0 * _c, 105.0)
+_NORMAL_MOMENTS = (1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0, 0.0, 105.0)
+
 
 class ShapeStatistics(NamedTuple):
     """Skewness and non-excess kurtosis (the normal law scores (0, 3))."""
@@ -53,8 +55,7 @@ class ShapeStatistics(NamedTuple):
 def sn_raw_moments(shape: SkewNormalShape) -> np.ndarray:
     """Raw moments m_0..m_8 of SN(alpha), as a length-9 float array, via the
     binomial expansion; m_0 is always 1."""
-    m1 = half_normal_moments()
-    m2 = standard_normal_moments()
+    m1, m2 = _HALF_NORMAL_MOMENTS, _NORMAL_MOMENTS
     a = shape.delta
     b = math.sqrt(1.0 - a * a)
     entries = []

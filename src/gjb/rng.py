@@ -54,18 +54,14 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on: its affinity mask, else the CPU count."""
+def worker_count() -> int:
+    """Lanes :func:`map_replicates` may run stream chunks on: the cores this
+    process may run on, by its affinity mask, else the CPU count. Results do
+    not depend on it."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def worker_count() -> int:
-    """Lanes :func:`map_replicates` may run stream chunks on: the cores this
-    process may use. Results do not depend on it."""
-    return _usable_cores()
 
 
 def chunk_rows(n: int) -> int:
@@ -124,7 +120,7 @@ def map_replicates(
     first = run(0)
     out = np.empty((reps,) + first.shape[1:], first.dtype)
     out[: len(first)] = first
-    lanes = min(chunks, _usable_cores())
+    lanes = min(chunks, worker_count())
     failed = [chunks]  # lowest failing chunk so far; -1 stops every lane
     errors: dict[int, BaseException] = {}
     lock = threading.Lock()

@@ -112,8 +112,11 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    mean_p_value: float
     p_values: np.ndarray
+
+    @property
+    def mean_p_value(self) -> float:
+        return float(self.p_values.mean())
 
 
 @dataclass(frozen=True)
@@ -122,9 +125,12 @@ class SizeSearchResult:
 
     alpha: float
     level: float
-    n: int | None
-    capped: bool
+    n: int | None  # None: no crossing up to the cap
     trace: list[tuple[int, float]] = field(default_factory=list)
+
+    @property
+    def capped(self) -> bool:
+        return self.n is None
 
 
 @dataclass(frozen=True)
@@ -303,11 +309,14 @@ def run_test(
     )
 
 
-def _campaign(config: CampaignConfig, data_alpha: float | None) -> CampaignResult:
-    """Replicate the test at config.alpha over samples from the data law.
+def simulate_alternative(
+    config: CampaignConfig, data_alpha: float | None = None
+) -> CampaignResult:
+    """Replicate the test of SN(config.alpha) over samples from the data law.
 
-    ``data_alpha=None`` draws standard normal data; otherwise SN(data_alpha).
-    Replicates are drawn under the campaign key prefix ``(0,)``.
+    ``data_alpha=None`` draws standard normal data, which measures power;
+    otherwise SN(data_alpha). Replicates are drawn under the campaign key
+    prefix ``(0,)``.
     """
     shape = SkewNormalShape(config.alpha)
     ab, sigma = _null_law(shape, config.sigma_route, config.seed, legacy=config.legacy)
@@ -336,22 +345,12 @@ def _campaign(config: CampaignConfig, data_alpha: float | None) -> CampaignResul
     ps = map_replicates(
         draw, make_p_values, config.replications, n, config.seed, key_prefix=(0,)
     )
-    return CampaignResult(mean_p_value=float(ps.mean()), p_values=ps)
+    return CampaignResult(p_values=ps)
 
 
 def simulate_true_model(config: CampaignConfig) -> CampaignResult:
     """Mean p-value when the data really follow SN(config.alpha)."""
-    return _campaign(config, data_alpha=config.alpha)
-
-
-def simulate_alternative(
-    config: CampaignConfig, data_alpha: float | None = None
-) -> CampaignResult:
-    """Mean p-value when the data follow another law (default: N(0,1)).
-
-    The test still hypothesizes SN(config.alpha); this measures power.
-    """
-    return _campaign(config, data_alpha=data_alpha)
+    return simulate_alternative(config, data_alpha=config.alpha)
 
 
 def rejection_size_search(
@@ -381,9 +380,9 @@ def rejection_size_search(
         mean_p = simulate_alternative(config, data_alpha=None).mean_p_value
         trace.append((n, mean_p))
         if mean_p < level:
-            return SizeSearchResult(alpha=alpha, level=level, n=n, capped=False, trace=trace)
+            return SizeSearchResult(alpha=alpha, level=level, n=n, trace=trace)
         n *= 2
-    return SizeSearchResult(alpha=alpha, level=level, n=None, capped=True, trace=trace)
+    return SizeSearchResult(alpha=alpha, level=level, n=None, trace=trace)
 
 
 def _alpha_from_skewness(b):
@@ -441,16 +440,15 @@ def duplication_decision(
 
     Protocol: (i) bootstrap 95% percentile confidence bounds [c, d] for the
     moment estimate of alpha (``resamples`` draws with replacement);
-    (ii) if c < 0.5 the shape is indistinguishable from symmetric, accept;
-    (iii) otherwise duplicate the sample so its total size reaches the
-    reference rejection size for alpha-hat (capped by ``k_cap`` copies and
-    a total of 10^6), test the normal hypothesis, and reject when
-    p < level; (iv) a non-rejection is inconclusive rather than an accept,
-    since the shape estimate already pointed away from symmetry.
+    (ii) if [c, d] meets (-0.5, 0.5) the shape is indistinguishable from
+    symmetric, accept; (iii) otherwise duplicate the sample so its total
+    size reaches the reference rejection size for |alpha-hat| (capped by
+    ``k_cap`` copies and a total of 10^6), test the normal hypothesis, and
+    reject when p < level; (iv) a non-rejection is inconclusive rather than
+    an accept, since the shape estimate already pointed away from symmetry.
 
-    The rule follows the positive-shape convention: left-skewed data give a
-    negative alpha-hat and therefore an accept; reflect the sample first to
-    screen for left-skewed alternatives.
+    The gate screens both sides: reflecting the sample gives the same
+    verdict, copies and test, with alpha-hat and the bounds negated.
     """
     x = np.asarray(sample, dtype=float)
     n = x.size
@@ -468,7 +466,7 @@ def duplication_decision(
     tail = 100.0 * (1.0 - 0.95) / 2.0
     ci_low, ci_high = np.percentile(boot_alpha, [tail, 100.0 - tail])
 
-    symmetric = ci_low < 0.5
+    symmetric = ci_low < 0.5 and ci_high > -0.5
     if symmetric:
         k, capped = 1, False
     else:

@@ -35,7 +35,7 @@ def per_call_allocations(monkeypatch, module, run):
         return real(measured("draw", draw), make_measured, *args, **kwargs)
 
     monkeypatch.setattr(module, "map_replicates", spy)
-    monkeypatch.setattr(gjb.rng, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(gjb.rng, "worker_count", lambda: 1)
     tracemalloc.start()
     try:
         run()

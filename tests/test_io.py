@@ -259,8 +259,7 @@ class TestReports:
         report = gjb_io.test_report("test", 1.0, make_outcome())
         path = str(tmp_path / "report.json")
         gjb_io.write_report(report, path, "json")
-        back = gjb_io.Report.from_dict(json.loads(Path(path).read_text()))
-        assert back.to_dict() == report.to_dict()
+        assert json.loads(Path(path).read_text()) == report.to_dict()
 
     def test_randomized_roundtrips(self, tmp_path):
         rng = np.random.default_rng(77)
@@ -285,8 +284,7 @@ class TestReports:
             )
             report = gjb_io.test_report("test", float(rng.normal()), outcome)
             gjb_io.write_report(report, path, "json")
-            back = gjb_io.Report.from_dict(json.loads(Path(path).read_text()))
-            assert back.to_dict() == report.to_dict(), f"roundtrip {i}"
+            assert json.loads(Path(path).read_text()) == report.to_dict(), f"roundtrip {i}"
 
     def test_full_precision(self, tmp_path):
         value = 0.1234567890123456789  # needs 17 significant digits

@@ -31,7 +31,7 @@ def _identity(block):
 
 def _on_lanes(monkeypatch, lanes):
     """Make ``map_replicates`` run on ``lanes`` lanes, whatever the host has."""
-    monkeypatch.setattr(gjb.rng, "_usable_cores", lambda: lanes)
+    monkeypatch.setattr(gjb.rng, "worker_count", lambda: lanes)
 
 
 def reference_replicate(seed, key_prefix, i, n):
@@ -135,8 +135,26 @@ def test_worker_count_is_the_lane_budget(monkeypatch):
     except AttributeError:
         usable = os.cpu_count()
     assert worker_count() == usable >= 1
+    # map_replicates runs on worker_count() lanes, each with a kernel of its
+    # own: the caller's thread and worker_count() - 1 threads it starts
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    kernels = []
+
+    def make_kernel(block):
+        kernels.append(block)
+        return lambda xs: xs[:, 0]
+
+    monkeypatch.setattr(gjb.rng.threading, "Thread", Thread)
     _on_lanes(monkeypatch, 5)
-    assert worker_count() == 5
+    map_replicates(_normals, make_kernel, 8, 2**16, seed=0, key_prefix=(0,))
+    assert len(started) == 4
+    assert len(kernels) == 5
 
 
 @pytest.mark.parametrize("reps", [1, 5, 4 * 2**16 + 3])

@@ -444,6 +444,25 @@ class TestDuplicationDecision:
         assert outcome.duplication_factor * 50 >= 100
         assert outcome.test.p_value < 0.05
 
+    @pytest.mark.parametrize(
+        "alpha,n,seed",
+        # rejected with 1 to 6 copies on either side, and accepted
+        [(6.0, 50, 1), (-3.0, 200, 9), (2.0, 300, 5), (1.0, 2000, 8),
+         (-6.0, 50, 3), (0.0, 50, 4), (-1.0, 2000, 7)],
+    )
+    def test_reflection_mirrors_the_decision(self, alpha, n, seed):
+        # the gate is two-sided: -x gets the same verdict, copies and test,
+        # with the shape estimate and its bounds negated
+        x = sample_sn(SkewNormalShape(alpha), n, seed=seed)
+        right = duplication_decision(x, seed=0)
+        left = duplication_decision(-x, seed=0)
+        assert left.verdict == right.verdict
+        assert left.duplication_factor == right.duplication_factor
+        assert left.capped == right.capped
+        assert left.test.p_value == right.test.p_value
+        assert left.alpha_hat == -right.alpha_hat
+        assert (left.ci_low, left.ci_high) == (-right.ci_high, -right.ci_low)
+
     def test_normal_sample_accepted(self):
         g = np.random.default_rng(10)
         outcome = duplication_decision(g.standard_normal(50), seed=0)
@@ -525,7 +544,7 @@ class TestDuplicationDecision:
         n = 100_000
         x = sample_sn(SkewNormalShape(1.0), n, seed=6)
         for lanes in (1, 2, 3):
-            monkeypatch.setattr(gjb.rng, "_usable_cores", lambda: lanes)
+            monkeypatch.setattr(gjb.rng, "worker_count", lambda: lanes)
             tracemalloc.start()
             try:
                 gjb.testing._bootstrap_alphas(x, 200, seed=0)
@@ -581,7 +600,7 @@ def test_replicate_consumers_do_not_depend_on_lane_count(monkeypatch):
     monkeypatch.setattr(gjb.asymptotics, "map_replicates", spy)
     runs = []
     for lanes in (1, 2, 3):
-        monkeypatch.setattr(gjb.rng, "_usable_cores", lambda: lanes)
+        monkeypatch.setattr(gjb.rng, "worker_count", lambda: lanes)
         decision = duplication_decision(x, seed=7)
         sigma_monte_carlo(shape, reps=300, per_rep_n=1000, seed=8)
         runs.append((
