@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .distributions import SkewNormalShape, fill_sn
 from .errors import DegenerateSampleError, DomainError, SingularCovarianceError
@@ -115,9 +114,9 @@ def sigma_analytic(raw: np.ndarray, *, legacy: bool = False) -> CovarianceMatrix
     cc, bb = influence_polynomials(raw, legacy=legacy)
     ec = _moment_expectation(cc, raw)
     eb = _moment_expectation(bb, raw)
-    s11 = _moment_expectation(P.polymul(cc, cc), raw) - ec * ec
-    s22 = _moment_expectation(P.polymul(bb, bb), raw) - eb * eb
-    s12 = _moment_expectation(P.polymul(cc, bb), raw) - ec * eb
+    s11 = _moment_expectation(np.convolve(cc, cc), raw) - ec * ec
+    s22 = _moment_expectation(np.convolve(bb, bb), raw) - eb * eb
+    s12 = _moment_expectation(np.convolve(cc, bb), raw) - ec * eb
     sigma = CovarianceMatrix2(s11=s11, s22=s22, s12=s12)
     if sigma.det <= 0.0:
         raise SingularCovarianceError(
@@ -127,9 +126,9 @@ def sigma_analytic(raw: np.ndarray, *, legacy: bool = False) -> CovarianceMatrix
 
 
 def _horner(x: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``P.polyval(x, coeffs)`` written into ``out``, with the same operations
-    in the same order, so the same bits for finite ``x`` and a nonzero
-    leading coefficient."""
+    """numpy's ``polynomial.polyval(x, coeffs)`` written into ``out``, with
+    the same operations in the same order, so the same bits for finite ``x``
+    and a nonzero leading coefficient."""
     np.multiply(x, coeffs[-1], out=out)
     out += coeffs[-2]
     for c in coeffs[-3::-1]:

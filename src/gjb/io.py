@@ -40,7 +40,7 @@ from typing import IO, Any, Iterator
 
 import numpy as np
 
-from .errors import EmptyInputError, SampleParseError
+from .errors import DomainError, EmptyInputError, SampleParseError
 from .testing import TestOutcome
 
 SCHEMA_VERSION = "1"
@@ -279,7 +279,7 @@ def _jsonable(value: Any) -> Any:
 def write_report(report: Report, dest: str | None = None, fmt: str = "json") -> None:
     """Serialize a report to ``dest`` (path) or stdout (None)."""
     if fmt not in ("json", "csv"):
-        raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
+        raise DomainError(f"format must be 'json' or 'csv', got {fmt!r}")
     obj = _jsonable(report.to_dict())
     if fmt == "json":
         text = json.dumps(obj, indent=2) + "\n"

@@ -24,15 +24,16 @@ bit-reproducible across runs and platforms.
 
 :func:`map_replicates` shares a consumer's chunks among as many lanes as
 the process has usable cores (:func:`worker_count`), at most one lane per
-chunk. Lane 0 is the caller's thread; every other lane is a thread started
-for the call and joined before it returns. Lane ``w`` of ``L`` draws and
-reduces chunks ``j = w, w + L, ...`` one at a time in a ``(R, n)`` row
-buffer and kernel scratch of its own, and writes each chunk's results at the
-chunk's own offset. numpy releases the GIL in the draws, gathers and ufunc
-loops that fill and reduce the rows, so the lanes run in parallel. Since
-every chunk owns its counter range, results are bit-identical for any core
-count or affinity mask, and memory is O(L R(n) n) whatever the replicate
-count.
+chunk. Every lane runs the same loop: the caller's thread is lane 0, and
+each other lane is a thread started for the call and joined before it
+returns. Lane ``w`` of ``L`` draws and reduces chunks ``j = w, w + L, ...``
+one at a time in a ``(R, n)`` row buffer and kernel scratch of its own, and
+keeps a copy of each chunk's results; once every lane is joined they are
+concatenated in chunk order. numpy releases the GIL in the draws, gathers
+and ufunc loops that fill and reduce the rows, so the lanes run in parallel.
+Since every chunk owns its counter range, results are bit-identical for any
+core count or affinity mask, and memory is O(L R(n) n) whatever the
+replicate count.
 """
 
 from __future__ import annotations
@@ -88,13 +89,15 @@ def map_replicates(
     may overwrite the rows and keep scratch of that shape between chunks.
     Lanes run at once, so ``draw`` and the kernels may write only their own
     lane's rows and scratch.
-    The results are gathered along the first axis. ``key_prefix`` names the
-    consumer, so distinct consumers of the same seed never share a stream.
+    Each chunk's results are copied, so a kernel may return a view of its
+    rows, and gathered per chunk along the first axis. ``key_prefix`` names
+    the consumer, so distinct consumers of the same seed never share a stream.
     It has no default: the empty prefix is ``substream(seed)``'s key, so
     chunk 0 would replay ``sample_sn(seed)``.
 
     If chunks raise, the exception of the lowest-index failing chunk is
-    raised, whatever the lane count: a lane stops before any chunk above the
+    raised, whatever the lane count (a lane whose ``make_kernel`` raises
+    fails at its first chunk): a lane stops before any chunk above the
     lowest failure seen so far, and every lane stops at its next chunk on a
     Ctrl-C. Every thread is joined before this returns or raises.
     """
@@ -102,38 +105,24 @@ def map_replicates(
     per_chunk = chunk_rows(n)
     chunks = -(-reps // per_chunk)
     shape = (min(per_chunk, reps), n)
-
-    def lane():
-        """A chunk runner with a row buffer and a kernel of its own."""
-        buf = np.empty(shape)
-        kernel = make_kernel(shape)
-
-        def run(j: int) -> np.ndarray:
-            rows = buf[: reps - j * per_chunk]
-            draw(np.random.Generator(np.random.Philox(key=key, counter=[0, j, 0, 0])), rows)
-            return kernel(rows)
-
-        return run
-
-    # chunk 0 fixes the results' dtype and trailing shape before lanes start
-    run = lane()
-    first = run(0)
-    out = np.empty((reps,) + first.shape[1:], first.dtype)
-    out[: len(first)] = first
     lanes = min(chunks, worker_count())
+    results: list[np.ndarray | None] = [None] * chunks
     failed = [chunks]  # lowest failing chunk so far; -1 stops every lane
     errors: dict[int, BaseException] = {}
     lock = threading.Lock()
 
-    def work(w: int, run=None) -> None:
+    def work(w: int) -> None:
         j = w
         try:
-            run = run or lane()
-            # lane 0 has run chunk 0 already
-            for j in range(w or lanes, chunks, lanes):
+            buf = np.empty(shape)
+            kernel = make_kernel(shape)
+            for j in range(w, chunks, lanes):
                 if j > failed[0]:
                     return
-                out[j * per_chunk : (j + 1) * per_chunk] = run(j)
+                rows = buf[: reps - j * per_chunk]
+                draw(np.random.Generator(np.random.Philox(key=key, counter=[0, j, 0, 0])), rows)
+                # a copy: the kernel may return a view of rows the next chunk overwrites
+                results[j] = np.array(kernel(rows))
         except Exception as exc:  # raised once every lane has stopped
             with lock:
                 errors[j] = exc
@@ -143,20 +132,19 @@ def map_replicates(
             failed[0] = -1
             raise
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, lanes)]
     started = []
     try:
-        for t in threads:
+        for w in range(1, lanes):
+            t = threading.Thread(target=work, args=(w,))
             t.start()
             started.append(t)
-        work(0, run)
-        for t in started:
-            t.join()
+        work(0)
     except BaseException:  # an interrupt, or a lane that could not start
         failed[0] = -1
+        raise
+    finally:
         for t in started:
             t.join()
-        raise
     if errors:
         raise errors[min(errors)]
-    return out
+    return np.concatenate(results)

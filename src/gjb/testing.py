@@ -459,8 +459,7 @@ def duplication_decision(
     _check_level(level)
 
     alpha_hat, _ = estimate_alpha_with_flag(x)  # also checks the sample
-    x = _scale_and_centre(x)
-    boot_alpha = _bootstrap_alphas(x, resamples, seed)
+    boot_alpha = _bootstrap_alphas(_scale_and_centre(x), resamples, seed)
     # tail of the 95% bounds: seeded CIs are pinned to this float
     # (2.500000000000002); the literal 2.5 moves them in the last digit
     tail = 100.0 * (1.0 - 0.95) / 2.0

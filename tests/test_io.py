@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gjb import io as gjb_io
 from gjb.cli import main
 from gjb.asymptotics import CovarianceMatrix2
-from gjb.errors import EmptyInputError, SampleParseError
+from gjb.errors import DomainError, EmptyInputError, SampleParseError
 from gjb.testing import TestOutcome
 
 
@@ -312,9 +312,11 @@ class TestReports:
         assert "0.25;0.5" in row
 
     def test_bad_format_rejected(self):
+        # the library's entry-check error, which is still a ValueError
         report = gjb_io.Report(command="x", payload={})
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="format must be 'json' or 'csv', got 'yaml'"):
             gjb_io.write_report(report, None, "yaml")
+        assert issubclass(DomainError, ValueError)
 
 
 def json_text(report) -> str:

@@ -214,6 +214,73 @@ def test_lowest_failing_chunk_raises(lanes, monkeypatch):
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_chunk_zero_fails_while_other_lanes_run(lanes, monkeypatch):
+    # chunk 0 runs on the caller's lane like any other chunk: it fails while
+    # the other lanes are under way, and its error is raised once they are
+    # joined
+    _on_lanes(monkeypatch, lanes)
+    other_lane_ran = threading.Event()
+    seen = []
+
+    def failing(block):
+        def kernel(xs):
+            j = int(xs[0, 0])
+            seen.append(j)
+            if j == 0:
+                other_lane_ran.wait(5.0)
+                raise _ChunkFailure(j)
+            other_lane_ran.set()
+            time.sleep(0.01)
+            return xs[:, 0]
+
+        return kernel
+
+    if lanes == 1:
+        other_lane_ran.set()
+    before = threading.active_count()
+    with pytest.raises(_ChunkFailure) as info:
+        map_replicates(_chunk_index, failing, 8, 2**16, seed=0, key_prefix=(0,))
+    assert info.value.args == (0,)
+    assert threading.active_count() == before
+    assert (len(seen) > 1) == (lanes > 1)
+
+
+def test_make_kernel_failure_on_one_lane(monkeypatch):
+    # lane 1, the first thread started, cannot build its kernel: its error is
+    # raised, though lane 0 runs chunk 0, and every thread is joined first
+    _on_lanes(monkeypatch, 3)
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    ran = []
+
+    def make_kernel(block):
+        if threading.current_thread() in started[:1]:
+            raise _ChunkFailure("lane 1")
+
+        def kernel(xs):
+            ran.append(int(xs[0, 0]))
+            return xs[:, 0]
+
+        return kernel
+
+    monkeypatch.setattr(gjb.rng.threading, "Thread", Thread)
+    before = threading.active_count()
+    with pytest.raises(_ChunkFailure) as info:
+        map_replicates(_chunk_index, make_kernel, 6, 2**16, seed=0, key_prefix=(0,))
+    assert info.value.args == ("lane 1",)
+    assert len(started) == 2
+    assert not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+    assert 0 in ran
+    assert 1 not in ran
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
 def test_constant_replicate_error_on_any_lane_count(lanes, monkeypatch):
     # the campaign kernel's error leaves map_replicates whichever lane hit
     # it, after every lane has been joined

@@ -463,6 +463,16 @@ class TestDuplicationDecision:
         assert left.alpha_hat == -right.alpha_hat
         assert (left.ci_low, left.ci_high) == (-right.ci_high, -right.ci_low)
 
+    @pytest.mark.parametrize("seed", [6, 11, 12])
+    def test_inner_test_is_the_test_command(self, seed):
+        # decide tests the sample as given, as `gjb test --duplicate k` does;
+        # a re-centred copy of an offset sample moves the p-value in its last
+        # bits
+        x = sample_sn(SkewNormalShape(1.0), 1000, seed=seed) + 1e3
+        decision = duplication_decision(x, seed=seed)
+        k = decision.duplication_factor
+        assert decision.test == run_test(x, 0.0, duplication_factor=k)
+
     def test_normal_sample_accepted(self):
         g = np.random.default_rng(10)
         outcome = duplication_decision(g.standard_normal(50), seed=0)
