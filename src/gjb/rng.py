@@ -28,7 +28,7 @@ chunk. Every lane runs the same loop: the caller's thread is lane 0, and
 each other lane is a thread started for the call and joined before it
 returns. Lane ``w`` of ``L`` draws and reduces chunks ``j = w, w + L, ...``
 one at a time in a ``(R, n)`` row buffer and kernel scratch of its own, and
-keeps a copy of each chunk's results; once every lane is joined they are
+keeps each chunk's results, a new array; once every lane is joined they are
 concatenated in chunk order. numpy releases the GIL in the draws, gathers
 and ufunc loops that fill and reduce the rows, so the lanes run in parallel.
 Since every chunk owns its counter range, results are bit-identical for any
@@ -88,9 +88,8 @@ def map_replicates(
     kernel of its own that maps those rows to one result per row; the kernel
     may overwrite the rows and keep scratch of that shape between chunks.
     Lanes run at once, so ``draw`` and the kernels may write only their own
-    lane's rows and scratch.
-    Each chunk's results are copied, so a kernel may return a view of its
-    rows, and gathered per chunk along the first axis. ``key_prefix`` names
+    lane's rows and scratch. A kernel returns a new array of its results;
+    they are gathered per chunk along the first axis. ``key_prefix`` names
     the consumer, so distinct consumers of the same seed never share a stream.
     It has no default: the empty prefix is ``substream(seed)``'s key, so
     chunk 0 would replay ``sample_sn(seed)``.
@@ -121,8 +120,7 @@ def map_replicates(
                     return
                 rows = buf[: reps - j * per_chunk]
                 draw(np.random.Generator(np.random.Philox(key=key, counter=[0, j, 0, 0])), rows)
-                # a copy: the kernel may return a view of rows the next chunk overwrites
-                results[j] = np.array(kernel(rows))
+                results[j] = kernel(rows)
         except Exception as exc:  # raised once every lane has stopped
             with lock:
                 errors[j] = exc
@@ -139,7 +137,9 @@ def map_replicates(
             t.start()
             started.append(t)
         work(0)
-    except BaseException:  # an interrupt, or a lane that could not start
+        for t in started:
+            t.join()
+    except BaseException:  # an interrupt (in a join too), or a lane that could not start
         failed[0] = -1
         raise
     finally:

@@ -26,7 +26,8 @@ def _normals(g, rows):
 
 
 def _identity(block):
-    return lambda xs: xs
+    # a copy: a kernel returns a new array, and xs is its lane's row buffer
+    return lambda xs: xs.copy()
 
 
 def _on_lanes(monkeypatch, lanes):
@@ -347,6 +348,47 @@ def test_interrupt_on_lane_zero_stops_every_lane(monkeypatch):
         map_replicates(_chunk_index, interrupted, 40, 2**16, seed=0, key_prefix=(0,))
     assert threading.active_count() == before
     assert len([j for j in seen if j % 2]) < 6
+
+
+def test_interrupt_in_a_join_stops_every_lane(monkeypatch):
+    # a Ctrl-C reaches the caller while it waits to join lane 1, which is
+    # still on its first chunk: lane 1 stops at its next chunk instead of
+    # running the odd chunks above 1, and it is joined before the interrupt
+    # leaves map_replicates
+    _on_lanes(monkeypatch, 2)
+    caller = threading.current_thread()
+    lane_one_busy, release = threading.Event(), threading.Event()
+    joins = []
+    seen = []
+
+    class Thread(threading.Thread):
+        def join(self, timeout=None):
+            joins.append(self)
+            if len(joins) == 1:
+                lane_one_busy.wait(5.0)
+                raise KeyboardInterrupt
+            release.set()
+            super().join(timeout)
+
+    def held_up(block):
+        def kernel(xs):
+            seen.append(int(xs[0, 0]))
+            if threading.current_thread() is not caller and not lane_one_busy.is_set():
+                lane_one_busy.set()
+                release.wait(5.0)
+            return xs[:, 0].copy()
+
+        return kernel
+
+    monkeypatch.setattr(gjb.rng.threading, "Thread", Thread)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        map_replicates(_chunk_index, held_up, 40, 2**16, seed=0, key_prefix=(0,))
+    alive = threading.active_count()
+    release.set()  # frees lane 1, should it still be waiting
+    assert alive == before
+    assert len(joins) == 2
+    assert [j for j in seen if j % 2] == [1]
 
 
 def test_more_lanes_than_cores_under_fast_thread_switching(monkeypatch):
