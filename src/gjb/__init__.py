@@ -32,7 +32,6 @@ from .asymptotics import (
 )
 from .testing import (
     CampaignConfig,
-    CampaignResult,
     DecisionOutcome,
     SizeSearchResult,
     TestOutcome,
@@ -67,7 +66,6 @@ __all__ = [
     "chi2_survival",
     "TestOutcome",
     "CampaignConfig",
-    "CampaignResult",
     "SizeSearchResult",
     "DecisionOutcome",
     "empirical_shape",

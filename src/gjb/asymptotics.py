@@ -40,7 +40,7 @@ import numpy as np
 from .distributions import SkewNormalShape, fill_sn
 from .errors import DegenerateSampleError, DomainError, SingularCovarianceError
 from .moments import centered_moment, sn_raw_moments
-from .rng import map_replicates
+from .rng import _check_count, map_replicates
 
 __all__ = [
     "CovarianceMatrix2",
@@ -152,10 +152,8 @@ def sigma_monte_carlo(
     convention; results are deterministic in ``seed``, and each replicate's
     row does not depend on ``reps``.
     """
-    if reps < 1:
-        raise DomainError(f"need reps >= 1, got {reps}")
-    if per_rep_n < 2:
-        raise DomainError(f"need per_rep_n >= 2, got {per_rep_n}")
+    _check_count("reps", reps, 1)
+    _check_count("per_rep_n", per_rep_n, 2)
     cc, bb = influence_polynomials(sn_raw_moments(shape), legacy=legacy)
     d = shape.delta
 

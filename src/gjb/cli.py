@@ -165,7 +165,7 @@ def _cmd_test(args) -> gjb_io.Report:
             "legacy": args.legacy,
         }
     }
-    return gjb_io.test_report("test", args.alpha, outcome, extras)
+    return gjb_io.test_report("test", outcome, extras)
 
 
 def _cmd_campaign(args) -> gjb_io.Report:
@@ -178,7 +178,7 @@ def _cmd_campaign(args) -> gjb_io.Report:
         legacy=args.legacy,
     )
     data_alpha = args.alpha if args.command == "simulate" else args.data_alpha
-    result = simulate_alternative(config, data_alpha=data_alpha)
+    p_values = simulate_alternative(config, data_alpha=data_alpha)
     payload = {
         "alpha": args.alpha,
         "data_alpha": data_alpha,
@@ -187,10 +187,10 @@ def _cmd_campaign(args) -> gjb_io.Report:
         "seed": args.seed,
         "sigma_route": config.sigma_route,
         "legacy": args.legacy,
-        "mean_p_value": result.mean_p_value,
+        "mean_p_value": float(p_values.mean()),
     }
     if args.full:
-        payload["p_values"] = list(result.p_values)
+        payload["p_values"] = list(p_values)
     return gjb_io.Report(command=args.command, payload=payload)
 
 
@@ -251,7 +251,7 @@ def _cmd_tables(args) -> None:
                     alpha=alpha, sample_size=size, replications=reps,
                     seed=args.seed, legacy=True,
                 )
-                mean_p = simulate_true_model(config).mean_p_value
+                mean_p = float(simulate_true_model(config).mean())
                 ref = REFERENCE_MEAN_PVALUES[(size, alpha)]
                 row.append(f"{100 * mean_p:.2f} (ref {ref})")
             rows.append(row)
@@ -288,7 +288,7 @@ def _cmd_decide(args) -> gjb_io.Report:
             "seed": args.seed,
         },
     }
-    return gjb_io.test_report("decide", 0.0, decision.test, extras)
+    return gjb_io.test_report("decide", decision.test, extras)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -214,13 +214,12 @@ def write_sample_csv(values: np.ndarray, dest: str | None = None) -> None:
 
 def test_report(
     command: str,
-    alpha: float,
     outcome: TestOutcome,
     extras: dict[str, Any] | None = None,
 ) -> Report:
     """Assemble the fixed-schema report for a single test outcome."""
     payload: dict[str, Any] = {
-        "alpha": alpha,
+        "alpha": outcome.alpha,
         "n": outcome.n,
         "duplication_factor": outcome.duplication_factor,
         "a_n": outcome.a_n,

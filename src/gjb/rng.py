@@ -38,19 +38,34 @@ replicate count.
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError
+
 # Values per stream chunk. It defines the replicate streams, so it is no
 # tuning knob: changing it changes every result.
 _CHUNK_ELEMENTS = 1 << 16
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise DomainError naming ``name`` unless ``value`` is an integer
+    (``operator.index`` accepts it, as it does numpy integers) >= ``least``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"need an integer {name}, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"need {name} >= {least}, got {value}")
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Return the deterministic generator keyed by ``(seed, *key)``."""
+    _check_count("seed", seed, 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
@@ -100,6 +115,7 @@ def map_replicates(
     lowest failure seen so far, and every lane stops at its next chunk on a
     Ctrl-C. Every thread is joined before this returns or raises.
     """
+    _check_count("seed", seed, 0)
     key = np.random.SeedSequence(seed, spawn_key=key_prefix).generate_state(2, np.uint64)
     per_chunk = chunk_rows(n)
     chunks = -(-reps // per_chunk)

@@ -41,12 +41,11 @@ from .moments import ShapeStatistics, delta_from_skewness, shape_statistics, sn_
 from .reference import rejection_size_hint
 # substream is unused here, but bench/tests/test_bench.py checks that the
 # traced run rebinds gjb.testing.substream; drop it together with that check.
-from .rng import map_replicates, substream  # noqa: F401
+from .rng import _check_count, map_replicates, substream  # noqa: F401
 
 __all__ = [
     "TestOutcome",
     "CampaignConfig",
-    "CampaignResult",
     "SizeSearchResult",
     "DecisionOutcome",
     "SKEWNESS_CLAMP",
@@ -72,10 +71,11 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Result of one GJB test run."""
+    """Result of one GJB test run; ``alpha`` is the hypothesized shape."""
 
     __test__ = False  # not a pytest class, despite the name
 
+    alpha: float
     n: int
     a_n: float
     b_n: float
@@ -100,10 +100,8 @@ class CampaignConfig:
     legacy: bool = False
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise DomainError(f"need replications >= 1, got {self.replications}")
-        if self.sample_size < 2:
-            raise DomainError(f"need sample_size >= 2, got {self.sample_size}")
+        _check_count("replications", self.replications, 1)
+        _check_count("sample_size", self.sample_size, 2)
         if self.sigma_route not in _SIGMA_ROUTES:
             raise DomainError(
                 f"sigma_route must be one of {_SIGMA_ROUTES}, got {self.sigma_route!r}"
@@ -111,20 +109,9 @@ class CampaignConfig:
 
 
 @dataclass(frozen=True)
-class CampaignResult:
-    p_values: np.ndarray
-
-    @property
-    def mean_p_value(self) -> float:
-        return float(self.p_values.mean())
-
-
-@dataclass(frozen=True)
 class SizeSearchResult:
     """Outcome of the geometric-grid search for the normality-rejection size."""
 
-    alpha: float
-    level: float
     n: int | None  # None: no crossing up to the cap
     trace: list[tuple[int, float]] = field(default_factory=list)
 
@@ -141,9 +128,12 @@ class DecisionOutcome:
     alpha_hat: float
     ci_low: float
     ci_high: float
-    duplication_factor: int
     capped: bool
     test: TestOutcome
+
+    @property
+    def duplication_factor(self) -> int:
+        return self.test.duplication_factor
 
 
 def _skew_rows(xs: np.ndarray, ddof: int, d2: np.ndarray):
@@ -285,8 +275,7 @@ def run_test(
     k times the single-copy one. ``seed`` only matters for the monte-carlo
     covariance route.
     """
-    if duplication_factor < 1:
-        raise DomainError(f"need duplication_factor >= 1, got {duplication_factor}")
+    _check_count("duplication_factor", duplication_factor, 1)
     _check_level(level)
     x = np.asarray(sample, dtype=float)
     shape = SkewNormalShape(alpha)
@@ -296,6 +285,7 @@ def run_test(
     j_n = duplication_factor * j_base
     p = chi2_survival(j_n)
     return TestOutcome(
+        alpha=alpha,
         n=duplication_factor * x.size,
         a_n=a_n,
         b_n=b_n,
@@ -311,8 +301,9 @@ def run_test(
 
 def simulate_alternative(
     config: CampaignConfig, data_alpha: float | None = None
-) -> CampaignResult:
-    """Replicate the test of SN(config.alpha) over samples from the data law.
+) -> np.ndarray:
+    """Per-replicate p-values of the test of SN(config.alpha) over samples
+    from the data law.
 
     ``data_alpha=None`` draws standard normal data, which measures power;
     otherwise SN(data_alpha). Replicates are drawn under the campaign key
@@ -342,14 +333,13 @@ def simulate_alternative(
 
         return p_values
 
-    ps = map_replicates(
+    return map_replicates(
         draw, make_p_values, config.replications, n, config.seed, key_prefix=(0,)
     )
-    return CampaignResult(p_values=ps)
 
 
-def simulate_true_model(config: CampaignConfig) -> CampaignResult:
-    """Mean p-value when the data really follow SN(config.alpha)."""
+def simulate_true_model(config: CampaignConfig) -> np.ndarray:
+    """Per-replicate p-values when the data really follow SN(config.alpha)."""
     return simulate_alternative(config, data_alpha=config.alpha)
 
 
@@ -366,23 +356,24 @@ def rejection_size_search(
     p-value of testing SN(alpha) against N(0,1) data drops below ``level``.
 
     Reaching ``cap`` without a crossing reports ``capped=True`` instead of
-    raising.
+    raising; a ``cap`` below ``start``, which would search no n, raises.
     """
     if alpha == 0.0:
         raise DomainError("alpha must be nonzero (the alternative is N(0,1))")
     _check_level(level)
-    if start < 2:
-        raise DomainError(f"need start >= 2, got {start}")
+    _check_count("start", start, 2)
+    if not cap >= start:  # a NaN cap too
+        raise DomainError(f"need cap >= start, got cap={cap}, start={start}")
     trace: list[tuple[int, float]] = []
     n = start
     while n <= cap:
         config = CampaignConfig(alpha=alpha, sample_size=n, replications=reps, seed=seed)
-        mean_p = simulate_alternative(config, data_alpha=None).mean_p_value
+        mean_p = float(simulate_alternative(config, data_alpha=None).mean())
         trace.append((n, mean_p))
         if mean_p < level:
-            return SizeSearchResult(alpha=alpha, level=level, n=n, trace=trace)
+            return SizeSearchResult(n=n, trace=trace)
         n *= 2
-    return SizeSearchResult(alpha=alpha, level=level, n=None, trace=trace)
+    return SizeSearchResult(n=None, trace=trace)
 
 
 def _alpha_from_skewness(b):
@@ -452,10 +443,8 @@ def duplication_decision(
     """
     x = np.asarray(sample, dtype=float)
     n = x.size
-    if resamples < 1:
-        raise DomainError(f"need resamples >= 1, got {resamples}")
-    if k_cap < 1:
-        raise DomainError(f"need k_cap >= 1, got {k_cap}")
+    _check_count("resamples", resamples, 1)
+    _check_count("k_cap", k_cap, 1)
     _check_level(level)
 
     alpha_hat, _ = estimate_alpha_with_flag(x)  # also checks the sample
@@ -482,7 +471,6 @@ def duplication_decision(
         alpha_hat=alpha_hat,
         ci_low=float(ci_low),
         ci_high=float(ci_high),
-        duplication_factor=k,
         capped=capped,
         test=test,
     )

@@ -166,6 +166,11 @@ class TestRejectSizeCommand:
         assert obj["capped"] is True
         assert obj["n"] is None
 
+    def test_cap_below_start_is_runtime_error(self, capsys):
+        # a cap below the default start of 10 would search no size at all
+        assert run(["reject-size", "--alpha", "6", "--cap", "5"]) == 3
+        assert "need cap >= start" in capsys.readouterr().err
+
 
 class TestTablesCommand:
     def test_shape_table(self, capsys):

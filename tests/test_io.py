@@ -221,8 +221,9 @@ class TestStreamedPathMatchesCsvReader:
             gjb_io._read_csv, str(path))
 
 
-def make_outcome(p=0.5, j=1.3862943611198906) -> TestOutcome:
+def make_outcome(p=0.5, j=1.3862943611198906, alpha=1.0) -> TestOutcome:
     return TestOutcome(
+        alpha=alpha,
         n=100,
         a_n=3.1,
         b_n=0.05,
@@ -238,7 +239,7 @@ def make_outcome(p=0.5, j=1.3862943611198906) -> TestOutcome:
 
 class TestReports:
     def test_schema_keys(self):
-        report = gjb_io.test_report("test", 1.0, make_outcome())
+        report = gjb_io.test_report("test", make_outcome())
         obj = report.to_dict()
         expected = [
             "schema_version", "command", "alpha", "n", "duplication_factor",
@@ -249,14 +250,14 @@ class TestReports:
         assert set(obj["sigma"]) == {"s11", "s22", "s12", "det"}
 
     def test_zero_statistic_serializes_exactly(self):
-        report = gjb_io.test_report("test", 0.0, make_outcome(p=1.0, j=0.0))
+        report = gjb_io.test_report("test", make_outcome(p=1.0, j=0.0, alpha=0.0))
         text = json_text(report)
         obj = json.loads(text)
         assert obj["j_n"] == 0
         assert obj["p_value"] == 1
 
     def test_json_roundtrip(self, tmp_path):
-        report = gjb_io.test_report("test", 1.0, make_outcome())
+        report = gjb_io.test_report("test", make_outcome())
         path = str(tmp_path / "report.json")
         gjb_io.write_report(report, path, "json")
         assert json.loads(Path(path).read_text()) == report.to_dict()
@@ -281,8 +282,9 @@ class TestReports:
                 ),
                 duplication_factor=int(rng.integers(1, 100)),
                 verdict="accept",
+                alpha=float(rng.normal()),
             )
-            report = gjb_io.test_report("test", float(rng.normal()), outcome)
+            report = gjb_io.test_report("test", outcome)
             gjb_io.write_report(report, path, "json")
             assert json.loads(Path(path).read_text()) == report.to_dict(), f"roundtrip {i}"
 
@@ -294,7 +296,7 @@ class TestReports:
         assert json.loads(Path(path).read_text())["v"] == value
 
     def test_csv_flat_row(self, tmp_path):
-        report = gjb_io.test_report("test", 1.0, make_outcome())
+        report = gjb_io.test_report("test", make_outcome())
         path = str(tmp_path / "report.csv")
         gjb_io.write_report(report, path, "csv")
         header, row = Path(path).read_text().splitlines()
@@ -356,7 +358,7 @@ PINNED_SHA256 = {
 def pinned_report(kind: str) -> gjb_io.Report:
     if kind == "test_report":
         report = gjb_io.test_report(
-            "test", 1.0, make_outcome(),
+            "test", make_outcome(),
             extras={"config": {"data": "x.csv", "seed": 3, "legacy": False}},
         )
     else:

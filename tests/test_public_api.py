@@ -27,6 +27,8 @@ REMOVED = [
     ("gjb.distributions", "HALF_NORMAL_MEAN"),
     ("gjb.testing", "_campaign"),
     ("gjb.rng", "_usable_cores"),
+    ("gjb", "CampaignResult"),
+    ("gjb.testing", "CampaignResult"),
 ]
 
 
@@ -58,12 +60,14 @@ def test_report_has_no_settable_schema_version():
 @pytest.mark.parametrize(
     "cls,name,instance,value",
     [
-        (gjb.testing.CampaignResult, "mean_p_value",
-         gjb.testing.CampaignResult(p_values=np.array([0.25, 0.5])), 0.375),
+        (gjb.testing.DecisionOutcome, "duplication_factor",
+         gjb.testing.DecisionOutcome(
+             "inconclusive", 1.0, 0.6, 2.0, False,
+             gjb.testing.run_test([0.0, 1.0, 3.0], 0.0, duplication_factor=3)), 3),
         (gjb.testing.SizeSearchResult, "capped",
-         gjb.testing.SizeSearchResult(alpha=1.0, level=0.05, n=None), True),
+         gjb.testing.SizeSearchResult(n=None), True),
         (gjb.testing.SizeSearchResult, "capped",
-         gjb.testing.SizeSearchResult(alpha=1.0, level=0.05, n=40), False),
+         gjb.testing.SizeSearchResult(n=40), False),
         (gjb.io.SampleFile, "parsed_rows",
          gjb.io.SampleFile(values=np.zeros(3), skipped_rows=1), 3),
     ],

@@ -1,5 +1,6 @@
 """Tests for the test statistic, campaigns, estimator, and decision protocol."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -122,13 +123,47 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
         (lambda x: run_test(x, 0.0, level=1.5), r"level must be in \(0, 1\), got 1.5"),
         (lambda x: run_test(x, 0.0, level=0.0), r"level must be in \(0, 1\), got 0.0"),
         (lambda x: rejection_size_search(1.0, start=1), "need start >= 2, got 1"),
+        (lambda x: sample_sn(SkewNormalShape(1.0), 10, seed=-1), "need seed >= 0, got -1"),
+        (lambda x: run_test(x, 1.0, sigma_route="monte-carlo", seed=-1),
+         "need seed >= 0, got -1"),
+        (lambda x: simulate_alternative(CampaignConfig(1.0, 10, 10, -1)),
+         "need seed >= 0, got -1"),
+        (lambda x: duplication_decision(x, seed=-1), "need seed >= 0, got -1"),
+        (lambda x: duplication_decision(x, seed=1.5), "need an integer seed, got 1.5"),
+        (lambda x: run_test(x, 1.0, duplication_factor=2.5),
+         "need an integer duplication_factor, got 2.5"),
+        (lambda x: CampaignConfig(1.0, 10, 2.5, 0), "need an integer replications, got 2.5"),
+        (lambda x: CampaignConfig(1.0, 10.5, 10, 0), "need an integer sample_size, got 10.5"),
+        (lambda x: duplication_decision(x, resamples=10.5),
+         "need an integer resamples, got 10.5"),
+        (lambda x: duplication_decision(x, k_cap=2.0), "need an integer k_cap, got 2.0"),
+        (lambda x: rejection_size_search(1.0, start=10.0), "need an integer start, got 10.0"),
+        (lambda x: sigma_monte_carlo(SkewNormalShape(1.0), 10.0, 100, 0),
+         "need an integer reps, got 10.0"),
+        (lambda x: sigma_monte_carlo(SkewNormalShape(1.0), 10, 100.5, 0),
+         "need an integer per_rep_n, got 100.5"),
+        (lambda x: rejection_size_search(6.0, cap=5), "need cap >= start, got cap=5, start=10"),
+        (lambda x: rejection_size_search(6.0, cap=math.nan), "need cap >= start, got cap=nan"),
     ],
     ids=["k_cap", "decide-level-high", "decide-level-negative", "test-level-high",
-         "test-level-zero", "start"],
+         "test-level-zero", "start", "sample-seed", "test-mc-seed", "campaign-seed",
+         "decide-seed", "decide-seed-float", "duplication_factor-float",
+         "replications-float", "sample_size-float", "resamples-float", "k_cap-float",
+         "start-float", "mc-reps-float", "mc-per_rep_n-float", "cap-below-start", "cap-nan"],
 )
 def test_bad_argument_named_at_entry(call, message):
     with pytest.raises(DomainError, match=message):
         call(sample_sn(SkewNormalShape(6.0), 50, seed=1))
+
+
+def test_numpy_integer_counts_accepted():
+    x = sample_sn(SkewNormalShape(6.0), 50, seed=np.int64(1))
+    assert run_test(x, 1.0, duplication_factor=np.int64(2)) == run_test(x, 1.0, duplication_factor=2)
+    config = CampaignConfig(1.0, np.int32(10), np.int64(20), np.uint8(3))
+    assert np.array_equal(simulate_alternative(config), simulate_alternative(
+        CampaignConfig(1.0, 10, 20, 3)))
+    decision = duplication_decision(x, k_cap=np.int64(5), seed=np.int64(2), resamples=np.int16(50))
+    assert decision == duplication_decision(x, k_cap=5, seed=2, resamples=50)
 
 
 class TestEmpiricalShape:
@@ -268,7 +303,8 @@ class TestRunTest:
         # neither sampling nor the test may fall back to the normal law
         x = sample_sn(SkewNormalShape(1e200), 500, seed=2)
         assert np.array_equal(x, sample_sn(SkewNormalShape(1e100), 500, seed=2))
-        assert run_test(x, 1e200) == run_test(x, 1e100)
+        # every field but the recorded alpha is compared
+        assert dataclasses.replace(run_test(x, 1e200), alpha=1e100) == run_test(x, 1e100)
 
     def test_sigma_routes_agree(self):
         x = sample_sn(SkewNormalShape(1.0), 2_000, seed=6)
@@ -282,26 +318,26 @@ class TestCampaigns:
         config = CampaignConfig(alpha=1.0, sample_size=10, replications=200, seed=5)
         r1 = simulate_true_model(config)
         r2 = simulate_true_model(config)
-        assert np.array_equal(r1.p_values, r2.p_values)
+        assert np.array_equal(r1, r2)
 
     def test_alternative_equal_to_true_model_when_laws_match(self):
         config = CampaignConfig(alpha=1.0, sample_size=20, replications=150, seed=2)
         same = simulate_alternative(config, data_alpha=1.0)
         true = simulate_true_model(config)
-        assert np.array_equal(same.p_values, true.p_values)
+        assert np.array_equal(same, true)
 
     def test_true_model_mean_p_is_high(self):
         config = CampaignConfig(alpha=1.0, sample_size=50, replications=400, seed=3)
-        assert simulate_true_model(config).mean_p_value > 0.4
+        assert float(simulate_true_model(config).mean()) > 0.4
 
     def test_power_example_alpha_six(self):
         # hypothesis SN(6) vs standard normal data at the reference size
         config = CampaignConfig(alpha=6.0, sample_size=130, replications=300, seed=7)
-        assert simulate_alternative(config).mean_p_value < 0.05
+        assert float(simulate_alternative(config).mean()) < 0.05
 
     def test_power_example_alpha_one_point_five(self):
         config = CampaignConfig(alpha=1.5, sample_size=750, replications=300, seed=7)
-        assert simulate_alternative(config).mean_p_value < 0.05
+        assert float(simulate_alternative(config).mean()) < 0.05
 
     @pytest.mark.parametrize(
         "alpha,size,legacy,data_alpha",
@@ -317,7 +353,7 @@ class TestCampaigns:
         config = CampaignConfig(
             alpha=alpha, sample_size=size, replications=300, seed=11, legacy=legacy
         )
-        ps = simulate_alternative(config, data_alpha=data_alpha).p_values
+        ps = simulate_alternative(config, data_alpha=data_alpha)
         ref = reference_campaign_p_values(config, data_alpha)
         assert np.max(np.abs(ps - ref)) <= 1e-12
 
@@ -327,7 +363,7 @@ class TestCampaigns:
         # on one row; each replicate's p-value is the same in all three.
         def p_values(reps):
             config = CampaignConfig(alpha=1.0, sample_size=2000, replications=reps, seed=5)
-            return simulate_true_model(config).p_values
+            return simulate_true_model(config)
 
         assert gjb.rng.chunk_rows(2000) == 32
         full = p_values(224)
@@ -344,7 +380,7 @@ class TestCampaigns:
             simulate_alternative(
                 CampaignConfig(alpha=1.0, sample_size=n, replications=reps, seed=4),
                 data_alpha=data_alpha,
-            ).p_values
+            )
             for reps in (5, long_reps)
         )
         assert np.array_equal(short, long[:5])
@@ -614,7 +650,7 @@ def test_replicate_consumers_do_not_depend_on_lane_count(monkeypatch):
         decision = duplication_decision(x, seed=7)
         sigma_monte_carlo(shape, reps=300, per_rep_n=1000, seed=8)
         runs.append((
-            simulate_true_model(config).p_values,
+            simulate_true_model(config),
             gjb.testing._bootstrap_alphas(xc, 1000, seed=7),
             mc_rows[-1],
             np.array([decision.ci_low, decision.ci_high]),
