@@ -8,7 +8,9 @@ Every subcommand that draws randomness takes --seed and is bit-reproducible
 in its report payload (wall_time_ms excluded). Campaign replicates, the
 decide bootstrap and Monte-Carlo covariances are processed in stream chunks
 shared among every usable core; the payloads are bit-identical for any core
-count or affinity mask.
+count or affinity mask. decide bootstraps its shape interval only for
+samples below 10^4 values; from there on it uses the influence-function
+interval, which draws nothing, and its report's ci_method says which.
 
 Options shared by several subcommands are declared once, in parent parsers.
 Report commands (test, simulate, power, reject-size, decide) return a
@@ -278,6 +280,7 @@ def _cmd_decide(args) -> gjb_io.Report:
         "alpha_hat": decision.alpha_hat,
         "ci_low": decision.ci_low,
         "ci_high": decision.ci_high,
+        "ci_method": decision.ci_method,
         "capped": decision.capped,
         "config": {
             "data": args.data,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DomainError
-from .rng import substream
+from .errors import DomainError
+from .rng import _check_count, substream
 
 __all__ = [
     "SkewNormalShape",
@@ -93,8 +93,7 @@ def sample_sn(shape: SkewNormalShape, n: int, seed: int) -> np.ndarray:
     Uses the representation delta |Z1| + sqrt(1-delta^2) Z2; Z1 is drawn
     first (one vector), then Z2, from the stream ``substream(seed)``.
     """
-    if n < 1:
-        raise DegenerateSampleError(f"need at least one draw, got n={n}")
+    _check_count("n", n, 1)
     out = np.empty(n)
     fill_sn(substream(seed), out, shape.delta)
     return out

@@ -25,13 +25,16 @@ J_n by exactly k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .asymptotics import (
     CovarianceMatrix2,
+    _horner,
     chi2_survival,
+    influence_polynomials,
     sigma_analytic,
     sigma_monte_carlo,
 )
@@ -134,6 +137,12 @@ class DecisionOutcome:
     @property
     def duplication_factor(self) -> int:
         return self.test.duplication_factor
+
+    @property
+    def ci_method(self) -> str:
+        """How ``[ci_low, ci_high]`` was found: ``"influence"`` for a sample
+        of at least ``_INFLUENCE_MIN_N`` values, else ``"bootstrap"``."""
+        return _ci_method(self.test.n // self.test.duplication_factor)
 
 
 def _skew_rows(xs: np.ndarray, ddof: int, d2: np.ndarray):
@@ -361,6 +370,7 @@ def rejection_size_search(
     if alpha == 0.0:
         raise DomainError("alpha must be nonzero (the alternative is N(0,1))")
     _check_level(level)
+    _check_count("reps", reps, 1)
     _check_count("start", start, 2)
     if not cap >= start:  # a NaN cap too
         raise DomainError(f"need cap >= start, got cap={cap}, start={start}")
@@ -401,6 +411,34 @@ def estimate_alpha(sample) -> float:
     return estimate_alpha_with_flag(sample)[0]
 
 
+# From this sample size on, duplication_decision bounds the shape by the
+# influence-function interval instead of the bootstrap. The seeded agreement
+# study in tests/influence_study.py puts the two intervals' endpoints closer
+# together here than two bootstraps of the same sample on different seeds.
+_INFLUENCE_MIN_N = 10_000
+
+# the 0.975 quantile of the standard normal law
+_Z_975 = 1.959963984540054
+
+
+def _ci_method(n: int) -> str:
+    return "influence" if n >= _INFLUENCE_MIN_N else "bootstrap"
+
+
+def _influence_bounds(y: np.ndarray) -> np.ndarray:
+    """Delta-method 95% bounds for the shape of the centred, scaled sample
+    ``y``: ``b_n -+ z se`` mapped to alpha, with ``se`` the spread of the
+    skewness influence function B over the sample, over sqrt(n) (Hampel
+    1974). O(n), and draws nothing."""
+    n = y.size
+    y2 = y * y
+    raw = np.array([1.0, y.mean(), y2.mean(), (y2 * y).mean(), (y2 * y2).mean()])
+    _, bb = influence_polynomials(raw)
+    se = np.std(_horner(y, bb, y2)) / math.sqrt(n)
+    _, b_n = empirical_shape(y)
+    return _alpha_from_skewness(np.array([b_n - _Z_975 * se, b_n + _Z_975 * se]))
+
+
 def _bootstrap_alphas(x: np.ndarray, resamples: int, seed: int) -> np.ndarray:
     """Shape estimates of ``resamples`` resamples of ``x`` with replacement,
     drawn under the bootstrap key prefix ``(1,)``."""
@@ -419,6 +457,15 @@ def _bootstrap_alphas(x: np.ndarray, resamples: int, seed: int) -> np.ndarray:
     return _alpha_from_skewness(b)
 
 
+def _bootstrap_bounds(y: np.ndarray, resamples: int, seed: int) -> np.ndarray:
+    """95% percentile bounds of the shape estimates of ``resamples``
+    resamples of ``y``."""
+    # tail of the 95% bounds: seeded CIs are pinned to this float
+    # (2.500000000000002); the literal 2.5 moves them in the last digit
+    tail = 100.0 * (1.0 - 0.95) / 2.0
+    return np.percentile(_bootstrap_alphas(y, resamples, seed), [tail, 100.0 - tail])
+
+
 def duplication_decision(
     sample,
     level: float = 0.05,
@@ -429,9 +476,13 @@ def duplication_decision(
 ) -> DecisionOutcome:
     """Decide between symmetry and non-normality by sample duplication.
 
-    Protocol: (i) bootstrap 95% percentile confidence bounds [c, d] for the
-    moment estimate of alpha (``resamples`` draws with replacement);
-    (ii) if [c, d] meets (-0.5, 0.5) the shape is indistinguishable from
+    Protocol: (i) 95% confidence bounds [c, d] for the moment estimate of
+    alpha: below ``_INFLUENCE_MIN_N`` values, bootstrap percentile bounds
+    from ``resamples`` draws with replacement under ``seed``; from there
+    on, the delta-method interval of the skewness influence function,
+    which draws nothing, so ``resamples`` and ``seed`` do not affect the
+    result (both are still checked); ``ci_method`` records which; (ii) if
+    [c, d] meets (-0.5, 0.5) the shape is indistinguishable from
     symmetric, accept; (iii) otherwise duplicate the sample so its total
     size reaches the reference rejection size for |alpha-hat| (capped by
     ``k_cap`` copies and a total of 10^6), test the normal hypothesis, and
@@ -448,11 +499,11 @@ def duplication_decision(
     _check_level(level)
 
     alpha_hat, _ = estimate_alpha_with_flag(x)  # also checks the sample
-    boot_alpha = _bootstrap_alphas(_scale_and_centre(x), resamples, seed)
-    # tail of the 95% bounds: seeded CIs are pinned to this float
-    # (2.500000000000002); the literal 2.5 moves them in the last digit
-    tail = 100.0 * (1.0 - 0.95) / 2.0
-    ci_low, ci_high = np.percentile(boot_alpha, [tail, 100.0 - tail])
+    y = _scale_and_centre(x)
+    if _ci_method(n) == "influence":
+        ci_low, ci_high = _influence_bounds(y)
+    else:
+        ci_low, ci_high = _bootstrap_bounds(y, resamples, seed)
 
     symmetric = ci_low < 0.5 and ci_high > -0.5
     if symmetric:

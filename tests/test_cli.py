@@ -193,6 +193,7 @@ class TestDecideCommand:
         obj = payload(out)
         assert obj["verdict"] == "reject-normality"
         assert obj["alpha_hat"] > 0.5
+        assert obj["ci_method"] == "bootstrap"
 
     def test_accept_exit_code(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -292,6 +293,12 @@ class TestCsvFormat:
         data = sample_file(tmp_path, 6.0, 50, seed=1)
         row = self.check(tmp_path, ["decide", "--data", data, "--seed", "0"], code=1)
         assert row["verdict"] == "reject-normality"
+        assert row["ci_method"] == "bootstrap"
+
+    def test_decide_influence_interval(self, tmp_path):
+        data = sample_file(tmp_path, 1.0, 20_000, seed=8)
+        row = self.check(tmp_path, ["decide", "--data", data], code=1)
+        assert row["ci_method"] == "influence"
 
     def test_decide_exit_code_through_module_entry_point(self, tmp_path):
         data = sample_file(tmp_path, 6.0, 50, seed=1)

@@ -70,6 +70,12 @@ def test_report_has_no_settable_schema_version():
          gjb.testing.SizeSearchResult(n=40), False),
         (gjb.io.SampleFile, "parsed_rows",
          gjb.io.SampleFile(values=np.zeros(3), skipped_rows=1), 3),
+        # read off the sample's own size, not the 15000 values of its copies
+        (gjb.testing.DecisionOutcome, "ci_method",
+         gjb.testing.DecisionOutcome(
+             "inconclusive", 1.0, 0.6, 2.0, False,
+             gjb.testing.run_test([0.0, 1.0, 3.0], 0.0, duplication_factor=5000)),
+         "bootstrap"),
     ],
 )
 def test_derived_value_is_a_property_not_a_field(cls, name, instance, value):

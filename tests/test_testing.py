@@ -124,6 +124,7 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
         (lambda x: run_test(x, 0.0, level=0.0), r"level must be in \(0, 1\), got 0.0"),
         (lambda x: rejection_size_search(1.0, start=1), "need start >= 2, got 1"),
         (lambda x: sample_sn(SkewNormalShape(1.0), 10, seed=-1), "need seed >= 0, got -1"),
+        (lambda x: sample_sn(SkewNormalShape(1.0), 2.5, seed=0), "need an integer n, got 2.5"),
         (lambda x: run_test(x, 1.0, sigma_route="monte-carlo", seed=-1),
          "need seed >= 0, got -1"),
         (lambda x: simulate_alternative(CampaignConfig(1.0, 10, 10, -1)),
@@ -138,6 +139,7 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
          "need an integer resamples, got 10.5"),
         (lambda x: duplication_decision(x, k_cap=2.0), "need an integer k_cap, got 2.0"),
         (lambda x: rejection_size_search(1.0, start=10.0), "need an integer start, got 10.0"),
+        (lambda x: rejection_size_search(1.0, reps=2.5), "need an integer reps, got 2.5"),
         (lambda x: sigma_monte_carlo(SkewNormalShape(1.0), 10.0, 100, 0),
          "need an integer reps, got 10.0"),
         (lambda x: sigma_monte_carlo(SkewNormalShape(1.0), 10, 100.5, 0),
@@ -146,10 +148,11 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
         (lambda x: rejection_size_search(6.0, cap=math.nan), "need cap >= start, got cap=nan"),
     ],
     ids=["k_cap", "decide-level-high", "decide-level-negative", "test-level-high",
-         "test-level-zero", "start", "sample-seed", "test-mc-seed", "campaign-seed",
-         "decide-seed", "decide-seed-float", "duplication_factor-float",
+         "test-level-zero", "start", "sample-seed", "sample-n-float", "test-mc-seed",
+         "campaign-seed", "decide-seed", "decide-seed-float", "duplication_factor-float",
          "replications-float", "sample_size-float", "resamples-float", "k_cap-float",
-         "start-float", "mc-reps-float", "mc-per_rep_n-float", "cap-below-start", "cap-nan"],
+         "start-float", "search-reps-float", "mc-reps-float", "mc-per_rep_n-float",
+         "cap-below-start", "cap-nan"],
 )
 def test_bad_argument_named_at_entry(call, message):
     with pytest.raises(DomainError, match=message):
@@ -484,7 +487,9 @@ class TestDuplicationDecision:
         "alpha,n,seed",
         # rejected with 1 to 6 copies on either side, and accepted
         [(6.0, 50, 1), (-3.0, 200, 9), (2.0, 300, 5), (1.0, 2000, 8),
-         (-6.0, 50, 3), (0.0, 50, 4), (-1.0, 2000, 7)],
+         (-6.0, 50, 3), (0.0, 50, 4), (-1.0, 2000, 7),
+         # bounded by the influence interval
+         (1.0, 20_000, 8), (-3.0, 20_000, 9), (0.0, 20_000, 4)],
     )
     def test_reflection_mirrors_the_decision(self, alpha, n, seed):
         # the gate is two-sided: -x gets the same verdict, copies and test,
@@ -614,13 +619,68 @@ class TestDuplicationDecision:
         assert max(extra["kernel"]) < 0.5 * chunk_bytes
 
     def test_extreme_scale(self):
-        x = sample_sn(SkewNormalShape(1.0), 1000, seed=0)
-        base = duplication_decision(x)
-        big = duplication_decision(1e100 * x)
-        assert big.verdict == base.verdict
-        assert (big.ci_low, big.ci_high) == pytest.approx(
-            (base.ci_low, base.ci_high), rel=1e-12
+        for n in (1000, 20_000):  # bootstrap, then influence interval
+            x = sample_sn(SkewNormalShape(1.0), n, seed=0)
+            base = duplication_decision(x)
+            big = duplication_decision(1e100 * x)
+            assert big.verdict == base.verdict
+            assert (big.ci_low, big.ci_high) == pytest.approx(
+                (base.ci_low, base.ci_high), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("n,method", [(9_999, "bootstrap"), (10_000, "influence")])
+    def test_interval_method_switches_at_ten_thousand(self, n, method):
+        x = sample_sn(SkewNormalShape(1.0), n, seed=3)
+        decision = duplication_decision(x, seed=2)
+        assert decision.ci_method == method
+        y = gjb.testing._scale_and_centre(x)
+        if method == "bootstrap":
+            expected = gjb.testing._bootstrap_bounds(y, 1000, 2)
+        else:
+            expected = gjb.testing._influence_bounds(y)
+        assert (decision.ci_low, decision.ci_high) == tuple(expected)
+
+    def test_influence_interval_draws_nothing(self):
+        # from the threshold on, neither the seed nor the resample count
+        # reaches the result; both are still checked at entry
+        x = sample_sn(SkewNormalShape(1.0), 20_000, seed=4)
+        base = duplication_decision(x, seed=0)
+        assert base.ci_method == "influence"
+        assert duplication_decision(x, seed=5) == base
+        assert duplication_decision(x, seed=5, resamples=1) == base
+        with pytest.raises(DomainError, match="need resamples >= 1"):
+            duplication_decision(x, resamples=0)
+
+    @pytest.mark.parametrize("alpha,seed", [(0.0, 0), (1.0, 1), (6.0, 2)])
+    def test_influence_interval_matches_reference(self, alpha, seed):
+        # the textbook influence function of the skewness mu3/s^3,
+        # ((x-m)^3 - mu3)/s^3 - 3 (x-m)/s - (3/2) mu3 ((x-m)^2 - s^2)/s^5,
+        # on the centred, scaled sample, with its 1/n spread over sqrt(n)
+        y = gjb.testing._scale_and_centre(sample_sn(SkewNormalShape(alpha), 10_000, seed))
+        dev = y - y.mean()
+        s2, mu3 = (dev**2).mean(), (dev**3).mean()
+        s = math.sqrt(s2)
+        infl = (dev**3 - mu3) / s**3 - 3 * dev / s - 1.5 * mu3 * (dev**2 - s2) / s**5
+        se = infl.std() / math.sqrt(y.size)
+        b = mu3 / s**3
+        d = np.array([b - 1.959963984540054 * se, b + 1.959963984540054 * se])
+        np.testing.assert_allclose(
+            gjb.testing._influence_bounds(y), gjb.testing._alpha_from_skewness(d), rtol=1e-10
         )
+
+    @pytest.mark.parametrize("alpha,seed", [(0.0, 0), (1.0, 1), (6.0, 2)])
+    def test_influence_interval_near_bootstrap(self, alpha, seed):
+        # at n = 10^4 the endpoints, in skewness space, lie within 0.008 of
+        # the 1000-resample bootstrap's: three times the largest median gap
+        # between two bootstraps of one sample (tests/influence_study.py)
+        def skewness(bounds):
+            return [shape_statistics(sn_raw_moments(SkewNormalShape(a))).skewness
+                    for a in bounds]
+
+        y = gjb.testing._scale_and_centre(sample_sn(SkewNormalShape(alpha), 10_000, seed))
+        infl = skewness(gjb.testing._influence_bounds(y))
+        boot = skewness(gjb.testing._bootstrap_bounds(y, 1000, seed))
+        np.testing.assert_allclose(infl, boot, rtol=0, atol=0.008)
 
     def test_too_small_rejected(self):
         with pytest.raises(DegenerateSampleError):
