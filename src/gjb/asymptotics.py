@@ -100,8 +100,6 @@ def legacy_influence_polynomials(raw: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _moment_expectation(coeffs: np.ndarray, raw: np.ndarray) -> float:
     """E[p(X)] for a polynomial of degree <= 8, read off the moment vector."""
-    if len(coeffs) > 9:
-        raise DomainError("polynomial degree exceeds available moments")
     return float(np.dot(coeffs, raw[: len(coeffs)]))
 
 

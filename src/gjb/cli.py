@@ -147,10 +147,11 @@ def _cmd_sample(args) -> None:
 
 def _cmd_test(args) -> gjb_io.Report:
     sample = gjb_io.read_sample_csv(args.data)
+    route = _sigma_route(args.sigma)
     outcome = run_test(
         sample.values,
         args.alpha,
-        sigma_route=_sigma_route(args.sigma),
+        sigma_route=route,
         duplication_factor=args.duplicate,
         seed=args.seed,
         legacy=args.legacy,
@@ -161,7 +162,7 @@ def _cmd_test(args) -> gjb_io.Report:
             "data": args.data,
             "parsed_rows": sample.parsed_rows,
             "skipped_rows": sample.skipped_rows,
-            "sigma_route": _sigma_route(args.sigma),
+            "sigma_route": route,
             "seed": args.seed,
             "level": args.level,
             "legacy": args.legacy,

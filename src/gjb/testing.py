@@ -6,12 +6,13 @@ Empirical shape statistics use the 1/n moment convention by default:
     a_n = (n^-1 sum (X_i - mean)^4) / (n^-1 sum (X_i - mean)^2)^2
     b_n = (n^-1 sum (X_i - mean)^3) / (n^-1 sum (X_i - mean)^2)^(3/2)
 
-``ddof=1`` (and the campaign-level ``legacy`` switch) instead scales the
-denominators by the unbiased sample variance, matching the test's original
-implementation; the built-in reference grid of mean p-values embeds that
-convention together with the legacy covariance variant, so table
-reproduction runs with ``legacy=True`` while everything else defaults to
-the exact machinery.
+``legacy=True`` instead scales the denominators by the unbiased sample
+variance, matching the test's original implementation; the built-in
+reference grid of mean p-values embeds that convention together with the
+legacy covariance variant, so table reproduction runs with
+``legacy=True`` while everything else defaults to the exact machinery.
+Every function that takes a sample reads it flattened, through one entry
+that checks it.
 
 The statistic for a hypothesized shape alpha, with theoretical (a, b) and
 covariance Sigma at that shape, is
@@ -145,10 +146,10 @@ class DecisionOutcome:
         return _ci_method(self.test.n // self.test.duplication_factor)
 
 
-def _skew_rows(xs: np.ndarray, ddof: int, d2: np.ndarray):
+def _skew_rows(xs: np.ndarray, d2: np.ndarray, *, legacy: bool = False):
     """Empirical skewness b_n of each row of a ``(rows, n)`` block, its
-    variance (``n - ddof`` denominator) and the mask of constant rows, which
-    score b_n = 0 (no asymmetry evidence).
+    variance (denominator n, or n - 1 under ``legacy``) and the mask of
+    constant rows, which score b_n = 0 (no asymmetry evidence).
 
     The block is overwritten: it holds the deviations from the row means
     while they are needed, then their cubes. ``d2`` is caller-owned scratch
@@ -159,7 +160,7 @@ def _skew_rows(xs: np.ndarray, ddof: int, d2: np.ndarray):
     mean = xs.mean(axis=1)
     dev = np.subtract(xs, mean[:, None], out=xs)
     np.multiply(dev, dev, out=d2)
-    v = d2.sum(axis=1) / (n - ddof)
+    v = d2.sum(axis=1) / (n - 1 if legacy else n)
     # the float mean of a constant row can miss its value by a few ulps and
     # leave v tiny but nonzero; rows with v that small are checked exactly.
     # Their deviations are at most about n^1.5 eps |mean|, so for any n below
@@ -173,22 +174,23 @@ def _skew_rows(xs: np.ndarray, ddof: int, d2: np.ndarray):
     return b_n, v, constant
 
 
-def _shape_rows(xs: np.ndarray, ddof: int, d2: np.ndarray):
+def _shape_rows(xs: np.ndarray, d2: np.ndarray, *, legacy: bool = False):
     """Empirical (a_n, b_n) of each row of a ``(rows, n)`` block, and the mask
     of constant rows, which score b_n = 0 (no asymmetry evidence), a_n = nan.
 
     Overwrites the block and the scratch ``d2`` of its shape, like
     :func:`_skew_rows`.
     """
-    b_n, v, constant = _skew_rows(xs, ddof, d2)
+    b_n, v, constant = _skew_rows(xs, d2, legacy=legacy)
     mu4 = np.multiply(d2, d2, out=d2).mean(axis=1)
     a_n = np.divide(mu4, v * v, out=np.full_like(v, np.nan), where=~constant)
     return a_n, b_n, constant
 
 
-def _scale_and_centre(x: np.ndarray) -> np.ndarray:
-    """``x`` times the power of two that brings max|x| into [0.5, 1), then
-    centred on its mean.
+def _prepare_sample(sample, min_n: int = 2) -> np.ndarray:
+    """The library's entry for a sample: flattened to a float array of at
+    least ``min_n`` values, all finite, times the power of two that brings
+    max|x| into [0.5, 1), then centred on its mean.
 
     Scaling by a power of two is exact, so (a_n, b_n) are unchanged, while
     the 4th powers in :func:`_shape_rows` can no longer overflow or underflow
@@ -197,31 +199,35 @@ def _scale_and_centre(x: np.ndarray) -> np.ndarray:
     corrects the rounding of the first one (a corrected two-pass mean), so
     an offset in the data costs little beyond the rounding in its values.
     """
-    _, e = np.frexp(np.max(np.abs(x)))
-    y = np.ldexp(x, -e)
-    return y - y.mean(axis=-1, keepdims=True)
-
-
-def empirical_shape(sample, ddof: int = 0) -> tuple[float, float]:
-    """Empirical kurtosis and skewness (a_n, b_n) of a sample.
-
-    ``ddof=0`` is the 1/n convention throughout; ``ddof=1`` scales the
-    denominators by the unbiased sample variance instead (numerators stay
-    1/n averages). This is the library's entry check on a sample: it must
-    hold at least 2 values, all finite, not all equal.
-    """
-    x = np.asarray(sample, dtype=float).reshape(1, -1)
-    n = x.size
-    if n < 2:
-        raise DegenerateSampleError(f"need at least 2 observations, got {n}")
+    x = np.asarray(sample, dtype=float).ravel()
+    if x.size < min_n:
+        raise DegenerateSampleError(f"need at least {min_n} observations, got {x.size}")
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
-        raise DomainError(f"sample has a non-finite value at index {bad[0]}: {x.flat[bad[0]]}")
-    y = _scale_and_centre(x)
-    a_n, b_n, constant = _shape_rows(y, ddof, np.empty_like(y))
+        raise DomainError(f"sample has a non-finite value at index {bad[0]}: {x[bad[0]]}")
+    _, e = np.frexp(np.max(np.abs(x)))
+    y = np.ldexp(x, -e)
+    return y - y.mean()
+
+
+def _shape_of(y: np.ndarray, *, legacy: bool = False) -> tuple[float, float]:
+    """(a_n, b_n) of a sample prepared by :func:`_prepare_sample`; ``y`` is
+    overwritten. A constant sample raises."""
+    a_n, b_n, constant = _shape_rows(y[None], np.empty((1, y.size)), legacy=legacy)
     if constant[0]:
         raise DegenerateSampleError("sample is constant (zero variance)")
     return float(a_n[0]), float(b_n[0])
+
+
+def empirical_shape(sample, *, legacy: bool = False) -> tuple[float, float]:
+    """Empirical kurtosis and skewness (a_n, b_n) of a sample.
+
+    The default is the 1/n convention throughout; ``legacy=True`` scales the
+    denominators by the unbiased sample variance instead (numerators stay
+    1/n averages). The sample must hold at least 2 values, all finite, not
+    all equal.
+    """
+    return _shape_of(_prepare_sample(sample), legacy=legacy)
 
 
 def gjb_statistic(
@@ -286,16 +292,15 @@ def run_test(
     """
     _check_count("duplication_factor", duplication_factor, 1)
     _check_level(level)
-    x = np.asarray(sample, dtype=float)
-    shape = SkewNormalShape(alpha)
-    a_n, b_n = empirical_shape(x, ddof=1 if legacy else 0)
-    ab, sigma = _null_law(shape, sigma_route, seed, legacy=legacy)
-    j_base = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, x.size)
+    n = np.size(sample)
+    a_n, b_n = empirical_shape(sample, legacy=legacy)
+    ab, sigma = _null_law(SkewNormalShape(alpha), sigma_route, seed, legacy=legacy)
+    j_base = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
     j_n = duplication_factor * j_base
     p = chi2_survival(j_n)
     return TestOutcome(
         alpha=alpha,
-        n=duplication_factor * x.size,
+        n=duplication_factor * n,
         a_n=a_n,
         b_n=b_n,
         a=ab.kurtosis,
@@ -321,7 +326,6 @@ def simulate_alternative(
     shape = SkewNormalShape(config.alpha)
     ab, sigma = _null_law(shape, config.sigma_route, config.seed, legacy=config.legacy)
     n = config.sample_size
-    ddof = 1 if config.legacy else 0
     d = 0.0 if data_alpha is None else SkewNormalShape(data_alpha).delta
 
     def draw(g: np.random.Generator, rows: np.ndarray) -> None:
@@ -334,7 +338,7 @@ def simulate_alternative(
         d2 = np.empty(block)
 
         def p_values(xs: np.ndarray) -> np.ndarray:
-            a_n, b_n, constant = _shape_rows(xs, ddof, d2[: len(xs)])
+            a_n, b_n, constant = _shape_rows(xs, d2[: len(xs)], legacy=config.legacy)
             if constant.any():
                 raise DegenerateSampleError("a replicate sample is constant (zero variance)")
             j = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
@@ -399,10 +403,7 @@ def estimate_alpha_with_flag(sample) -> tuple[float, bool]:
     range, then the strictly increasing skewness map is inverted in closed
     form for delta, and alpha = delta / sqrt(1 - delta^2).
     """
-    x = np.asarray(sample, dtype=float)
-    if x.size < 3:
-        raise DegenerateSampleError(f"need at least 3 observations, got {x.size}")
-    _, b_n = empirical_shape(x)
+    _, b_n = _shape_of(_prepare_sample(sample, 3))
     return float(_alpha_from_skewness(b_n)), abs(b_n) > SKEWNESS_CLAMP
 
 
@@ -425,17 +426,16 @@ def _ci_method(n: int) -> str:
     return "influence" if n >= _INFLUENCE_MIN_N else "bootstrap"
 
 
-def _influence_bounds(y: np.ndarray) -> np.ndarray:
-    """Delta-method 95% bounds for the shape of the centred, scaled sample
-    ``y``: ``b_n -+ z se`` mapped to alpha, with ``se`` the spread of the
-    skewness influence function B over the sample, over sqrt(n) (Hampel
-    1974). O(n), and draws nothing."""
+def _influence_bounds(y: np.ndarray, b_n: float) -> np.ndarray:
+    """Delta-method 95% bounds for the shape of the prepared sample ``y`` of
+    skewness ``b_n``: ``b_n -+ z se`` mapped to alpha, with ``se`` the
+    spread of the skewness influence function B over the sample, over
+    sqrt(n) (Hampel 1974). O(n), and draws nothing."""
     n = y.size
     y2 = y * y
     raw = np.array([1.0, y.mean(), y2.mean(), (y2 * y).mean(), (y2 * y2).mean()])
     _, bb = influence_polynomials(raw)
     se = np.std(_horner(y, bb, y2)) / math.sqrt(n)
-    _, b_n = empirical_shape(y)
     return _alpha_from_skewness(np.array([b_n - _Z_975 * se, b_n + _Z_975 * se]))
 
 
@@ -451,7 +451,7 @@ def _bootstrap_alphas(x: np.ndarray, resamples: int, seed: int) -> np.ndarray:
 
     def make_skewness(block: tuple[int, int]):
         d2 = np.empty(block)  # the lane's skewness scratch
-        return lambda xs: _skew_rows(xs, 0, d2[: len(xs)])[0]
+        return lambda xs: _skew_rows(xs, d2[: len(xs)])[0]
 
     b = map_replicates(draw, make_skewness, resamples, n, seed, key_prefix=(1,))
     return _alpha_from_skewness(b)
@@ -492,16 +492,16 @@ def duplication_decision(
     The gate screens both sides: reflecting the sample gives the same
     verdict, copies and test, with alpha-hat and the bounds negated.
     """
-    x = np.asarray(sample, dtype=float)
-    n = x.size
     _check_count("resamples", resamples, 1)
     _check_count("k_cap", k_cap, 1)
     _check_level(level)
 
-    alpha_hat, _ = estimate_alpha_with_flag(x)  # also checks the sample
-    y = _scale_and_centre(x)
+    y = _prepare_sample(sample, 3)
+    n = y.size
+    _, b_n = _shape_of(y.copy())
+    alpha_hat = float(_alpha_from_skewness(b_n))
     if _ci_method(n) == "influence":
-        ci_low, ci_high = _influence_bounds(y)
+        ci_low, ci_high = _influence_bounds(y, b_n)
     else:
         ci_low, ci_high = _bootstrap_bounds(y, resamples, seed)
 
@@ -512,7 +512,7 @@ def duplication_decision(
         k_needed = max(1, -(-rejection_size_hint(alpha_hat) // n))
         k = min(k_needed, k_cap, max(1, 1_000_000 // n))
         capped = k < k_needed
-    test = run_test(x, 0.0, duplication_factor=k, level=level)
+    test = run_test(sample, 0.0, duplication_factor=k, level=level)
     if symmetric:
         verdict = "accept-symmetry"
     else:

@@ -29,7 +29,7 @@ import numpy as np
 
 from gjb.distributions import SkewNormalShape, delta_of_alpha, sample_sn
 from gjb.moments import skewness_of_delta
-from gjb.testing import _bootstrap_bounds, _influence_bounds, _scale_and_centre
+from gjb.testing import _bootstrap_bounds, _influence_bounds, _prepare_sample, empirical_shape
 
 ALPHAS = (0.0, 1.0, 6.0)
 SIZES = (10_000, 20_000, 50_000)
@@ -50,8 +50,9 @@ def symmetric(bounds) -> bool:
 def cell(alpha: float, n: int) -> dict:
     gap_ib, gap_bb, gate_agrees = [], [], 0
     for i in range(SAMPLES):
-        y = _scale_and_centre(sample_sn(SkewNormalShape(alpha), n, seed=i))
-        infl = _influence_bounds(y)
+        x = sample_sn(SkewNormalShape(alpha), n, seed=i)
+        y = _prepare_sample(x)
+        infl = _influence_bounds(y, empirical_shape(x)[1])
         boot = _bootstrap_bounds(y, RESAMPLES, i)
         other = _bootstrap_bounds(y, RESAMPLES, i + SECOND_SEED)
         gap_ib.append(np.abs(skewness(infl) - skewness(boot)))

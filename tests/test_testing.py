@@ -159,6 +159,25 @@ def test_bad_argument_named_at_entry(call, message):
         call(sample_sn(SkewNormalShape(6.0), 50, seed=1))
 
 
+@pytest.mark.parametrize(
+    "entry,n",
+    [
+        (lambda x: duplication_decision(x, seed=0), 200),
+        (lambda x: duplication_decision(x, seed=0), 20_000),
+        (lambda x: run_test(x, 1.0), 200),
+        (estimate_alpha, 200),
+        (empirical_shape, 200),
+    ],
+    ids=["decide-bootstrap", "decide-influence", "run_test", "estimate_alpha",
+         "empirical_shape"],
+)
+def test_column_vector_reads_as_flat(entry, n):
+    # a sample of shape (n, 1) is its n values; centred along the length-1
+    # axis instead, every value would be 0
+    x = sample_sn(SkewNormalShape(6.0), n, seed=1)
+    assert entry(x.reshape(-1, 1)) == entry(x)
+
+
 def test_numpy_integer_counts_accepted():
     x = sample_sn(SkewNormalShape(6.0), 50, seed=np.int64(1))
     assert run_test(x, 1.0, duplication_factor=np.int64(2)) == run_test(x, 1.0, duplication_factor=2)
@@ -177,10 +196,32 @@ class TestEmpiricalShape:
         assert b_n == 0.0
 
     def test_hand_example_unbiased_scaling(self):
-        # ddof=1: variance scale 1 instead of 2/3
-        a_n, b_n = empirical_shape([-1.0, 0.0, 1.0], ddof=1)
+        # legacy=True: variance scale 1 instead of 2/3
+        a_n, b_n = empirical_shape([-1.0, 0.0, 1.0], legacy=True)
         assert a_n == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert b_n == 0.0
+
+    def test_ddof_keyword_gone(self):
+        # legacy is the one conventions switch, so no denominator offset
+        # outside {0, 1} (a kurtosis of 0.167 here at 2, nan at 5) is reachable
+        with pytest.raises(TypeError, match="ddof"):
+            empirical_shape([1.0, 2.0, 4.0], ddof=1)
+
+    @pytest.mark.parametrize(
+        "make,expected",
+        [
+            (lambda: [1.0, 2.0, 4.0], ("0x1.5555555555555p-1", "0x1.a9a0f8fcb0eb2p-3")),
+            (lambda: sample_sn(SkewNormalShape(2.0), 50, seed=9),
+             ("0x1.5fefa110bbccdp+1", "0x1.741beb3677df4p-3")),
+            (lambda: 1e-200 * sample_sn(SkewNormalShape(-3.0), 1000, seed=2) + 5e-199,
+             ("0x1.b40f300648f99p+1", "-0x1.543ba06b5aeecp-1")),
+        ],
+        ids=["integers", "sn2-n50", "sn-3-tiny-offset"],
+    )
+    def test_legacy_values_pinned(self, make, expected):
+        # the values the unbiased-variance convention gave when it was
+        # spelled ddof=1, bit for bit
+        assert empirical_shape(make(), legacy=True) == tuple(map(float.fromhex, expected))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -565,7 +606,7 @@ class TestDuplicationDecision:
     def test_constant_resamples_score_zero(self, x):
         # a resample repeating one value is no asymmetry evidence, even when
         # the float mean of the repeats misses the value
-        alphas = gjb.testing._bootstrap_alphas(gjb.testing._scale_and_centre(np.array(x)), 300, 4)
+        alphas = gjb.testing._bootstrap_alphas(gjb.testing._prepare_sample(np.array(x)), 300, 4)
         idx = reference_bootstrap_indices(len(x), 300, 4)
         constant = (np.asarray(x)[idx] == np.asarray(x)[idx[:, :1]]).all(axis=1)
         assert constant.sum() > 10
@@ -577,7 +618,7 @@ class TestDuplicationDecision:
         # 8; each resample scores the same as in a run of 32 full chunks, and
         # the decision's bounds are the percentiles of those scores
         x = sample_sn(SkewNormalShape(2.0), 2000, seed=3)
-        xc = gjb.testing._scale_and_centre(x)
+        xc = gjb.testing._prepare_sample(x)
         alphas = gjb.testing._bootstrap_alphas(xc, 1000, seed=7)
         assert np.array_equal(alphas, gjb.testing._bootstrap_alphas(xc, 1024, seed=7)[:1000])
         outcome = duplication_decision(x, seed=7)
@@ -633,11 +674,11 @@ class TestDuplicationDecision:
         x = sample_sn(SkewNormalShape(1.0), n, seed=3)
         decision = duplication_decision(x, seed=2)
         assert decision.ci_method == method
-        y = gjb.testing._scale_and_centre(x)
+        y = gjb.testing._prepare_sample(x)
         if method == "bootstrap":
             expected = gjb.testing._bootstrap_bounds(y, 1000, 2)
         else:
-            expected = gjb.testing._influence_bounds(y)
+            expected = gjb.testing._influence_bounds(y, empirical_shape(x)[1])
         assert (decision.ci_low, decision.ci_high) == tuple(expected)
 
     def test_influence_interval_draws_nothing(self):
@@ -651,12 +692,28 @@ class TestDuplicationDecision:
         with pytest.raises(DomainError, match="need resamples >= 1"):
             duplication_decision(x, resamples=0)
 
+    def test_influence_branch_evaluates_the_shape_twice(self, monkeypatch):
+        # one b_n gives alpha-hat and centres the interval; the other
+        # evaluation is the inner test's
+        real = gjb.testing._shape_rows
+        rows = []
+
+        def spy(xs, *args, **kwargs):
+            rows.append(xs.shape)
+            return real(xs, *args, **kwargs)
+
+        monkeypatch.setattr(gjb.testing, "_shape_rows", spy)
+        x = sample_sn(SkewNormalShape(1.0), 20_000, seed=4)
+        assert duplication_decision(x).ci_method == "influence"
+        assert rows == [(1, 20_000)] * 2
+
     @pytest.mark.parametrize("alpha,seed", [(0.0, 0), (1.0, 1), (6.0, 2)])
     def test_influence_interval_matches_reference(self, alpha, seed):
         # the textbook influence function of the skewness mu3/s^3,
         # ((x-m)^3 - mu3)/s^3 - 3 (x-m)/s - (3/2) mu3 ((x-m)^2 - s^2)/s^5,
         # on the centred, scaled sample, with its 1/n spread over sqrt(n)
-        y = gjb.testing._scale_and_centre(sample_sn(SkewNormalShape(alpha), 10_000, seed))
+        x = sample_sn(SkewNormalShape(alpha), 10_000, seed)
+        y = gjb.testing._prepare_sample(x)
         dev = y - y.mean()
         s2, mu3 = (dev**2).mean(), (dev**3).mean()
         s = math.sqrt(s2)
@@ -665,7 +722,9 @@ class TestDuplicationDecision:
         b = mu3 / s**3
         d = np.array([b - 1.959963984540054 * se, b + 1.959963984540054 * se])
         np.testing.assert_allclose(
-            gjb.testing._influence_bounds(y), gjb.testing._alpha_from_skewness(d), rtol=1e-10
+            gjb.testing._influence_bounds(y, empirical_shape(x)[1]),
+            gjb.testing._alpha_from_skewness(d),
+            rtol=1e-10,
         )
 
     @pytest.mark.parametrize("alpha,seed", [(0.0, 0), (1.0, 1), (6.0, 2)])
@@ -677,8 +736,9 @@ class TestDuplicationDecision:
             return [shape_statistics(sn_raw_moments(SkewNormalShape(a))).skewness
                     for a in bounds]
 
-        y = gjb.testing._scale_and_centre(sample_sn(SkewNormalShape(alpha), 10_000, seed))
-        infl = skewness(gjb.testing._influence_bounds(y))
+        x = sample_sn(SkewNormalShape(alpha), 10_000, seed)
+        y = gjb.testing._prepare_sample(x)
+        infl = skewness(gjb.testing._influence_bounds(y, empirical_shape(x)[1]))
         boot = skewness(gjb.testing._bootstrap_bounds(y, 1000, seed))
         np.testing.assert_allclose(infl, boot, rtol=0, atol=0.008)
 
@@ -694,7 +754,7 @@ def test_replicate_consumers_do_not_depend_on_lane_count(monkeypatch):
     # the Monte-Carlo covariance 5 of 65.
     config = CampaignConfig(alpha=1.0, sample_size=700, replications=300, seed=11)
     x = sample_sn(SkewNormalShape(2.0), 2000, seed=5)
-    xc = gjb.testing._scale_and_centre(x)
+    xc = gjb.testing._prepare_sample(x)
     shape = SkewNormalShape(1.5)
     real = gjb.asymptotics.map_replicates
     mc_rows = []
