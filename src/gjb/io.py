@@ -6,11 +6,13 @@ header row (auto-detected when the first row is not numeric). Multi-column
 files are rejected rather than guessing a column. A file that does not
 decode or that the CSV reader rejects raises SampleParseError, like a bad
 row. Plain files, which may start with a quoted header such as R's
-``"value"``, are streamed in blocks of lines through ``float()``; a file
-with a line the CSV reader might read differently (any other quote, a
-comma, a lone carriage return, an over-long line) or a line that fails is
-read again through ``csv.reader``, so both paths give the same values,
-counts and errors.
+``"value"``, are read in blocks of characters, and each value is
+``float()`` of its line: a line ``[+-]digits[.digits]`` is computed
+exactly from its digits as an integer scaled in long double, any other
+line goes through ``float()``. A file with a line the CSV reader might
+read differently (any other quote, a comma, a lone carriage return, an
+over-long line) or a line that fails is read again through
+``csv.reader``, so both paths give the same values, counts and errors.
 
 Report format: a flat JSON object with fixed, documented keys
 
@@ -32,10 +34,11 @@ import json
 import math
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from io import StringIO
-from itertools import filterfalse, islice
+from itertools import filterfalse
 from typing import IO, Any, Iterator
 
 import numpy as np
@@ -44,8 +47,20 @@ from .errors import DomainError, EmptyInputError, SampleParseError
 from .testing import TestOutcome
 
 SCHEMA_VERSION = "1"
-# lines per np.fromiter call on the plain path: bounds the text held at once
-_BLOCK_LINES = 4096
+# characters per block on the plain path: bounds the text held at once, and
+# stays below the CSV reader's default field limit, so a block no longer
+# than the limit holds no over-long line
+_BLOCK_CHARS = 1 << 16
+# A decimal w / 10**k with |w| < 2**63 and k <= 27 is w and 10**k held
+# exactly, divided with one IEEE rounding, when long double keeps 64-bit
+# integers and has a 15-bit exponent (x87 extended, IEEE quad; not IBM
+# double-double, whose division is not correctly rounded). Elsewhere every
+# line goes through float().
+_EXTENDED_PRECISION = (np.finfo(np.longdouble).nmant >= 63
+                       and np.finfo(np.longdouble).nexp == 15)
+# 10**k for k <= 27, each an exact product
+_POW10 = np.multiply.accumulate(np.r_[1, np.full(27, 10)].astype(np.longdouble))
+_INT64 = np.iinfo(np.int64)
 # one quoted field on a line of its own (R's write.csv quotes its header);
 # the CSV reader reads it as the text between the quotes
 _QUOTED_LINE = re.compile(r'"([^",\r\n]*)"(\r?\n)?')
@@ -100,8 +115,10 @@ def read_sample_csv(path: str) -> SampleFile:
     with its line number, as does a row the CSV reader rejects; a file that
     is not UTF-8 raises SampleParseError naming the file.
 
-    A plain file is streamed in blocks of lines, each line converted with
-    ``float()``, the same conversion the CSV reader's rows get; its first
+    A plain file is read in blocks of characters, and each value is
+    ``float()`` of its line, the conversion the CSV reader's rows get: a
+    line ``[+-]digits[.digits]`` is computed exactly from its digits where
+    long double allows it, any other line by ``float()``. Its first
     non-blank line may be one quoted field without a comma or an inner
     quote, which is read as the text between the quotes. A file with any
     other line holding a quote or a comma, a carriage return not followed by a
@@ -115,45 +132,130 @@ def read_sample_csv(path: str) -> SampleFile:
 
 
 def _read_plain(path: str) -> SampleFile | None:
-    """``path`` read block by block with ``float()``, or None when it holds
-    a line the CSV reader might split, unquote or reject, a value ``float()``
-    rejects, a non-finite value, or no value: ``_read_csv`` reads those.
+    """``path`` read block by block, each value ``float()`` of its line, or
+    None when it holds a line the CSV reader might split, unquote or reject,
+    a value ``float()`` rejects, a non-finite value, or no value:
+    ``_read_csv`` reads those.
 
-    The first non-blank line may be one quoted field without a comma or an
-    inner quote, such as a quoted header; it is read as the CSV reader reads
-    it, as the text between the quotes."""
+    A block is ``_BLOCK_CHARS`` characters topped up to the end of a line.
+    Until a non-blank line is seen, a block is split into lines to find the
+    header: the first non-blank line may be one quoted field without a comma
+    or an inner quote, such as a quoted header; it is read as the CSV reader
+    reads it, as the text between the quotes. A block more than
+    ``csv.field_size_limit()`` characters long is left to ``_read_csv``."""
     blocks: list[np.ndarray] = []
     skipped = 0
     header_checked = False
     limit = csv.field_size_limit()
+    convert = _decimal_lines if _EXTENDED_PRECISION else _float_lines
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            while lines := list(islice(fh, _BLOCK_LINES)):
+            while text := fh.read(_BLOCK_CHARS):
+                text += fh.readline()
                 if not header_checked:
-                    first = next((i for i, line in enumerate(lines) if not line.isspace()), 0)
-                    if quoted := _QUOTED_LINE.fullmatch(lines[first]):
+                    # split as the file iterator splits: at \n, \r\n and \r
+                    lines = StringIO(text, newline="").readlines()
+                    first = next((i for i, line in enumerate(lines) if not line.isspace()), None)
+                    if first is not None and (quoted := _QUOTED_LINE.fullmatch(lines[first])):
                         lines[first] = quoted[1] + (quoted[2] or "")
-                text = "".join(lines)
+                        text = "".join(lines)
                 if ('"' in text or "," in text
                         or ("\r" in text and text.count("\r") != text.count("\r\n"))
-                        or (len(text) > limit and max(map(len, lines)) > limit)):
+                        or len(text) > limit):
                     return None
-                numeric = list(filterfalse(str.isspace, lines))
-                skipped += len(lines) - len(numeric)
-                if numeric and not header_checked:
+                if not header_checked and first is not None:
                     header_checked = True
                     try:
-                        float(numeric[0])
+                        float(lines[first])
                     except ValueError:
-                        del numeric[0]
+                        del lines[first]
                         skipped += 1
-                blocks.append(np.fromiter(map(float, numeric), float, len(numeric)))
-    except ValueError:  # float() or the UTF-8 decoder rejected the text
+                        text = "".join(lines)
+                values, blank = convert(text)
+                blocks.append(values)
+                skipped += blank
+    # float() or the UTF-8 decoder rejected the text; older numpy only warns
+    # on text np.fromstring cannot read to its end
+    except (ValueError, DeprecationWarning):
         return None
     values = np.concatenate(blocks) if blocks else np.empty(0)
     if not values.size or not np.isfinite(values).all():
         return None
     return SampleFile(values=values, skipped_rows=skipped)
+
+
+def _float_lines(text: str) -> tuple[np.ndarray, int]:
+    """``float()`` of each non-blank line of ``text``, and the count of
+    blank (whitespace-only) lines."""
+    lines = StringIO(text, newline="").readlines()
+    numeric = list(filterfalse(str.isspace, lines))
+    return np.fromiter(map(float, numeric), float, len(numeric)), len(lines) - len(numeric)
+
+
+def _decimal_lines(text: str) -> tuple[np.ndarray, int]:
+    """``_float_lines(text)`` bit for bit, without a Python object per line
+    of the form ``[+-]digits[.digits]``, for text whose every carriage
+    return ends a line.
+
+    Such a line with digits w and k of them after the point is w / 10**k
+    (Clinger, 1990): |w| < 2**63 and 10**k with k <= 27 are exact in long
+    double, and rounding the long double quotient to float64 gives the
+    correctly rounded value unless the quotient lies exactly halfway
+    between two doubles. The sign comes from the line's first byte, so
+    ``-0`` is -0.0. Any other line goes through ``float()`` on its own: one
+    with another byte (an exponent, a space, ``_``, non-ASCII text), no
+    digit, two points, k > 27, a mantissa np.fromstring clamps to the int64
+    range, or a quotient on a halfway point."""
+    data = text.encode()
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    b = np.frombuffer(data, np.uint8)
+    at = np.flatnonzero(b - np.uint8(48) > 9)  # every byte but a digit
+    byte = b[at]
+    newline = byte == 10
+    ends = at[newline]
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    # the byte before a line's \n; for ends[0] = 0, index -1 is the last \n
+    stops = ends - (b[ends - 1] == 13)
+    line = np.cumsum(newline) - newline  # the line each non-digit byte is on
+    point = byte == 46
+    sign = (byte == 43) | (byte == 45)
+    # any byte but a point, a \r before a \n, or a sign that starts its line
+    odd = ~(newline | point | (byte == 13))
+    odd[sign] = b[at[sign] - 1] != 10
+    odd = np.bincount(line[odd], minlength=ends.size) > 0
+    on_line = line[point]
+    points = np.bincount(on_line, minlength=ends.size)
+    k = np.zeros_like(ends)
+    k[on_line] = stops[on_line] - at[point] - 1
+    first = b[starts]
+    digits = stops - starts - points - ((first == 43) | (first == 45))
+    blank = stops == starts
+    scaled = ~(odd | blank) & (digits > 0) & (points < 2) & (k <= 27)
+    rows = data if scaled.all() else b[np.repeat(scaled, ends - starts + 1)].tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = np.fromstring(rows.replace(b".", b""), dtype=np.int64, sep="\n")
+    exact = np.abs(w).astype(np.longdouble) / _POW10[k[scaled]]
+    values = exact.astype(np.float64)
+    # exact - values is exact; on a halfway point it is half the gap above
+    # values, or a quarter of it when values is a power of two above exact
+    residual = np.abs((exact - values).astype(np.float64))
+    gap = np.spacing(values)
+    np.negative(values, out=values, where=first[scaled] == 45)
+    out = np.empty(ends.size)
+    out[scaled] = values
+    by_float = ~(scaled | blank)
+    by_float[scaled] = (
+        (w == _INT64.max) | (w == _INT64.min) | (2 * residual == gap) | (4 * residual == gap))
+    for i in np.flatnonzero(by_float):
+        line_text = data[starts[i]:ends[i] + 1].decode()
+        if line_text.isspace():
+            blank[i] = True
+        else:
+            out[i] = float(line_text)
+    return out[~blank], int(np.count_nonzero(blank))
 
 
 def _read_csv(path: str) -> SampleFile:
@@ -207,9 +309,10 @@ def _read_csv(path: str) -> SampleFile:
 
 def write_sample_csv(values: np.ndarray, dest: str | None = None) -> None:
     """Write one value per line with full round-trip precision to ``dest``
-    (path) or stdout (None)."""
+    (path) or stdout (None); an array of any shape is written flattened."""
+    flat = np.asarray(values, dtype=float).ravel()
     with _sink(dest) as fh:
-        fh.writelines(f"{float(v)!r}\n" for v in values)
+        fh.writelines(f"{float(v)!r}\n" for v in flat)
 
 
 def test_report(

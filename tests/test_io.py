@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,14 @@ class TestReadSampleCsv:
         back = gjb_io.read_sample_csv(path)
         assert np.array_equal(back.values, values)
 
+    def test_column_vector_writes_its_flat_values(self, tmp_path):
+        column = SAMPLE_VALUES.reshape(-1, 1)
+        path = tmp_path / "column.csv"
+        gjb_io.write_sample_csv(column, str(path))
+        assert sha256(path.read_bytes()) == PINNED_SHA256["sample.csv"]
+        back = gjb_io.read_sample_csv(str(path)).values
+        assert back.view(np.uint64).tolist() == SAMPLE_VALUES.view(np.uint64).tolist()
+
     def test_peak_memory_is_under_three_doubles_per_row(self, tmp_path):
         # a list of floats costs ~40 B/row and the whole text split into
         # lines ~100 B/row; the streamed path holds one block and the array
@@ -120,6 +129,8 @@ class TestReadSampleCsv:
 
 
 FIELD_LIMIT = csv.field_size_limit()
+# ends the first block on a line end, so what follows starts a later one
+LATER_BLOCK = b"0.5\n" * (gjb_io._BLOCK_CHARS // 4 + 1)
 # Lines the streamed path reads itself, and lines on which it and the CSV
 # reader could part ways: each file mixes the first with a few of the second.
 PLAIN_LINES = st.tuples(
@@ -160,8 +171,9 @@ def sample_files(draw) -> bytes:
     def lines():
         return "".join(a + b for a, b in draw(st.lists(line, max_size=8)))
 
-    # padding puts the second group of lines in a later block than the first
-    padding = draw(st.sampled_from([0, gjb_io._BLOCK_LINES - 1, gjb_io._BLOCK_LINES]))
+    # padding puts the second group of lines in a later block than the
+    # first, the block boundary falling just before, on or after a line end
+    padding = draw(st.sampled_from([0, *(gjb_io._BLOCK_CHARS // 4 + d for d in (-1, 0, 1))]))
     text = lines() + "0.5\n" * padding + lines()
     if draw(st.booleans()):
         text = "".join(draw(ODD_LINES)) + text  # a header, or a row taken for one
@@ -209,16 +221,130 @@ class TestStreamedPathMatchesCsvReader:
     @example(data=b"1.0\r2.0\r\r\n3.0\n")  # lone carriage returns
     @example(data=("0." + "0" * (FIELD_LIMIT - 1) + "\n").encode())  # over the limit
     @example(data=b"1.0\ninf\n")
-    @example(data=b"1.0\n" * gjb_io._BLOCK_LINES + b"x\n")  # no header in a later block
+    @example(data=LATER_BLOCK + b"x\n")  # no header in a later block
+    # an exponent, a whitespace-only line and -0.0 in a later block
+    @example(data=LATER_BLOCK + b"1.2e-05\n \t\n-0.0\n")
+    @example(data=LATER_BLOCK[8:] + b"1.5\r\n2.5\r\n")  # a block ending on \r of \r\n
     @example(data=b'\n"value"\r\n1.5\n')  # a quoted header, read as one
     @example(data=b'""\n"value"\n1.5\n')  # a blank field, then a quoted header
     @example(data=b'"value"\n1.5\n"2.5"\n')  # a later quoted line
     @example(data=b'"1"2\n3\n')  # text after the closing quote: the value 12
     def test_same_values_counts_and_errors(self, tmp_path_factory, data):
-        path = tmp_path_factory.mktemp("equiv") / "data.csv"
-        path.write_bytes(data)
-        assert read_outcome(gjb_io.read_sample_csv, str(path)) == read_outcome(
-            gjb_io._read_csv, str(path))
+        assert_same_outcome(tmp_path_factory, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=sample_files())
+    @example(data=LATER_BLOCK + b"1.2e-05\n \t\n-0.0\n")
+    def test_float_lines_path_matches(self, tmp_path_factory, data):
+        # the path of a platform without an extended long double
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gjb_io, "_EXTENDED_PRECISION", False)
+            assert_same_outcome(tmp_path_factory, data)
+
+    @pytest.mark.parametrize("lead", [5000, gjb_io._BLOCK_CHARS // 2 + 1],
+                             ids=["first-block", "later-block"])
+    @pytest.mark.parametrize("tail", [
+        "12\n-\n3\n", "12\n.\n3\n", "12\n+\n-3\n", "12\n-.\n3\n",
+        "12\n1.2.3\n", "12\n5-3\n", "12\n5-\n3\n",
+        "12345678901234567890\n3\n", "-98765432109876543210.5\n3\n",
+        "9223372036854775807\n-9223372036854775808\n",
+    ], ids=["sign", "point", "plus", "sign-point", "two-points", "inner-sign", "last-sign",
+            "20-digits", "20-digits-negative", "int64-limits"])
+    def test_lenient_integer_parse_cannot_leak(self, tmp_path, lead, tail):
+        # np.fromstring joins a lone sign to the next line, skips a lone
+        # point's line and clamps an overflowing mantissa
+        path = write(tmp_path, "1\n" * lead + tail)
+        assert read_outcome(gjb_io.read_sample_csv, path) == read_outcome(gjb_io._read_csv, path)
+
+
+def assert_same_outcome(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("equiv") / "data.csv"
+    path.write_bytes(data)
+    assert read_outcome(gjb_io.read_sample_csv, str(path)) == read_outcome(
+        gjb_io._read_csv, str(path))
+
+
+def fraction_cut(text: str, count: int) -> str:
+    """``text`` cut after its ``count``-th significant digit, if that digit
+    is after the point."""
+    seen = 0
+    for i, ch in enumerate(text):
+        seen += ch.isdigit() and (seen > 0 or ch != "0")
+        if seen == count:
+            return text[:i + 1] if "." in text[:i] else text
+    return text
+
+
+@st.composite
+def fixed_point(draw) -> str:
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(digits)))
+        digits = f"{digits[:at]}.{digits[at:]}"
+    return draw(st.sampled_from(["", "-", "+"])) + digits
+
+
+@st.composite
+def long_mantissa(draw) -> str:
+    digits = str(draw(st.integers(10**18, 10**25 - 1)))
+    at = draw(st.integers(0, len(digits)))
+    return draw(st.sampled_from(["", "-"])) + f"{digits[:at]}.{digits[at:]}"
+
+
+@st.composite
+def midpoint(draw) -> str:
+    """A value exactly halfway between a double and the next one up,
+    written out in full or cut to 17-19 significant digits, which falls
+    just short of it. A mantissa of 2**53 - 1 puts it just below a power
+    of two, whose gap above is twice its gap below."""
+    mantissa = draw(st.integers(2**52, 2**53 - 1) | st.just(2**53 - 1))
+    x = math.ldexp(mantissa, draw(st.integers(-90, 10)))
+    with localcontext() as ctx:
+        ctx.prec = 1200  # enough for every digit of a double
+        text = format((Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2, "f")
+    if draw(st.booleans()):
+        text = fraction_cut(text, draw(st.integers(17, 19)))
+    return draw(st.sampled_from(["", "-"])) + text
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+DECIMAL_LINES = st.one_of(
+    FINITE.map(repr),
+    fixed_point(),
+    st.sampled_from(["-0", "+0.000", ".5", "5.", "-0.0"]),
+    FINITE.map(lambda x: "%.15g" % x),
+    FINITE.map(lambda x: "%.3f" % x),
+    long_mantissa(),
+    midpoint(),
+)
+
+
+@pytest.mark.skipif(not gjb_io._EXTENDED_PRECISION,
+                    reason="long double cannot scale a decimal exactly here")
+class TestDecimalLines:
+    """The block converter against float() of each line, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(lines=st.lists(st.tuples(DECIMAL_LINES, st.sampled_from(["\n", "\r\n"])),
+                          min_size=1, max_size=40))
+    @example(lines=[("0.1", "\n"), ("-0", "\r\n"), ("1.2e-05", "\n"), ("2.5", "\n")])
+    # 19 digits just short of a halfway point, onto which the long double
+    # quotient rounds; a quarter of the gap from a power of two in the last two
+    @example(lines=[(x, "\n") for x in [
+        "5.723849386572662734", "-562698.6479319037753",
+        "0.06249999999999999653", "-8589934591.999999523"]])
+    def test_values_are_float_of_each_line(self, lines):
+        values, blank = gjb_io._decimal_lines("".join(a + b for a, b in lines))
+        expected = np.array([float(a) for a, _ in lines])
+        assert blank == 0
+        assert values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("line", ["-", "+", ".", "-.", "5-", "5-3", "+-1", "1.2.3"])
+    def test_malformed_line_goes_to_float(self, line):
+        # np.fromstring would join a lone sign to the next line, skip a lone
+        # point and read "1.2.3" without its points as 123
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            gjb_io._decimal_lines(f"12\n{line}\n3\n")
 
 
 def make_outcome(p=0.5, j=1.3862943611198906, alpha=1.0) -> TestOutcome:
