@@ -43,6 +43,7 @@ from .testing import (
     rejection_size_search,
     run_test,
     simulate_alternative,
+    simulate_campaigns,
     simulate_true_model,
 )
 
@@ -73,6 +74,7 @@ __all__ = [
     "run_test",
     "simulate_true_model",
     "simulate_alternative",
+    "simulate_campaigns",
     "rejection_size_search",
     "estimate_alpha",
     "estimate_alpha_with_flag",

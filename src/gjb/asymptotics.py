@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SkewNormalShape, fill_sn
+from .distributions import SkewNormalShape, sn_from_normals
 from .errors import DegenerateSampleError, DomainError, SingularCovarianceError
 from .moments import centered_moment, sn_raw_moments
 from .rng import _check_count, map_replicates
@@ -156,22 +156,25 @@ def sigma_monte_carlo(
     d = shape.delta
 
     def make_covariances(block: tuple[int, int]):
-        cz, bz = np.empty((2,) + block)  # the lane's scratch for C and B
+        # the lane's SN rows and its scratch for C and B
+        sn, cz, bz = np.empty((3,) + block)
 
-        def covariances(xs: np.ndarray) -> np.ndarray:
-            r = len(xs)
+        def covariances(z: np.ndarray) -> np.ndarray:
+            r = len(z)
+            xs = sn[:r]
+            sn_from_normals(z, d, xs, cz[:r])
             c, b = _horner(xs, cc, cz[:r]), _horner(xs, bb, bz[:r])
             c -= c.mean(axis=1, keepdims=True)
             b -= b.mean(axis=1, keepdims=True)
-            # the products overwrite the drawn rows, which are used up
+            # the products overwrite the SN rows, which are used up
             sums = [np.multiply(u, w, out=xs).sum(axis=1) for u, w in ((c, c), (b, b), (c, b))]
             return np.stack(sums, axis=1) / (per_rep_n - 1)
 
         return covariances
 
     rows = map_replicates(
-        lambda g, xs: fill_sn(g, xs, d), make_covariances, reps, per_rep_n, seed,
-        key_prefix=(2,),
+        lambda g, z: g.standard_normal(out=z), make_covariances, reps, per_rep_n, seed,
+        key_prefix=(2,), width=2 * per_rep_n,
     )
     s11, s22, s12 = rows.mean(axis=0)
     return CovarianceMatrix2(s11=float(s11), s22=float(s22), s12=float(s12))

@@ -25,7 +25,7 @@ __all__ = [
     "delta_of_alpha",
     "sn_pdf",
     "sample_sn",
-    "fill_sn",
+    "sn_from_normals",
 ]
 
 
@@ -94,23 +94,25 @@ def sample_sn(shape: SkewNormalShape, n: int, seed: int) -> np.ndarray:
     first (one vector), then Z2, from the stream ``substream(seed)``.
     """
     _check_count("n", n, 1)
+    z = substream(seed).standard_normal(2 * n)
     out = np.empty(n)
-    fill_sn(substream(seed), out, shape.delta)
+    sn_from_normals(z, shape.delta, out, z[n:])  # Z2 is not needed after
     return out
 
 
-def fill_sn(g: np.random.Generator, out: np.ndarray, delta: float) -> None:
-    """Overwrite ``out`` with ``delta |Z1| + sqrt(1-delta^2) Z2``, row by row.
+def sn_from_normals(
+    z: np.ndarray, delta: float, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Overwrite ``out`` with ``delta |Z1| + sqrt(1-delta^2) Z2``, row by row,
+    from standard normals ``z`` already drawn.
 
-    For ``out`` of shape ``(..., n)`` this takes one ``(..., 2n)`` normal draw
-    from ``g``: each row's Z1 is its first n values and Z2 the next n. For a
-    1-D ``out`` that is Z1 drawn first, then Z2.
+    For ``out`` of shape ``(..., n)``, ``z`` has shape ``(..., 2n)``: each
+    row's Z1 is its first n values and Z2 the next n. ``scratch``, of
+    ``out``'s shape, is overwritten; ``z`` is left as drawn unless
+    ``scratch`` is its Z2 half, so one draw can serve several shapes.
     """
     n = out.shape[-1]
-    z = g.standard_normal(out.shape[:-1] + (2 * n,))
+    np.multiply(z[..., n:], math.sqrt(1.0 - delta * delta), out=scratch)
     np.abs(z[..., :n], out=out)
     out *= delta
-    z2 = z[..., n:]
-    z2 *= math.sqrt(1.0 - delta * delta)
-    out += z2
-
+    out += scratch

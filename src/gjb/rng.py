@@ -13,7 +13,9 @@ by ``SeedSequence(seed, spawn_key=key)``:
   stream chunks of ``R(n) = max(1, 2**16 // n)`` rows (:func:`chunk_rows`):
   chunk ``j`` draws from ``Philox(key=K, counter=[0, j, 0, 0])``, so every
   chunk owns a disjoint range of 2^64 counter blocks, and fills its
-  ``(rows, n)`` slice row-major with one generator call.
+  ``(rows, width)`` slice row-major with one generator call. ``width`` is
+  the count of values drawn per replicate: ``n``, or ``2n`` for the
+  skew-normal consumers, whose replicate is built from n pairs (Z1, Z2).
 
 Standard normals are numpy's ziggurat (``Generator.standard_normal``) and
 bootstrap indices come from ``Generator.integers``; both draw sequentially,
@@ -27,10 +29,13 @@ the process has usable cores (:func:`worker_count`), at most one lane per
 chunk. Every lane runs the same loop: the caller's thread is lane 0, and
 each other lane is a thread started for the call and joined before it
 returns. Lane ``w`` of ``L`` draws and reduces chunks ``j = w, w + L, ...``
-one at a time in a ``(R, n)`` row buffer and kernel scratch of its own, and
-keeps each chunk's results, a new array; once every lane is joined they are
-concatenated in chunk order. numpy releases the GIL in the draws, gathers
-and ufunc loops that fill and reduce the rows, so the lanes run in parallel.
+one at a time in a ``(R, width)`` row buffer and kernel scratch of its own,
+and keeps each chunk's results, a new array; once every lane is joined they
+are concatenated in chunk order. A kernel may reduce the same drawn rows
+several times: campaigns that share a seed and n evaluate every shape from
+one draw per chunk (common random numbers). numpy releases the GIL in the
+draws, gathers and ufunc loops that fill and reduce the rows, so the lanes
+run in parallel.
 Since every chunk owns its counter range, results are bit-identical for any
 core count or affinity mask, and memory is O(L R(n) n) whatever the
 replicate count.
@@ -93,15 +98,17 @@ def map_replicates(
     seed: int,
     *,
     key_prefix: tuple[int, ...],
+    width: int | None = None,
 ) -> np.ndarray:
     """Row-wise kernel results for replicates 0..reps-1, in order.
 
-    ``draw(g, rows)`` fills the ``(r, n)`` rows of one chunk (r is
-    ``chunk_rows(n)``, or fewer for the last chunk) from the chunk's
-    generator ``g``, drawing them in row order. Each lane calls
-    ``make_kernel(shape)`` once, with the shape of its row buffer, for a
-    kernel of its own that maps those rows to one result per row; the kernel
-    may overwrite the rows and keep scratch of that shape between chunks.
+    ``draw(g, rows)`` fills the ``(r, width)`` rows of one chunk (r is
+    ``chunk_rows(n)``, or fewer for the last chunk; ``width`` defaults to
+    ``n``) from the chunk's generator ``g``, drawing them in row order. Each
+    lane calls ``make_kernel(block)`` once, with ``block = (R, n)`` where R
+    is the row count of its buffer, for a kernel of its own that maps the
+    drawn rows to one result per row; the kernel may overwrite the rows and
+    keep scratch of the block's shape between chunks.
     Lanes run at once, so ``draw`` and the kernels may write only their own
     lane's rows and scratch. A kernel returns a new array of its results;
     they are gathered per chunk along the first axis. ``key_prefix`` names
@@ -119,7 +126,7 @@ def map_replicates(
     key = np.random.SeedSequence(seed, spawn_key=key_prefix).generate_state(2, np.uint64)
     per_chunk = chunk_rows(n)
     chunks = -(-reps // per_chunk)
-    shape = (min(per_chunk, reps), n)
+    block = (min(per_chunk, reps), n)
     lanes = min(chunks, worker_count())
     results: list[np.ndarray | None] = [None] * chunks
     failed = [chunks]  # lowest failing chunk so far; -1 stops every lane
@@ -129,8 +136,8 @@ def map_replicates(
     def work(w: int) -> None:
         j = w
         try:
-            buf = np.empty(shape)
-            kernel = make_kernel(shape)
+            buf = np.empty((block[0], n if width is None else width))
+            kernel = make_kernel(block)
             for j in range(w, chunks, lanes):
                 if j > failed[0]:
                     return

@@ -22,11 +22,21 @@ covariance Sigma at that shape, is
 asymptotically chi-squared with 2 degrees of freedom, so p = exp(-J_n/2).
 Duplicating a sample k times leaves (a_n, b_n) unchanged and multiplies
 J_n by exactly k.
+
+Campaigns key their replicate stream by their seed alone, under the
+campaign prefix ``(0,)``, not by the shape: campaigns with the same seed
+and sample size test their shapes on the same standard normals (common
+random numbers), so their mean p-values are correlated estimates.
+:func:`simulate_campaigns` evaluates such campaigns from one draw per
+stream chunk; ``simulate_alternative`` and ``simulate_true_model`` are its
+one-shape calls.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +49,7 @@ from .asymptotics import (
     sigma_analytic,
     sigma_monte_carlo,
 )
-from .distributions import SkewNormalShape, fill_sn
+from .distributions import SkewNormalShape, sn_from_normals
 from .errors import DegenerateSampleError, DomainError, SingularCovarianceError
 from .moments import ShapeStatistics, delta_from_skewness, shape_statistics, sn_raw_moments
 from .reference import rejection_size_hint
@@ -58,6 +68,7 @@ __all__ = [
     "run_test",
     "simulate_true_model",
     "simulate_alternative",
+    "simulate_campaigns",
     "rejection_size_search",
     "estimate_alpha",
     "estimate_alpha_with_flag",
@@ -146,19 +157,22 @@ class DecisionOutcome:
         return _ci_method(self.test.n // self.test.duplication_factor)
 
 
-def _skew_rows(xs: np.ndarray, d2: np.ndarray, *, legacy: bool = False):
+def _skew_rows(
+    xs: np.ndarray, d2: np.ndarray, *, legacy: bool = False, dev: np.ndarray | None = None
+):
     """Empirical skewness b_n of each row of a ``(rows, n)`` block, its
     variance (denominator n, or n - 1 under ``legacy``) and the mask of
     constant rows, which score b_n = 0 (no asymmetry evidence).
 
-    The block is overwritten: it holds the deviations from the row means
-    while they are needed, then their cubes. ``d2`` is caller-owned scratch
-    of the block's shape, so the kernel allocates nothing of that size; it
-    is left holding the squared deviations.
+    ``dev``, the block itself by default, is overwritten: it holds the
+    deviations from the row means while they are needed, then their cubes.
+    ``d2`` is caller-owned scratch of the block's shape, so the kernel
+    allocates nothing of that size; it is left holding the squared
+    deviations.
     """
     n = xs.shape[1]
     mean = xs.mean(axis=1)
-    dev = np.subtract(xs, mean[:, None], out=xs)
+    dev = np.subtract(xs, mean[:, None], out=xs if dev is None else dev)
     np.multiply(dev, dev, out=d2)
     v = d2.sum(axis=1) / (n - 1 if legacy else n)
     # the float mean of a constant row can miss its value by a few ulps and
@@ -174,14 +188,16 @@ def _skew_rows(xs: np.ndarray, d2: np.ndarray, *, legacy: bool = False):
     return b_n, v, constant
 
 
-def _shape_rows(xs: np.ndarray, d2: np.ndarray, *, legacy: bool = False):
+def _shape_rows(
+    xs: np.ndarray, d2: np.ndarray, *, legacy: bool = False, dev: np.ndarray | None = None
+):
     """Empirical (a_n, b_n) of each row of a ``(rows, n)`` block, and the mask
     of constant rows, which score b_n = 0 (no asymmetry evidence), a_n = nan.
 
-    Overwrites the block and the scratch ``d2`` of its shape, like
-    :func:`_skew_rows`.
+    Overwrites ``dev`` (the block by default) and the scratch ``d2`` of its
+    shape, like :func:`_skew_rows`.
     """
-    b_n, v, constant = _skew_rows(xs, d2, legacy=legacy)
+    b_n, v, constant = _skew_rows(xs, d2, legacy=legacy, dev=dev)
     mu4 = np.multiply(d2, d2, out=d2).mean(axis=1)
     a_n = np.divide(mu4, v * v, out=np.full_like(v, np.nan), where=~constant)
     return a_n, b_n, constant
@@ -313,6 +329,73 @@ def run_test(
     )
 
 
+def simulate_campaigns(
+    configs: Sequence[CampaignConfig], data_alphas: Sequence[float | None]
+) -> np.ndarray:
+    """Per-replicate p-values of several campaigns that differ only in the
+    hypothesized shape, from one pass over the replicates.
+
+    Row i holds ``simulate_alternative(configs[i], data_alphas[i])``, bit for
+    bit. The configs must agree on every field but ``alpha``, so the
+    campaigns share their replicate stream (common random numbers): each
+    stream chunk is drawn once, and every shape builds its samples from
+    those normals in turn, so memory does not grow with the shape count.
+    """
+    configs, data_alphas = list(configs), list(data_alphas)
+    if not configs:
+        raise DomainError("need at least one campaign config")
+    if len(data_alphas) != len(configs):
+        raise DomainError(
+            f"need one data_alpha per config, got {len(data_alphas)} for {len(configs)}"
+        )
+    first = configs[0]
+    for f in dataclasses.fields(CampaignConfig):
+        for i, config in enumerate(configs):
+            if f.name != "alpha" and getattr(config, f.name) != getattr(first, f.name):
+                raise DomainError(
+                    f"campaigns may differ only in alpha, but {f.name} is "
+                    f"{getattr(first, f.name)!r} in config 0 and "
+                    f"{getattr(config, f.name)!r} in config {i}"
+                )
+    laws = [
+        _null_law(SkewNormalShape(c.alpha), c.sigma_route, c.seed, legacy=c.legacy)
+        for c in configs
+    ]
+    deltas = [0.0 if a is None else SkewNormalShape(a).delta for a in data_alphas]
+    n = first.sample_size
+
+    def make_p_values(block: tuple[int, int]):
+        samples, scratch = np.empty((2,) + block)  # the lane's own
+
+        def p_values(z: np.ndarray) -> np.ndarray:
+            r = len(z)
+            rows, d2 = samples[:r], scratch[:r]
+            # standard normal data are the chunk's first r * n normals, which
+            # a draw of r * n alone would give; they are read, not written
+            normal = z.reshape(-1)[: r * n].reshape(r, n)
+            out = np.empty((r, len(laws)))
+            for i, ((ab, sigma), d) in enumerate(zip(laws, deltas)):
+                if d == 0.0:
+                    xs = normal
+                else:
+                    xs = rows
+                    sn_from_normals(z, d, rows, d2)
+                a_n, b_n, constant = _shape_rows(xs, d2, legacy=first.legacy, dev=rows)
+                if constant.any():
+                    raise DegenerateSampleError("a replicate sample is constant (zero variance)")
+                j = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
+                out[:, i] = chi2_survival(j)
+            return out
+
+        return p_values
+
+    p = map_replicates(
+        lambda g, z: g.standard_normal(out=z), make_p_values, first.replications, n,
+        first.seed, key_prefix=(0,), width=2 * n if any(deltas) else n,
+    )
+    return np.ascontiguousarray(p.T)
+
+
 def simulate_alternative(
     config: CampaignConfig, data_alpha: float | None = None
 ) -> np.ndarray:
@@ -323,32 +406,7 @@ def simulate_alternative(
     otherwise SN(data_alpha). Replicates are drawn under the campaign key
     prefix ``(0,)``.
     """
-    shape = SkewNormalShape(config.alpha)
-    ab, sigma = _null_law(shape, config.sigma_route, config.seed, legacy=config.legacy)
-    n = config.sample_size
-    d = 0.0 if data_alpha is None else SkewNormalShape(data_alpha).delta
-
-    def draw(g: np.random.Generator, rows: np.ndarray) -> None:
-        if d == 0.0:
-            g.standard_normal(out=rows)
-        else:
-            fill_sn(g, rows, d)
-
-    def make_p_values(block: tuple[int, int]):
-        d2 = np.empty(block)
-
-        def p_values(xs: np.ndarray) -> np.ndarray:
-            a_n, b_n, constant = _shape_rows(xs, d2[: len(xs)], legacy=config.legacy)
-            if constant.any():
-                raise DegenerateSampleError("a replicate sample is constant (zero variance)")
-            j = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
-            return chi2_survival(j)
-
-        return p_values
-
-    return map_replicates(
-        draw, make_p_values, config.replications, n, config.seed, key_prefix=(0,)
-    )
+    return simulate_campaigns([config], [data_alpha])[0]
 
 
 def simulate_true_model(config: CampaignConfig) -> np.ndarray:

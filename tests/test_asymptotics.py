@@ -237,8 +237,9 @@ class TestSigmaMonteCarlo:
         assert (default.s11, default.s22, default.s12) == (s11, s22, s12)
 
     def test_kernel_allocates_no_chunk_temporaries(self, monkeypatch):
-        # C and B are evaluated, centred and multiplied in scratch arrays
-        # reused by every chunk
+        # the normals are drawn into the lane's (R, 2n) row buffer; the SN
+        # rows are built, and C and B evaluated, centred and multiplied, in
+        # scratch arrays reused by every chunk
         n = 1000
         chunk_bytes = gjb.rng.chunk_rows(n) * n * 8
         extra = per_call_allocations(
@@ -246,7 +247,8 @@ class TestSigmaMonteCarlo:
             gjb.asymptotics,
             lambda: sigma_monte_carlo(SkewNormalShape(1.5), reps=200, per_rep_n=n, seed=3),
         )
-        assert len(extra["kernel"]) == 4
+        assert len(extra["draw"]) == len(extra["kernel"]) == 4
+        assert max(extra["draw"]) < 0.5 * chunk_bytes
         assert max(extra["kernel"]) < 0.5 * chunk_bytes
 
     @pytest.mark.parametrize("alpha,legacy", [(0.0, False), (1.5, False), (1.5, True)])

@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 import gjb
+import gjb.cli
 from gjb.cli import main
 from gjb.distributions import SkewNormalShape, sample_sn
 from gjb.io import write_sample_csv
+from gjb.reference import REFERENCE_MEAN_PVALUES
+from gjb.testing import CampaignConfig, simulate_true_model
 
 
 def run(args):
@@ -183,6 +186,29 @@ class TestTablesCommand:
         assert run(["tables", "--which", "1", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "ref 64.34" in out
+
+    @pytest.mark.parametrize("budget", ["desk", "full"])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_mean_pvalue_table_is_per_cell_campaigns(self, seed, budget, capsys):
+        # one pass per size prints what one campaign per cell prints
+        reps = 1000 if budget == "desk" else 2000
+        sizes = sorted({size for size, _ in REFERENCE_MEAN_PVALUES})
+        alphas = sorted({alpha for _, alpha in REFERENCE_MEAN_PVALUES})
+        rows = []
+        for size in sizes:
+            row = [str(size)]
+            for alpha in alphas:
+                config = CampaignConfig(alpha=alpha, sample_size=size, replications=reps,
+                                        seed=seed, legacy=True)
+                mean_p = float(simulate_true_model(config).mean())
+                row.append(f"{100 * mean_p:.2f} (ref {REFERENCE_MEAN_PVALUES[(size, alpha)]})")
+            rows.append(row)
+        print(f"Mean p-values under the true model (percent, reps={reps}, "
+              f"legacy conventions to match the reference grid)")
+        gjb.cli._print_table(["size \\ alpha"] + [str(a) for a in alphas], rows)
+        expected = capsys.readouterr().out
+        assert run(["tables", "--which", "1", "--seed", str(seed), "--budget", budget]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestDecideCommand:

@@ -29,6 +29,7 @@ REMOVED = [
     ("gjb.rng", "_usable_cores"),
     ("gjb", "CampaignResult"),
     ("gjb.testing", "CampaignResult"),
+    ("gjb.distributions", "fill_sn"),
 ]
 
 

@@ -78,9 +78,14 @@ def test_consumer_keys_are_distinct(seed, monkeypatch):
 
         return map_replicates(recorded, kernel, reps, n, seed, **kwargs)
 
+    def recorded_substream(seed, *key):
+        g = substream(seed, *key)
+        seen.append(_key(g))
+        return g
+
     monkeypatch.setattr(gjb.testing, "map_replicates", spy)
     monkeypatch.setattr(gjb.asymptotics, "map_replicates", spy)
-    monkeypatch.setattr(gjb.distributions, "fill_sn", lambda g, out, d: seen.append(_key(g)))
+    monkeypatch.setattr(gjb.distributions, "substream", recorded_substream)
     sample_sn(SkewNormalShape(1.0), 10, seed)
     simulate_true_model(CampaignConfig(alpha=1.0, sample_size=10, replications=3, seed=seed))
     gjb.testing._bootstrap_alphas(np.arange(5.0), 3, seed)
@@ -287,12 +292,17 @@ def test_constant_replicate_error_on_any_lane_count(lanes, monkeypatch):
     # it, after every lane has been joined
     _on_lanes(monkeypatch, lanes)
 
-    def constant_in_chunk_two(g, rows, d):
-        g.standard_normal(out=rows)
-        if g.bit_generator.state["state"]["counter"][1] == 2:
-            rows[-1] = 1.0
+    real = gjb.testing.map_replicates
 
-    monkeypatch.setattr(gjb.testing, "fill_sn", constant_in_chunk_two)
+    def spy(draw, make_kernel, reps, n, seed, **kwargs):
+        def constant_in_chunk_two(g, z):
+            draw(g, z)
+            if g.bit_generator.state["state"]["counter"][1] == 2:
+                z[-1] = 1.0  # Z1 and Z2 constant, so the SN sample is too
+
+        return real(constant_in_chunk_two, make_kernel, reps, n, seed, **kwargs)
+
+    monkeypatch.setattr(gjb.testing, "map_replicates", spy)
     config = CampaignConfig(alpha=1.0, sample_size=2**14, replications=20, seed=0)
     before = threading.active_count()
     with pytest.raises(DegenerateSampleError, match="a replicate sample is constant"):

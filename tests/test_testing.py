@@ -449,7 +449,9 @@ class TestCampaigns:
         assert sum(calls) == reps
 
     def test_constant_replicate_rejected(self, monkeypatch):
-        monkeypatch.setattr(gjb.testing, "fill_sn", lambda g, row, d: row.fill(1.0))
+        monkeypatch.setattr(
+            gjb.testing, "sn_from_normals", lambda z, d, out, scratch: out.fill(1.0)
+        )
         config = CampaignConfig(alpha=1.0, sample_size=10, replications=5, seed=0)
         with pytest.raises(DegenerateSampleError):
             simulate_true_model(config)
@@ -462,6 +464,93 @@ class TestCampaigns:
         with pytest.raises(DomainError):
             CampaignConfig(alpha=1.0, sample_size=10, replications=10, seed=0,
                            sigma_route="exact")
+
+
+class TestSimulateCampaigns:
+    """Campaigns that differ only in alpha share one pass over the stream."""
+
+    ALPHAS = (0.1, 1.0, 6.0, -2.5, 1.5)
+    DATA_ALPHAS = (0.1, 1.0, None, -2.5, 0.0)  # SN and standard normal data
+
+    def configs(self, n, reps, *, legacy=False, alphas=ALPHAS):
+        return [
+            CampaignConfig(alpha=a, sample_size=n, replications=reps, seed=3, legacy=legacy)
+            for a in alphas
+        ]
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_rows_are_one_shape_calls(self, lanes, legacy, monkeypatch):
+        # n = 10, 20000 replicates: four chunks of 6553 rows, the last short;
+        # every shape reads the chunk's normals after the others have built
+        # and reduced their samples from them
+        monkeypatch.setattr(gjb.rng, "worker_count", lambda: lanes)
+        configs = self.configs(10, 20_000, legacy=legacy)
+        assert -(-20_000 // gjb.rng.chunk_rows(10)) == 4
+        rows = gjb.testing.simulate_campaigns(configs, self.DATA_ALPHAS)
+        assert rows.shape == (len(configs), 20_000)
+        for row, config, data_alpha in zip(rows, configs, self.DATA_ALPHAS):
+            assert np.array_equal(row, simulate_alternative(config, data_alpha))
+
+    def test_normal_data_only(self):
+        # no SN data: the chunk holds n normals per replicate, read in place
+        configs = self.configs(40, 500, alphas=(1.0, 6.0))
+        rows = gjb.testing.simulate_campaigns(configs, [None, 0.0])
+        for row, config in zip(rows, configs):
+            assert np.array_equal(row, simulate_alternative(config))
+            assert np.max(np.abs(row - reference_campaign_p_values(config, None))) <= 1e-12
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    def test_constant_replicate_in_any_shape(self, index, monkeypatch):
+        # the error of a one-shape campaign, whichever shape meets it
+        real = gjb.testing.sn_from_normals
+        target = SkewNormalShape(self.DATA_ALPHAS[index]).delta
+
+        def constant_for_target(z, d, out, scratch):
+            real(z, d, out, scratch)
+            if d == target:
+                out[-1] = 1.0
+
+        monkeypatch.setattr(gjb.testing, "sn_from_normals", constant_for_target)
+        with pytest.raises(
+            DegenerateSampleError, match=r"^a replicate sample is constant \(zero variance\)$"
+        ):
+            gjb.testing.simulate_campaigns(self.configs(10, 50), self.DATA_ALPHAS)
+
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError, match="at least one"):
+            gjb.testing.simulate_campaigns([], [])
+
+    def test_one_data_alpha_per_config(self):
+        with pytest.raises(DomainError, match="one data_alpha per config"):
+            gjb.testing.simulate_campaigns(self.configs(10, 50), [1.0])
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("sample_size", 11), ("replications", 51), ("seed", 4),
+         ("sigma_route", "monte-carlo"), ("legacy", True)],
+    )
+    def test_configs_differing_beyond_alpha_rejected(self, field, value):
+        configs = self.configs(10, 50)
+        configs[2] = dataclasses.replace(configs[2], **{field: value})
+        with pytest.raises(DomainError, match=f"only in alpha, but {field} is"):
+            gjb.testing.simulate_campaigns(configs, self.DATA_ALPHAS)
+
+    def test_draw_allocates_no_chunk_temporaries(self, monkeypatch):
+        # each lane draws a chunk's normals into a (R, 2n) array of its own
+        # and builds every shape's samples in its own rows, so a draw
+        # allocates nothing of the chunk's size
+        n = 1000
+        chunk_bytes = gjb.rng.chunk_rows(n) * n * 8
+        configs = self.configs(n, 200, alphas=(1.0, 6.0))
+        extra = per_call_allocations(
+            monkeypatch,
+            gjb.testing,
+            lambda: gjb.testing.simulate_campaigns(configs, [1.0, 6.0]),
+        )
+        assert len(extra["draw"]) == len(extra["kernel"]) == 4
+        assert max(extra["draw"]) < 0.5 * chunk_bytes
+        assert max(extra["kernel"]) < 0.5 * chunk_bytes
 
 
 class TestRejectionSizeSearch:
