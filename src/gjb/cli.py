@@ -12,7 +12,9 @@ count or affinity mask. decide bootstraps its shape interval only for
 samples below 10^4 values; from there on it uses the influence-function
 interval, which draws nothing, and its report's ci_method says which.
 
-Options shared by several subcommands are declared once, in parent parsers.
+Options shared by several subcommands are declared once each, in helper
+functions that add them to a subcommand's parser; ``main`` builds the
+parser of the command it runs only, and ``build_parser()`` the full one.
 Report commands (test, simulate, power, reject-size, decide) return a
 ``Report``; ``main`` alone times the command, stamps ``wall_time_ms``,
 writes the report and maps the outcome to an exit code. sample and tables
@@ -63,65 +65,74 @@ def _level(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gjb",
-        description="Generalized Jarque-Bera goodness-of-fit test for skew-normal data.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# options shared by several subcommands, each declared once
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
-    # option groups shared by several subcommands, declared once each
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=_int_at_least(0), default=0)
-    report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--out", default=None, help="report file (default: stdout)")
-    report.add_argument("--format", choices=("json", "csv"), default="json")
-    level = argparse.ArgumentParser(add_help=False)
-    level.add_argument("--level", type=_level, default=0.05)
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--sigma", choices=("analytic", "mc"), default="analytic",
-                       help="covariance route (mc = monte-carlo)")
-    model.add_argument("--legacy", action="store_true",
-                       help="reproduce the original implementation's conventions")
 
-    p = sub.add_parser("sample", parents=[seed],
-                       help="draw a reproducible SN(alpha) sample as CSV")
+def _add_level(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--level", type=_level, default=0.05)
+
+
+def _add_model(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sigma", choices=("analytic", "mc"), default="analytic",
+                   help="covariance route (mc = monte-carlo)")
+    p.add_argument("--legacy", action="store_true",
+                   help="reproduce the original implementation's conventions")
+
+
+def _add_report(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", default=None, help="report file (default: stdout)")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _sample_options(p: argparse.ArgumentParser) -> None:
+    _add_seed(p)
     p.add_argument("--alpha", type=float, required=True, help="shape parameter")
     p.add_argument("--n", type=_int_at_least(1), required=True, help="number of draws")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser("test", parents=[seed, level, model, report],
-                       help="test whether a CSV sample follows SN(alpha)")
+
+def _test_options(p: argparse.ArgumentParser) -> None:
+    for add in (_add_seed, _add_level, _add_model, _add_report):
+        add(p)
     p.add_argument("--data", required=True, help="single-column CSV sample file")
     p.add_argument("--alpha", type=float, required=True, help="hypothesized shape")
     p.add_argument("--duplicate", type=_int_at_least(1), default=1, metavar="K",
                    help="test K concatenated copies of the sample")
     p.set_defaults(handler=_cmd_test)
 
-    for name, help_text in (("simulate", "mean p-value under the true model"),
-                            ("power", "mean p-value against an alternative law")):
-        p = sub.add_parser(name, parents=[seed, model, report], help=help_text)
-        p.add_argument("--alpha", type=float, required=True, help="hypothesized shape")
-        p.add_argument("--size", type=_int_at_least(2), required=True)
-        p.add_argument("--reps", type=_int_at_least(1), default=1000)
-        p.add_argument("--full", action="store_true",
-                       help="include per-replicate p-values in the report")
-        p.set_defaults(handler=_cmd_campaign)
-        if name == "power":
-            p.add_argument("--data-alpha", type=float, default=None,
-                           help="draw data from SN(this); default: standard normal")
 
-    p = sub.add_parser("reject-size", parents=[seed, level, report],
-                       help="sample size needed to reject normality against SN(alpha)")
+def _campaign_options(p: argparse.ArgumentParser) -> None:
+    for add in (_add_seed, _add_model, _add_report):
+        add(p)
+    p.add_argument("--alpha", type=float, required=True, help="hypothesized shape")
+    p.add_argument("--size", type=_int_at_least(2), required=True)
+    p.add_argument("--reps", type=_int_at_least(1), default=1000)
+    p.add_argument("--full", action="store_true",
+                   help="include per-replicate p-values in the report")
+    p.set_defaults(handler=_cmd_campaign)
+
+
+def _power_options(p: argparse.ArgumentParser) -> None:
+    _campaign_options(p)
+    p.add_argument("--data-alpha", type=float, default=None,
+                   help="draw data from SN(this); default: standard normal")
+
+
+def _reject_size_options(p: argparse.ArgumentParser) -> None:
+    for add in (_add_seed, _add_level, _add_report):
+        add(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--cap", type=_int_at_least(1), default=2_000_000)
     p.add_argument("--reps", type=_int_at_least(1), default=500)
     p.add_argument("--start", type=_int_at_least(2), default=10)
     p.set_defaults(handler=_cmd_reject_size)
 
-    p = sub.add_parser("tables", parents=[seed],
-                       help="reproduce the built-in reference tables")
+
+def _tables_options(p: argparse.ArgumentParser) -> None:
+    _add_seed(p)
     p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--budget", choices=("desk", "full"), default="desk",
                    help="desk: seconds-scale; full: table 1 runs 2000 replicates "
@@ -130,12 +141,50 @@ def build_parser() -> argparse.ArgumentParser:
                         "table 3 ignores it")
     p.set_defaults(handler=_cmd_tables)
 
-    p = sub.add_parser("decide", parents=[seed, level, report],
-                       help="duplication protocol: accept symmetry or reject normality")
+
+def _decide_options(p: argparse.ArgumentParser) -> None:
+    for add in (_add_seed, _add_level, _add_report):
+        add(p)
     p.add_argument("--data", required=True)
     p.add_argument("--k-cap", type=_int_at_least(1), default=20_000)
     p.set_defaults(handler=_cmd_decide)
 
+
+# subcommand -> (help line, function that adds its options)
+_COMMANDS = {
+    "sample": ("draw a reproducible SN(alpha) sample as CSV", _sample_options),
+    "test": ("test whether a CSV sample follows SN(alpha)", _test_options),
+    "simulate": ("mean p-value under the true model", _campaign_options),
+    "power": ("mean p-value against an alternative law", _power_options),
+    "reject-size": ("sample size needed to reject normality against SN(alpha)",
+                    _reject_size_options),
+    "tables": ("reproduce the built-in reference tables", _tables_options),
+    "decide": ("duplication protocol: accept symmetry or reject normality",
+               _decide_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``gjb`` parser with every subcommand, or with ``command``'s alone.
+
+    A one-command parser parses that command's argv to the same namespace,
+    and prints the same help and errors, as the full parser: its usage line
+    still lists every subcommand.
+    """
+    parser = argparse.ArgumentParser(
+        prog="gjb",
+        description="Generalized Jarque-Bera goodness-of-fit test for skew-normal data.",
+    )
+    names = _COMMANDS if command is None else [command]
+    # the full parser's own metavar is its choices, so only the one-command
+    # parser needs it spelled out (it would rename the missing-command error)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
+    )
+    for name in names:
+        help_text, add_options = _COMMANDS[name]
+        add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -300,7 +349,10 @@ def _cmd_decide(args) -> gjb_io.Report:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the command being run needs its parser built
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         t0 = time.perf_counter()
         report = args.handler(args)

@@ -31,11 +31,12 @@ each other lane is a thread started for the call and joined before it
 returns. Lane ``w`` of ``L`` draws and reduces chunks ``j = w, w + L, ...``
 one at a time in a ``(R, width)`` row buffer and kernel scratch of its own,
 and keeps each chunk's results, a new array; once every lane is joined they
-are concatenated in chunk order. A kernel may reduce the same drawn rows
-several times: campaigns that share a seed and n evaluate every shape from
-one draw per chunk (common random numbers). numpy releases the GIL in the
-draws, gathers and ufunc loops that fill and reduce the rows, so the lanes
-run in parallel.
+are concatenated in chunk order. A kernel may build several samples from
+the same drawn rows: campaigns that share a seed and n evaluate every shape
+from one draw per chunk (common random numbers), stacking the shapes'
+samples so that one reduction serves several of them. numpy releases the
+GIL in the draws, gathers and ufunc loops that fill and reduce the rows,
+so the lanes run in parallel.
 Since every chunk owns its counter range, results are bit-identical for any
 core count or affinity mask, and memory is O(L R(n) n) whatever the
 replicate count.

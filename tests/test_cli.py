@@ -1,5 +1,6 @@
 """End-to-end CLI tests: flags, exit codes, determinism of report payloads."""
 
+import argparse
 import csv
 import json
 import os
@@ -397,6 +398,91 @@ class TestUsageErrors:
         for name in ("sample", "test", "simulate", "power", "reject-size",
                      "tables", "decide"):
             assert name in out
+
+
+class TestOneCommandParser:
+    """``main`` builds the parser of the command it runs only; that parser
+    reads the same argv, and prints the same help and errors, as the full
+    one."""
+
+    # the argvs of this file's CLI tests, one list per command
+    ARGVS = {
+        "sample": [["--alpha", "0", "--n", "5", "--seed", "7", "--out", "a.csv"],
+                   ["--alpha", "1", "--n", "1000000", "--seed", "1", "--out", "big.csv"],
+                   ["--alpha", "0", "--n", "3", "--out", ""]],
+        "test": [["--data", "d.csv", "--alpha", "1", "--out", "r.json"],
+                 ["--data", "d.csv", "--alpha", "0", "--duplicate", "8"],
+                 ["--data", "d.csv", "--alpha", "1", "--sigma", "mc", "--seed", "3",
+                  "--legacy", "--level", "0.1", "--format", "csv"]],
+        "simulate": [["--alpha", "1", "--size", "10", "--reps", "300", "--out", "r.json"],
+                     ["--alpha", "1", "--size", "10", "--reps", "50", "--full", "--seed", "4"]],
+        "power": [["--alpha", "6", "--size", "130", "--reps", "300"],
+                  ["--alpha", "1", "--size", "20", "--reps", "100", "--data-alpha", "1"]],
+        "reject-size": [["--alpha", "10", "--reps", "200", "--seed", "2"],
+                        ["--alpha", "0.15", "--cap", "50", "--start", "3"]],
+        "tables": [["--which", "3"], ["--which", "1", "--seed", "7", "--budget", "full"]],
+        "decide": [["--data", "d.csv", "--seed", "0", "--out", "r.json"],
+                   ["--data", "d.csv", "--k-cap", "5", "--level", "0.01", "--format", "csv"]],
+    }
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        """(exit code, stdout, stderr) of ``parse(argv)``, which exits."""
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        captured = capsys.readouterr()
+        return info.value.code, captured.out, captured.err
+
+    def test_every_command_is_covered(self):
+        assert list(self.ARGVS) == list(gjb.cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", list(ARGVS))
+    def test_same_namespace(self, command):
+        for argv in self.ARGVS[command]:
+            one = gjb.cli.build_parser(command).parse_args([command] + argv)
+            full = gjb.cli.build_parser().parse_args([command] + argv)
+            assert vars(one) == vars(full)
+
+    @pytest.mark.parametrize("command", list(ARGVS))
+    def test_same_help(self, command, capsys):
+        one = self.outcome(gjb.cli.build_parser(command).parse_args, [command, "-h"], capsys)
+        full = self.outcome(gjb.cli.build_parser().parse_args, [command, "-h"], capsys)
+        assert one == full
+        assert one[0] == 0 and one[1].startswith(f"usage: gjb {command} [-h]")
+
+    @pytest.mark.parametrize("argv", [
+        ["tables"],
+        ["tables", "--which", "4"],
+        ["decide", "--bogus"],  # reported by the top-level parser
+        ["power", "--alpha", "1", "--size", "1"],
+    ])
+    def test_same_usage_error(self, argv, capsys):
+        one = self.outcome(gjb.cli.main, argv, capsys)
+        full = self.outcome(gjb.cli.build_parser().parse_args, argv, capsys)
+        assert one == full
+        assert one[0] == 2
+
+    @pytest.mark.parametrize("argv,code", [([], 2), (["-h"], 0), (["nope"], 2)])
+    def test_no_command_gets_the_full_parser(self, argv, code, capsys):
+        one = self.outcome(gjb.cli.main, argv, capsys)
+        full = self.outcome(gjb.cli.build_parser().parse_args, argv, capsys)
+        assert one == full
+        assert one[0] == code
+        usage = "usage: gjb [-h] {sample,test,simulate,power,reject-size,tables,decide} ..."
+        assert (one[1] if code == 0 else one[2]).startswith(usage)
+
+    def test_main_builds_two_parsers(self, monkeypatch, capsys):
+        # the top-level parser and the one subcommand's, not all twelve
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["tables", "--which", "3"]) == 0
+        assert len(built) <= 2
 
 
 def test_import_loads_no_scipy_pandas_or_pools():

@@ -188,6 +188,64 @@ def test_numpy_integer_counts_accepted():
     assert decision == duplication_decision(x, k_cap=5, seed=2, resamples=50)
 
 
+def same_bits(a, b):
+    """Equal arrays, signed zeros told apart; NaNs match any NaN."""
+    nan = np.isnan(b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(np.isnan(a), nan)
+        and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+    )
+
+
+# a value of magnitude 1e-300..1e300 and either sign, or a signed zero;
+# values of like magnitude, where the order of the additions shows, too
+_WIDE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda e, sign: sign * 10.0**e, st.floats(-300.0, 300.0),
+              st.sampled_from([1.0, -1.0])),
+    st.floats(-10.0, 10.0),
+)
+
+
+class TestRowSums:
+    """``_row_sums`` is numpy's own row reduction, bit for bit, for every
+    row length it sums column by column and the first one it hands to
+    numpy, so a numpy that changes its summation order fails here rather
+    than in seeded payloads."""
+
+    LENGTHS = range(1, gjb.testing._COLUMN_SUM_BELOW + 1)
+
+    def check(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = gjb.testing._row_sums(x)
+            assert same_bits(sums, np.add.reduce(x, axis=1))
+            assert same_bits(sums / x.shape[1], x.mean(axis=1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.sampled_from(LENGTHS), rows=st.integers(1, 5))
+    def test_matches_numpy_on_wide_values(self, data, n, rows):
+        values = data.draw(st.lists(_WIDE, min_size=rows * n, max_size=rows * n))
+        self.check(np.array(values).reshape(rows, n))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_matches_numpy_on_special_rows(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((12, n))
+        x[6:9] *= 10.0 ** rng.integers(-300, 300, size=(3, n))
+        x[0] = -0.0  # numpy adds to the identity +0.0
+        x[1] = 0.0
+        x[2, ::2], x[2, 1::2] = 0.5, -0.5  # cancels exactly, or leaves 0.5
+        x[3] = 1e300  # overflows from 2 values on
+        x[4, 0], x[4, -1] = np.inf, -np.inf  # nan, or -inf at n = 1
+        x[5] = 0.1  # rounding in every partial sum
+        self.check(x)
+
+    def test_threshold_is_where_numpy_takes_over(self):
+        # _COLUMN_SUM_BELOW sits in numpy's one-block range (n <= 128)
+        assert 8 < gjb.testing._COLUMN_SUM_BELOW <= 128
+
+
 class TestEmpiricalShape:
     def test_hand_example(self):
         # mu2 = 2/3, mu3 = 0, mu4 = 2/3 -> a_n = 1.5, b_n = 0
@@ -491,6 +549,33 @@ class TestSimulateCampaigns:
         assert rows.shape == (len(configs), 20_000)
         for row, config, data_alpha in zip(rows, configs, self.DATA_ALPHAS):
             assert np.array_equal(row, simulate_alternative(config, data_alpha))
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_stacked_groups_match_numpy_row_reductions(self, legacy):
+        # n = 10, 2000 replicates: one chunk, whose 5 shapes are stacked in
+        # groups of 3 and 2; each row is what numpy's own row reductions
+        # give on that shape's samples alone
+        n, reps = 10, 2000
+        assert gjb.testing._STACK_ELEMENTS // (reps * n) == 3
+        configs = self.configs(n, reps, legacy=legacy)
+        rows = gjb.testing.simulate_campaigns(configs, self.DATA_ALPHAS)
+        z = replicate_generator(3, (0,), 0, n)[0].standard_normal((reps, 2 * n))
+        for row, config, data_alpha in zip(rows, configs, self.DATA_ALPHAS):
+            d = 0.0 if data_alpha is None else SkewNormalShape(data_alpha).delta
+            if d == 0.0:
+                x = z.reshape(-1)[: reps * n].reshape(reps, n)
+            else:
+                x = d * np.abs(z[:, :n]) + math.sqrt(1.0 - d * d) * z[:, n:]
+            dev = x - x.mean(axis=1)[:, None]
+            d2 = dev * dev
+            v = d2.sum(axis=1) / (n - 1 if legacy else n)
+            a_n = (d2 * d2).mean(axis=1) / (v * v)
+            b_n = (d2 * dev).mean(axis=1) / v**1.5
+            raw = sn_raw_moments(SkewNormalShape(config.alpha))
+            ab = shape_statistics(raw)
+            sigma = sigma_analytic(raw, legacy=legacy)
+            j = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
+            assert np.array_equal(row, np.exp(-0.5 * j))
 
     def test_normal_data_only(self):
         # no SN data: the chunk holds n normals per replicate, read in place
