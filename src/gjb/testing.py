@@ -30,9 +30,9 @@ random numbers), so their mean p-values are correlated estimates.
 :func:`simulate_campaigns` evaluates such campaigns from one draw per
 stream chunk, stacking the samples of several shapes into one block that
 is reduced at once; ``simulate_alternative`` and ``simulate_true_model``
-are its one-shape calls. Row sums of short rows are taken column by
-column in numpy's own summation order (:func:`_row_sums`), so every
-result is bit-identical to numpy's row reductions.
+are its one-shape calls. Rows shorter than 16 values are summed left to
+right, a column at a time (:func:`_row_sums`); longer rows use numpy's
+own row reduction.
 """
 
 from __future__ import annotations
@@ -166,38 +166,28 @@ class DecisionOutcome:
 
 # Rows shorter than this are summed column by column (:func:`_row_sums`).
 # Measured with numpy 2.4 on a 2-vCPU x86-64 host, on blocks of 2^16
-# values: column sums take 0.4-0.7 of ``sum(axis=1)``'s time from 2 to 15
-# values a row, and about as long from 16 on, where strided columns stop
-# fitting the cache.
+# values (median of 15 timings): the loop takes 0.09-0.59 of
+# ``sum(axis=1)``'s time from 2 to 15 values a row, 0.8 at 16-20 and 1.4
+# at 32. From 16 on the gain shrinks, while the loop's error bound keeps
+# growing with n (the pairwise sum's grows with log2 n).
 _COLUMN_SUM_BELOW = 16
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(x, axis=1)``, bit for bit, for a 2-d float array.
+    """Sum of each row of a 2-d float array.
 
-    numpy reduces each row in its pairwise order, at about 25 ns a row
-    however short. Rows shorter than ``_COLUMN_SUM_BELOW`` are instead
-    summed a column at a time, in that same order: numpy adds a row of up
-    to 128 values to the identity 0.0 sequentially below 8 values; from 8
-    on it keeps 8 accumulators, adds them as a tree
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the values past the last
-    full 8. Starting from ``x0 + 0.0`` rather than ``x0`` gives the
-    identity's signed zero. Longer rows keep ``sum(axis=1)``.
+    numpy's ``sum(axis=1)`` costs about 25 ns a row however short, so rows
+    shorter than ``_COLUMN_SUM_BELOW`` values are summed left to right, a
+    column at a time, from ``x0 + 0.0`` (so a row of -0.0 sums to +0.0, as
+    in numpy). Its error is at most (n-1) eps/2 times the sum of |x_i|
+    (Higham 1993), so below 7 eps times it here. Longer rows keep
+    ``sum(axis=1)``.
     """
     n = x.shape[1]
     if n >= _COLUMN_SUM_BELOW:
         return x.sum(axis=1)
-    if n < 8:
-        s = x[:, 0] + 0.0
-        for j in range(1, n):
-            s += x[:, j]
-        return s
-    r = [x[:, 0] + 0.0] + [x[:, j].copy() for j in range(1, 8)]
-    whole = n - n % 8
-    for j in range(8, whole):
-        r[j % 8] += x[:, j]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for j in range(whole, n):
+    s = x[:, 0] + 0.0
+    for j in range(1, n):
         s += x[:, j]
     return s
 
@@ -210,8 +200,8 @@ def _skew_rows(xs: np.ndarray, d2: np.ndarray, *, legacy: bool = False):
     The block is overwritten: it holds the deviations from the row means
     while they are needed, then their cubes. ``d2`` is caller-owned scratch
     of the block's shape, so the kernel allocates nothing of that size; it
-    is left holding the squared deviations. Every row mean is its
-    :func:`_row_sums` over n, which is ``mean(axis=1)`` bit for bit.
+    is left holding the squared deviations. Every row mean and moment is a
+    :func:`_row_sums` over n.
     """
     n = xs.shape[1]
     mean = _row_sums(xs) / n
@@ -352,13 +342,21 @@ def run_test(
     _check_level(level)
     n = np.size(sample)
     a_n, b_n = empirical_shape(sample, legacy=legacy)
+    return _outcome(a_n, b_n, n, alpha, duplication_factor, level, sigma_route, seed, legacy)
+
+
+def _outcome(
+    a_n: float, b_n: float, n: int, alpha: float, k: int, level: float,
+    sigma_route: str = "analytic", seed: int = 0, legacy: bool = False,
+) -> TestOutcome:
+    """The test of SN(alpha) on k copies of a sample of n values whose
+    shape statistics are (a_n, b_n)."""
     ab, sigma = _null_law(SkewNormalShape(alpha), sigma_route, seed, legacy=legacy)
-    j_base = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
-    j_n = duplication_factor * j_base
+    j_n = k * gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
     p = chi2_survival(j_n)
     return TestOutcome(
         alpha=alpha,
-        n=duplication_factor * n,
+        n=k * n,
         a_n=a_n,
         b_n=b_n,
         a=ab.kurtosis,
@@ -366,7 +364,7 @@ def run_test(
         j_n=j_n,
         p_value=p,
         sigma=sigma,
-        duplication_factor=duplication_factor,
+        duplication_factor=k,
         verdict="reject" if p < level else "accept",
     )
 
@@ -608,7 +606,7 @@ def duplication_decision(
 
     y = _prepare_sample(sample, 3)
     n = y.size
-    _, b_n = _shape_of(y.copy())
+    a_n, b_n = _shape_of(y.copy())
     alpha_hat = float(_alpha_from_skewness(b_n))
     if _ci_method(n) == "influence":
         ci_low, ci_high = _influence_bounds(y, b_n)
@@ -622,7 +620,7 @@ def duplication_decision(
         k_needed = max(1, -(-rejection_size_hint(alpha_hat) // n))
         k = min(k_needed, k_cap, max(1, 1_000_000 // n))
         capped = k < k_needed
-    test = run_test(sample, 0.0, duplication_factor=k, level=level)
+    test = _outcome(a_n, b_n, n, 0.0, k, level)
     if symmetric:
         verdict = "accept-symmetry"
     else:

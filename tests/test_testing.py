@@ -16,6 +16,7 @@ import gjb.rng
 import gjb.testing
 from gjb.asymptotics import (
     CovarianceMatrix2,
+    chi2_survival,
     influence_polynomials,
     sigma_analytic,
     sigma_monte_carlo,
@@ -23,6 +24,7 @@ from gjb.asymptotics import (
 from gjb.distributions import SkewNormalShape, sample_sn
 from gjb.errors import DegenerateSampleError, DomainError
 from gjb.moments import shape_statistics, sn_raw_moments
+from gjb.reference import REFERENCE_MEAN_PVALUES
 from gjb.testing import (
     SKEWNESS_CLAMP,
     CampaignConfig,
@@ -208,19 +210,31 @@ _WIDE = st.one_of(
 )
 
 
+def left_to_right_sums(x):
+    """Row sums of a 2-d array by a Python float loop started at 0.0."""
+    sums = []
+    for row in x.tolist():
+        s = 0.0
+        for v in row:
+            s += v
+        sums.append(s)
+    return np.array(sums)
+
+
 class TestRowSums:
-    """``_row_sums`` is numpy's own row reduction, bit for bit, for every
-    row length it sums column by column and the first one it hands to
-    numpy, so a numpy that changes its summation order fails here rather
-    than in seeded payloads."""
+    """``_row_sums`` adds a row shorter than ``_COLUMN_SUM_BELOW`` values left
+    to right from 0.0, bit for bit, and hands longer rows to numpy's own row
+    reduction; checked for every loop length and the first numpy one."""
 
     LENGTHS = range(1, gjb.testing._COLUMN_SUM_BELOW + 1)
 
     def check(self, x):
         with np.errstate(over="ignore", invalid="ignore"):
             sums = gjb.testing._row_sums(x)
-            assert same_bits(sums, np.add.reduce(x, axis=1))
-            assert same_bits(sums / x.shape[1], x.mean(axis=1))
+            if x.shape[1] < gjb.testing._COLUMN_SUM_BELOW:
+                assert same_bits(sums, left_to_right_sums(x))
+            else:
+                assert same_bits(sums, np.add.reduce(x, axis=1))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.sampled_from(LENGTHS), rows=st.integers(1, 5))
@@ -233,7 +247,7 @@ class TestRowSums:
         rng = np.random.default_rng(n)
         x = rng.standard_normal((12, n))
         x[6:9] *= 10.0 ** rng.integers(-300, 300, size=(3, n))
-        x[0] = -0.0  # numpy adds to the identity +0.0
+        x[0] = -0.0  # both sums start from +0.0
         x[1] = 0.0
         x[2, ::2], x[2, 1::2] = 0.5, -0.5  # cancels exactly, or leaves 0.5
         x[3] = 1e300  # overflows from 2 values on
@@ -242,8 +256,10 @@ class TestRowSums:
         self.check(x)
 
     def test_threshold_is_where_numpy_takes_over(self):
-        # _COLUMN_SUM_BELOW sits in numpy's one-block range (n <= 128)
-        assert 8 < gjb.testing._COLUMN_SUM_BELOW <= 128
+        # table 1's rows (n = 2 and 10) take the loop, and rows past numpy's
+        # one-block length keep its pairwise sum, whose error bound grows as
+        # log2 n rather than n
+        assert 10 < gjb.testing._COLUMN_SUM_BELOW <= 128
 
 
 class TestEmpiricalShape:
@@ -553,8 +569,8 @@ class TestSimulateCampaigns:
     @pytest.mark.parametrize("legacy", [False, True])
     def test_stacked_groups_match_numpy_row_reductions(self, legacy):
         # n = 10, 2000 replicates: one chunk, whose 5 shapes are stacked in
-        # groups of 3 and 2; each row is what numpy's own row reductions
-        # give on that shape's samples alone
+        # groups of 3 and 2; each row is what left-to-right row sums give on
+        # that shape's samples alone
         n, reps = 10, 2000
         assert gjb.testing._STACK_ELEMENTS // (reps * n) == 3
         configs = self.configs(n, reps, legacy=legacy)
@@ -566,16 +582,36 @@ class TestSimulateCampaigns:
                 x = z.reshape(-1)[: reps * n].reshape(reps, n)
             else:
                 x = d * np.abs(z[:, :n]) + math.sqrt(1.0 - d * d) * z[:, n:]
-            dev = x - x.mean(axis=1)[:, None]
+            dev = x - (left_to_right_sums(x) / n)[:, None]
             d2 = dev * dev
-            v = d2.sum(axis=1) / (n - 1 if legacy else n)
-            a_n = (d2 * d2).mean(axis=1) / (v * v)
-            b_n = (d2 * dev).mean(axis=1) / v**1.5
+            v = left_to_right_sums(d2) / (n - 1 if legacy else n)
+            a_n = left_to_right_sums(d2 * d2) / n / (v * v)
+            b_n = left_to_right_sums(d2 * dev) / n / v**1.5
             raw = sn_raw_moments(SkewNormalShape(config.alpha))
             ab = shape_statistics(raw)
             sigma = sigma_analytic(raw, legacy=legacy)
             j = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
             assert np.array_equal(row, np.exp(-0.5 * j))
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_two_value_samples_match_the_closed_form(self, legacy):
+        # any two distinct values have (a_n, b_n) = (1, 0), or (1/4, 0) under
+        # legacy, so every replicate p of table 1's n = 2 row is known in
+        # closed form up to the rounding of the sample's mean
+        alphas = sorted({alpha for _, alpha in REFERENCE_MEAN_PVALUES})
+        assert len(alphas) == 6
+        configs = [
+            CampaignConfig(alpha=a, sample_size=2, replications=2000, seed=0, legacy=legacy)
+            for a in alphas
+        ]
+        rows = gjb.testing.simulate_campaigns(configs, alphas)
+        a_n = 0.25 if legacy else 1.0
+        for row, alpha in zip(rows, alphas):
+            raw = sn_raw_moments(SkewNormalShape(alpha))
+            ab = shape_statistics(raw)
+            sigma = sigma_analytic(raw, legacy=legacy)
+            p = chi2_survival(gjb_statistic(a_n, 0.0, ab.kurtosis, ab.skewness, sigma, 2))
+            assert np.max(np.abs(row - p)) <= 1e-10
 
     def test_normal_data_only(self):
         # no SN data: the chunk holds n normals per replicate, read in place
@@ -866,9 +902,9 @@ class TestDuplicationDecision:
         with pytest.raises(DomainError, match="need resamples >= 1"):
             duplication_decision(x, resamples=0)
 
-    def test_influence_branch_evaluates_the_shape_twice(self, monkeypatch):
-        # one b_n gives alpha-hat and centres the interval; the other
-        # evaluation is the inner test's
+    def test_influence_branch_evaluates_the_shape_once(self, monkeypatch):
+        # one (a_n, b_n) gives alpha-hat, centres the interval and feeds the
+        # inner test
         real = gjb.testing._shape_rows
         rows = []
 
@@ -879,7 +915,7 @@ class TestDuplicationDecision:
         monkeypatch.setattr(gjb.testing, "_shape_rows", spy)
         x = sample_sn(SkewNormalShape(1.0), 20_000, seed=4)
         assert duplication_decision(x).ci_method == "influence"
-        assert rows == [(1, 20_000)] * 2
+        assert rows == [(1, 20_000)]
 
     @pytest.mark.parametrize("alpha,seed", [(0.0, 0), (1.0, 1), (6.0, 2)])
     def test_influence_interval_matches_reference(self, alpha, seed):
