@@ -36,7 +36,7 @@ import re
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from io import StringIO
 from itertools import filterfalse
 from typing import IO, Any, Iterator
@@ -320,25 +320,11 @@ def test_report(
     outcome: TestOutcome,
     extras: dict[str, Any] | None = None,
 ) -> Report:
-    """Assemble the fixed-schema report for a single test outcome."""
-    payload: dict[str, Any] = {
-        "alpha": outcome.alpha,
-        "n": outcome.n,
-        "duplication_factor": outcome.duplication_factor,
-        "a_n": outcome.a_n,
-        "b_n": outcome.b_n,
-        "a": outcome.a,
-        "b": outcome.b,
-        "sigma": {
-            "s11": outcome.sigma.s11,
-            "s22": outcome.sigma.s22,
-            "s12": outcome.sigma.s12,
-            "det": outcome.sigma.det,
-        },
-        "j_n": outcome.j_n,
-        "p_value": outcome.p_value,
-        "verdict": outcome.verdict,
-    }
+    """Assemble the fixed-schema report for a single test outcome: its
+    fields in order, with ``sigma.det`` after ``sigma``'s entries, then
+    ``extras``."""
+    payload = asdict(outcome)
+    payload["sigma"]["det"] = outcome.sigma.det
     if extras:
         payload.update(extras)
     return Report(command=command, payload=payload)

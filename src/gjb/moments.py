@@ -1,17 +1,17 @@
 """Exact raw moments of SN(alpha) up to order 8, and shape statistics.
 
-Ground truth is the binomial expansion of the two-normal representation
-``X = A|Z1| + B Z2`` with ``A = delta``, ``B = sqrt(1 - delta^2)``:
+The moments come from the two-normal representation ``X = A|Z1| + B Z2``
+with ``A = delta``, ``B = sqrt(1 - delta^2)``, as the binomial expansion
 
-    m_j = sum_{h=0..j} C(j,h) A^h B^(j-h) E|Z1|^h E Z2^(j-h)
+    m_j = sum_{h=0..j} C(j,h) A^h B^(j-h) E|Z1|^h E Z2^(j-h),
 
-Even moments reduce to the standard normal's (1, 3, 15, 105) for every
-alpha; odd moments are odd functions of alpha.
+which :func:`sn_raw_moments` evaluates in closed form (Henze 1986,
+Scand. J. Statist. 13, 271-275).
 
 Skewness and kurtosis are available by two independent paths: through the
-raw-moment expansion above (:func:`shape_statistics`) and through the
-closed forms in delta (:func:`analytic_shape_statistics`); the two must
-agree to ~1e-12, which the test suite pins.
+raw moments (:func:`shape_statistics`) and through the closed forms in
+delta (:func:`analytic_shape_statistics`); the two must agree to ~1e-12,
+which the test suite pins.
 """
 
 from __future__ import annotations
@@ -38,11 +38,7 @@ __all__ = [
 # Supremum of |skewness| over the family (delta -> 1 limit).
 SKEWNESS_SUP = math.sqrt(2.0) * (4.0 - math.pi) / (math.pi - 2.0) ** 1.5
 
-# Raw moments E|Z|^h of the half-normal law and E Z^h of N(0,1), h = 0..8:
-# the base moments of the binomial expansion, with c = sqrt(2/pi).
-_c = math.sqrt(2.0 / math.pi)
-_HALF_NORMAL_MOMENTS = (1.0, _c, 1.0, 2.0 * _c, 3.0, 8.0 * _c, 15.0, 48.0 * _c, 105.0)
-_NORMAL_MOMENTS = (1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0, 0.0, 105.0)
+_C = math.sqrt(2.0 / math.pi)  # E|Z| of the half-normal law
 
 
 class ShapeStatistics(NamedTuple):
@@ -53,18 +49,25 @@ class ShapeStatistics(NamedTuple):
 
 
 def sn_raw_moments(shape: SkewNormalShape) -> np.ndarray:
-    """Raw moments m_0..m_8 of SN(alpha), as a length-9 float array, via the
-    binomial expansion; m_0 is always 1."""
-    m1, m2 = _HALF_NORMAL_MOMENTS, _NORMAL_MOMENTS
-    a = shape.delta
-    b = math.sqrt(1.0 - a * a)
-    entries = []
-    for j in range(9):
-        acc = 0.0
-        for h in range(j + 1):
-            acc += math.comb(j, h) * a**h * b ** (j - h) * m1[h] * m2[j - h]
-        entries.append(acc)
-    return np.array(entries)
+    """Raw moments m_0..m_8 of SN(alpha), as a length-9 float array.
+
+    With ``t = delta^2`` and ``c = sqrt(2/pi) delta``, the binomial
+    expansion of the module docstring sums, through ``B^2 = 1 - t``, to
+
+        m_1 = c,   m_3 = c (3 - t),   m_5 = c (15 - 10 t + 3 t^2),
+        m_7 = c (105 - 105 t + 63 t^2 - 15 t^3),
+
+    evaluated here in Horner form; the even moments are N(0,1)'s,
+    (m_0, m_2, m_4, m_6, m_8) = (1, 1, 3, 15, 105), for every alpha, since
+    E|Z1|^(2i) = E Z2^(2i) and A^2 + B^2 = 1.
+    """
+    d = shape.delta
+    t = d * d
+    c = _C * d
+    return np.array([
+        1.0, c, 1.0, c * (3.0 - t), 3.0, c * (15.0 - t * (10.0 - 3.0 * t)),
+        15.0, c * (105.0 - t * (105.0 - t * (63.0 - 15.0 * t))), 105.0,
+    ])
 
 
 def centered_moment(order: int, raw: np.ndarray) -> float:

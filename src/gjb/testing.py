@@ -93,20 +93,24 @@ _STACK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Result of one GJB test run; ``alpha`` is the hypothesized shape."""
+    """Result of one GJB test run; ``alpha`` is the hypothesized shape.
+
+    The fields are the keys of the test report (:func:`gjb.io.test_report`),
+    in the report's order.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
     alpha: float
     n: int
+    duplication_factor: int
     a_n: float
     b_n: float
     a: float
     b: float
+    sigma: CovarianceMatrix2
     j_n: float
     p_value: float
-    sigma: CovarianceMatrix2
-    duplication_factor: int
     verdict: str
 
 

@@ -488,13 +488,16 @@ class TestOneCommandParser:
 def test_import_loads_no_scipy_pandas_or_pools():
     # numpy is the only runtime dependency (scipy serves the tests' oracles).
     # The library starts threads only inside map_replicates, plain threads
-    # joined before it returns, and no processes: it imports no pool
+    # joined before it returns, and no processes: it imports no pool. Nor
+    # numpy.polynomial: the library uses none of it, and importing it raises
+    # the peak RSS of every command
     src = str(Path(gjb.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import gjb.cli, sys; "
             "print([m for m in sys.modules if m.split('.')[0] in "
-            "('scipy', 'pandas', 'multiprocessing') or m.startswith('concurrent.futures')])")
+            "('scipy', 'pandas', 'multiprocessing') "
+            "or m.startswith(('concurrent.futures', 'numpy.polynomial'))])")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -374,6 +374,10 @@ class TestReports:
         ]
         assert list(obj) == expected
         assert set(obj["sigma"]) == {"s11", "s22", "s12", "det"}
+        keys = list(obj)
+        between = keys[keys.index("command") + 1 : keys.index("wall_time_ms")]
+        assert between == [f.name for f in dataclasses.fields(TestOutcome)]
+        assert list(obj["sigma"]) == ["s11", "s22", "s12", "det"]
 
     def test_zero_statistic_serializes_exactly(self):
         report = gjb_io.test_report("test", make_outcome(p=1.0, j=0.0, alpha=0.0))

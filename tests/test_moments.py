@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gjb.distributions import SkewNormalShape, sn_pdf
@@ -26,6 +29,25 @@ def quad_moment(alpha: float, j: int) -> float:
     shape = SkewNormalShape(alpha)
     value, _ = quad(lambda x: x**j * sn_pdf(shape, x), -12.0, 12.0, limit=400)
     return value
+
+
+def expansion_moment(delta: float, j: int) -> mpmath.mpf:
+    """Independent oracle: the binomial expansion of ``delta |Z1| + b Z2``,
+    b = sqrt(1 - delta^2), in 50-digit arithmetic at the float ``delta``."""
+    def half_normal(h):  # E|Z|^h; E Z^h is this for even h and 0 for odd h
+        return mpmath.power(2, h / 2) * mpmath.gamma((h + 1) / 2) / mpmath.sqrt(mpmath.pi)
+
+    with mpmath.workdps(50):
+        a = mpmath.mpf(delta)
+        b = mpmath.sqrt(1 - a * a)
+        return mpmath.fsum(
+            mpmath.binomial(j, h) * a**h * b ** (j - h) * half_normal(h) * half_normal(j - h)
+            for h in range(j + 1) if (j - h) % 2 == 0
+        )
+
+
+FINITE_ALPHAS = st.floats(allow_nan=False, allow_infinity=False)
+EPS = np.finfo(float).eps
 
 
 class TestRawMoments:
@@ -64,9 +86,32 @@ class TestRawMoments:
     @pytest.mark.parametrize("alpha", [-7.0, -0.4, 0.9, 3.0, 25.0])
     def test_even_moments_are_normal(self, alpha):
         raw = sn_raw_moments(SkewNormalShape(alpha))
-        assert raw[0] == 1.0
-        for j, expected in ((2, 1.0), (4, 3.0), (6, 15.0), (8, 105.0)):
-            assert raw[j] == pytest.approx(expected, rel=1e-14)
+        assert raw[0::2].tolist() == [1.0, 1.0, 3.0, 15.0, 105.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=FINITE_ALPHAS)
+    def test_even_moments_are_exactly_normal_for_every_alpha(self, alpha):
+        raw = sn_raw_moments(SkewNormalShape(alpha))
+        assert raw[0::2].tolist() == [1.0, 1.0, 3.0, 15.0, 105.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=FINITE_ALPHAS)
+    @example(alpha=0.0)
+    @example(alpha=1e-8)
+    @example(alpha=-1e-8)
+    @example(alpha=0.1)
+    @example(alpha=240.0)
+    @example(alpha=1e8)
+    @example(alpha=1e200)
+    def test_odd_moments_match_a_50_digit_expansion(self, alpha):
+        shape = SkewNormalShape(alpha)
+        raw = sn_raw_moments(shape)
+        for j in (1, 3, 5, 7):
+            oracle = expansion_moment(shape.delta, j)
+            # the floor covers subnormal moments: sqrt(2/pi) delta keeps an
+            # absolute error of half a subnormal ulp, which m_7 scales by 105
+            tol = 4 * EPS * abs(oracle) + 128 * math.ulp(0.0)
+            assert abs(raw[j] - oracle) <= tol, (j, shape.delta)
 
     @pytest.mark.parametrize("alpha", [0.2, 1.0, 4.0, 9.5])
     def test_odd_moments_flip_sign(self, alpha):
