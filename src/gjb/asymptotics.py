@@ -54,11 +54,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CovarianceMatrix2:
-    """Symmetric 2x2 covariance of the (kurtosis, skewness) deviations."""
+    """Symmetric 2x2 covariance of the (kurtosis, skewness) deviations.
+
+    Only a nonsingular matrix can be built: construction raises
+    :class:`SingularCovarianceError` unless ``s11 > 0`` and
+    ``det > 1e-12 * s11 * s22`` (which makes ``s22 > 0`` too). A NaN entry
+    fails the rule.
+    """
 
     s11: float
     s22: float
     s12: float
+
+    def __post_init__(self):
+        if not (self.s11 > 0.0 and self.det > 1e-12 * self.s11 * self.s22):
+            raise SingularCovarianceError(f"{self} is singular (det={self.det})")
 
     @property
     def det(self) -> float:
@@ -98,29 +108,21 @@ def legacy_influence_polynomials(raw: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return influence_polynomials(raw, legacy=True)
 
 
-def _moment_expectation(coeffs: np.ndarray, raw: np.ndarray) -> float:
-    """E[p(X)] for a polynomial of degree <= 8, read off the moment vector."""
-    return float(np.dot(coeffs, raw[: len(coeffs)]))
-
-
 def sigma_analytic(raw: np.ndarray, *, legacy: bool = False) -> CovarianceMatrix2:
     """Exact covariance from raw moments up to order 8.
 
-    C and B have degree <= 4, so their second moments are linear in the
-    moments of X up to order 8; no sampling is involved.
+    With P the coefficient rows of C and B, H[i, j] = m_(i+j) the moment
+    matrix and m = (m_0, ..., m_4), the covariance of (C, B) is
+    ``P H P' - (P m)(P m)'``: C and B have degree <= 4, so their second
+    moments are linear in the moments of X up to order 8, and no sampling
+    is involved.
     """
     cc, bb = influence_polynomials(raw, legacy=legacy)
-    ec = _moment_expectation(cc, raw)
-    eb = _moment_expectation(bb, raw)
-    s11 = _moment_expectation(np.convolve(cc, cc), raw) - ec * ec
-    s22 = _moment_expectation(np.convolve(bb, bb), raw) - eb * eb
-    s12 = _moment_expectation(np.convolve(cc, bb), raw) - ec * eb
-    sigma = CovarianceMatrix2(s11=s11, s22=s22, s12=s12)
-    if sigma.det <= 0.0:
-        raise SingularCovarianceError(
-            f"analytic covariance is singular (det={sigma.det})"
-        )
-    return sigma
+    p = np.array([cc, [*bb, 0.0]])
+    k = np.arange(5)
+    pm = p @ raw[:5]
+    cov = p @ raw[k[:, None] + k] @ p.T - np.outer(pm, pm)
+    return CovarianceMatrix2(s11=float(cov[0, 0]), s22=float(cov[1, 1]), s12=float(cov[0, 1]))
 
 
 def _horner(x: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -148,7 +150,9 @@ def sigma_monte_carlo(
     Each replicate draws ``per_rep_n`` variates under the key prefix
     ``(2,)`` (see :mod:`gjb.rng`) and uses the 1/(n-1) sample-variance
     convention; results are deterministic in ``seed``, and each replicate's
-    row does not depend on ``reps``.
+    row does not depend on ``reps``. A budget too small to give a
+    nonsingular estimate (``reps=1, per_rep_n=2``, say) raises
+    :class:`SingularCovarianceError`.
     """
     _check_count("reps", reps, 1)
     _check_count("per_rep_n", per_rep_n, 2)

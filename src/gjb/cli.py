@@ -14,7 +14,8 @@ interval, which draws nothing, and its report's ci_method says which.
 
 Options shared by several subcommands are declared once each, in helper
 functions that add them to a subcommand's parser; ``main`` builds the
-parser of the command it runs only, and ``build_parser()`` the full one.
+parser of the command it runs only, and ``build_parser()`` the full one
+(for ``gjb``, ``gjb -h`` and unknown commands).
 Report commands (test, simulate, power, reject-size, decide) return a
 ``Report``; ``main`` alone times the command, stamps ``wall_time_ms``,
 writes the report and maps the outcome to an exit code. sample and tables
@@ -164,27 +165,25 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``gjb`` parser with every subcommand, or with ``command``'s alone.
-
-    A one-command parser parses that command's argv to the same namespace,
-    and prints the same help and errors, as the full parser: its usage line
-    still lists every subcommand.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The ``gjb`` parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="gjb",
         description="Generalized Jarque-Bera goodness-of-fit test for skew-normal data.",
     )
-    names = _COMMANDS if command is None else [command]
-    # the full parser's own metavar is its choices, so only the one-command
-    # parser needs it spelled out (it would rename the missing-command error)
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
-    )
-    for name in names:
-        help_text, add_options = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options) in _COMMANDS.items():
         add_options(sub.add_parser(name, help=help_text))
+    return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name`` alone. It reads ``name``'s options
+    to the namespace, and prints the help and errors, of the full parser's
+    ``name`` subparser."""
+    parser = argparse.ArgumentParser(prog=f"gjb {name}")
+    _COMMANDS[name][1](parser)
+    parser.set_defaults(command=name)
     return parser
 
 
@@ -351,8 +350,10 @@ def _cmd_decide(args) -> gjb_io.Report:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # only the command being run needs its parser built
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        args = _command_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         t0 = time.perf_counter()
         report = args.handler(args)

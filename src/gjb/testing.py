@@ -53,7 +53,7 @@ from .asymptotics import (
     sigma_monte_carlo,
 )
 from .distributions import SkewNormalShape, sn_from_normals
-from .errors import DegenerateSampleError, DomainError, SingularCovarianceError
+from .errors import DegenerateSampleError, DomainError
 from .moments import ShapeStatistics, delta_from_skewness, shape_statistics, sn_raw_moments
 from .reference import rejection_size_hint
 # substream is unused here, but bench/tests/test_bench.py checks that the
@@ -291,13 +291,11 @@ def gjb_statistic(
     n: int,
 ) -> float | np.ndarray:
     """Quadratic form n (deviations)' Sigma^-1 (deviations), expanded;
-    elementwise when ``a_n`` and ``b_n`` are arrays."""
-    det = sigma.det
-    if det <= 1e-12 * abs(sigma.s11 * sigma.s22):
-        raise SingularCovarianceError(f"covariance is singular (det={det})")
+    elementwise when ``a_n`` and ``b_n`` are arrays. ``sigma`` is nonsingular
+    by construction (see :class:`CovarianceMatrix2`)."""
     da = a_n - a
     db = b_n - b
-    quad = (sigma.s22 * da * da + sigma.s11 * db * db - 2.0 * sigma.s12 * da * db) / det
+    quad = (sigma.s22 * da * da + sigma.s11 * db * db - 2.0 * sigma.s12 * da * db) / sigma.det
     return n * quad
 
 

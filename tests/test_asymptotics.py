@@ -19,7 +19,7 @@ from gjb.asymptotics import (
     sigma_monte_carlo,
 )
 from gjb.distributions import SkewNormalShape, sample_sn, sn_pdf
-from gjb.errors import DomainError, SingularCovarianceError
+from gjb.errors import DegenerateSampleError, DomainError, SingularCovarianceError
 from gjb.moments import sn_raw_moments
 
 from allocation_probe import per_call_allocations
@@ -67,6 +67,12 @@ class TestInfluencePolynomials:
         c, b = influence_polynomials(raw)
         assert c == pytest.approx((0.0, 0.0, -2 * m4, 0.0, 1.0), abs=1e-14)
         assert b == pytest.approx((0.0, -3.0, 0.0, 1.0), abs=1e-14)
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_zero_variance_law_is_degenerate(self, legacy):
+        # the moments of a point mass at 2: m_k = 2^k, so m2 - m1^2 = 0
+        with pytest.raises(DegenerateSampleError, match="zero variance"):
+            influence_polynomials(2.0 ** np.arange(9), legacy=legacy)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 4.0, -2.0])
     def test_symbolic_oracle(self, alpha):
@@ -210,7 +216,11 @@ class TestSigmaMonteCarlo:
         assert errors[2] < errors[0]
 
     def test_degenerate_size_smoke(self):
-        sig = sigma_monte_carlo(SkewNormalShape(2.0), reps=1, per_rep_n=2, seed=5)
+        # one replicate of two values gives a rank-one estimate (det = 0);
+        # three such replicates give a usable one (relative det 0.75)
+        with pytest.raises(SingularCovarianceError):
+            sigma_monte_carlo(SkewNormalShape(2.0), reps=1, per_rep_n=2, seed=5)
+        sig = sigma_monte_carlo(SkewNormalShape(2.0), reps=3, per_rep_n=2, seed=5)
         for value in (sig.s11, sig.s22, sig.s12):
             assert math.isfinite(value)
 
@@ -322,8 +332,7 @@ class TestCovarianceMatrix:
         assert sig.det == 143.0
 
     def test_singular_rejected_by_statistic(self):
-        from gjb.testing import gjb_statistic
-
-        singular = CovarianceMatrix2(s11=4.0, s22=1.0, s12=2.0)
+        # the matrix is checked where it is built, so no statistic ever sees
+        # a singular one
         with pytest.raises(SingularCovarianceError):
-            gjb_statistic(3.0, 0.0, 3.0, 0.0, singular, 100)
+            CovarianceMatrix2(s11=4.0, s22=1.0, s12=2.0)

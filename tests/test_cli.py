@@ -16,8 +16,8 @@ import gjb.cli
 from gjb.cli import main
 from gjb.distributions import SkewNormalShape, sample_sn
 from gjb.io import write_sample_csv
-from gjb.reference import REFERENCE_MEAN_PVALUES
-from gjb.testing import CampaignConfig, simulate_true_model
+from gjb.reference import REFERENCE_MEAN_PVALUES, REFERENCE_REJECTION_SIZES
+from gjb.testing import CampaignConfig, rejection_size_search, simulate_true_model
 
 
 def run(args):
@@ -187,6 +187,20 @@ class TestTablesCommand:
         assert run(["tables", "--which", "1", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "ref 64.34" in out
+
+    def test_rejection_size_table(self, capsys):
+        # desk budget: one row per desk alpha, each n that of a search at the
+        # command's level, seed and cap
+        assert run(["tables", "--which", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Size needed to reject normality at the 5% level (budget=desk)"
+        assert lines[1].split() == ["alpha", "n", "reference", "n"]
+        rows = [line.split() for line in lines[3:]]
+        assert [float(row[0]) for row in rows] == [1.5, 6.0, 10.0]
+        for alpha_text, n_text, ref_text in rows:
+            alpha = float(alpha_text)
+            assert int(n_text) == rejection_size_search(alpha, 0.05, 0, cap=4_000_000).n
+            assert int(ref_text) == REFERENCE_REJECTION_SIZES[alpha]
 
     @pytest.mark.parametrize("budget", ["desk", "full"])
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -402,8 +416,9 @@ class TestUsageErrors:
 
 class TestOneCommandParser:
     """``main`` builds the parser of the command it runs only; that parser
-    reads the same argv, and prints the same help and errors, as the full
-    one."""
+    reads the command's options to the same namespace, and prints the same
+    help and errors, as the full parser's subparser. Only an unrecognized
+    argument is reported differently: by the command, not by ``gjb``."""
 
     # the argvs of this file's CLI tests, one list per command
     ARGVS = {
@@ -439,13 +454,13 @@ class TestOneCommandParser:
     @pytest.mark.parametrize("command", list(ARGVS))
     def test_same_namespace(self, command):
         for argv in self.ARGVS[command]:
-            one = gjb.cli.build_parser(command).parse_args([command] + argv)
+            one = gjb.cli._command_parser(command).parse_args(argv)
             full = gjb.cli.build_parser().parse_args([command] + argv)
             assert vars(one) == vars(full)
 
     @pytest.mark.parametrize("command", list(ARGVS))
     def test_same_help(self, command, capsys):
-        one = self.outcome(gjb.cli.build_parser(command).parse_args, [command, "-h"], capsys)
+        one = self.outcome(gjb.cli._command_parser(command).parse_args, ["-h"], capsys)
         full = self.outcome(gjb.cli.build_parser().parse_args, [command, "-h"], capsys)
         assert one == full
         assert one[0] == 0 and one[1].startswith(f"usage: gjb {command} [-h]")
@@ -453,7 +468,7 @@ class TestOneCommandParser:
     @pytest.mark.parametrize("argv", [
         ["tables"],
         ["tables", "--which", "4"],
-        ["decide", "--bogus"],  # reported by the top-level parser
+        ["decide", "--bogus"],  # reported by decide's parser: --data is missing
         ["power", "--alpha", "1", "--size", "1"],
     ])
     def test_same_usage_error(self, argv, capsys):
@@ -461,6 +476,13 @@ class TestOneCommandParser:
         full = self.outcome(gjb.cli.build_parser().parse_args, argv, capsys)
         assert one == full
         assert one[0] == 2
+
+    def test_unrecognized_argument_is_reported_by_the_command(self, capsys):
+        # the full parser reports it as "gjb: error:" under its own usage
+        code, out, err = self.outcome(gjb.cli.main, ["tables", "--which", "1", "--bogus"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: gjb tables [-h]")
+        assert err.endswith("gjb tables: error: unrecognized arguments: --bogus\n")
 
     @pytest.mark.parametrize("argv,code", [([], 2), (["-h"], 0), (["nope"], 2)])
     def test_no_command_gets_the_full_parser(self, argv, code, capsys):
@@ -471,8 +493,8 @@ class TestOneCommandParser:
         usage = "usage: gjb [-h] {sample,test,simulate,power,reject-size,tables,decide} ..."
         assert (one[1] if code == 0 else one[2]).startswith(usage)
 
-    def test_main_builds_two_parsers(self, monkeypatch, capsys):
-        # the top-level parser and the one subcommand's, not all twelve
+    def test_main_builds_one_parser(self, monkeypatch, capsys):
+        # the subcommand's alone, not the top-level one and all seven
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -482,7 +504,7 @@ class TestOneCommandParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         assert main(["tables", "--which", "3"]) == 0
-        assert len(built) <= 2
+        assert built == ["gjb tables"]
 
 
 def test_import_loads_no_scipy_pandas_or_pools():

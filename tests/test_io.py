@@ -397,6 +397,9 @@ class TestReports:
         path = str(tmp_path / "report.json")
         for i in range(100):
             scale = 10.0 ** rng.integers(-8, 8)
+            # any nonsingular covariance: |correlation| < 1
+            s11, s22 = float(abs(rng.normal()) * scale), float(abs(rng.normal()))
+            s12 = float(rng.uniform(-1.0, 1.0) * math.sqrt(s11 * s22))
             outcome = TestOutcome(
                 n=int(rng.integers(2, 10**6)),
                 a_n=float(rng.normal() * scale),
@@ -405,11 +408,7 @@ class TestReports:
                 b=float(rng.normal()),
                 j_n=float(abs(rng.normal()) * scale),
                 p_value=float(rng.uniform()),
-                sigma=CovarianceMatrix2(
-                    float(abs(rng.normal()) * scale),
-                    float(abs(rng.normal())),
-                    float(rng.normal()),
-                ),
+                sigma=CovarianceMatrix2(s11, s22, s12),
                 duplication_factor=int(rng.integers(1, 100)),
                 verdict="accept",
                 alpha=float(rng.normal()),

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import numpy.polynomial.polynomial as P
@@ -129,6 +129,8 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
         (lambda x: sample_sn(SkewNormalShape(1.0), 2.5, seed=0), "need an integer n, got 2.5"),
         (lambda x: run_test(x, 1.0, sigma_route="monte-carlo", seed=-1),
          "need seed >= 0, got -1"),
+        (lambda x: run_test(x, 1.0, sigma_route="exact"),
+         r"sigma_route must be one of \('analytic', 'monte-carlo'\), got 'exact'"),
         (lambda x: simulate_alternative(CampaignConfig(1.0, 10, 10, -1)),
          "need seed >= 0, got -1"),
         (lambda x: duplication_decision(x, seed=-1), "need seed >= 0, got -1"),
@@ -151,7 +153,7 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
     ],
     ids=["k_cap", "decide-level-high", "decide-level-negative", "test-level-high",
          "test-level-zero", "start", "sample-seed", "sample-n-float", "test-mc-seed",
-         "campaign-seed", "decide-seed", "decide-seed-float", "duplication_factor-float",
+         "test-sigma-route", "campaign-seed", "decide-seed", "decide-seed-float", "duplication_factor-float",
          "replications-float", "sample_size-float", "resamples-float", "k_cap-float",
          "start-float", "search-reps-float", "mc-reps-float", "mc-per_rep_n-float",
          "cap-below-start", "cap-nan"],
@@ -322,6 +324,23 @@ class TestEmpiricalShape:
         a_n, b_n = empirical_shape([3.0, 7.0])
         assert a_n == pytest.approx(1.0, rel=1e-15)
         assert b_n == 0.0
+
+    @pytest.mark.parametrize("legacy,kurtosis", [(False, 1.5), (True, 2.0 / 3.0)])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x1=st.floats(-1.0, 1.0),
+        x2=st.floats(-1.0, 1.0),
+        scale=st.floats(1e-3, 1e3),
+        offset=st.floats(-100.0, 100.0),
+    )
+    def test_any_three_values_have_one_kurtosis(self, legacy, kurtosis, x1, x2, scale, offset):
+        # centred, the values are x1, x2, x3 = -x1 - x2, and then
+        # sum x^4 = 2 (x1^2 + x1 x2 + x2^2)^2 = (sum x^2)^2 / 2: a_n is 3/2,
+        # or 2/3 under legacy, whatever the sample, and only b_n sees the data
+        assume(max(abs(x1), abs(x2)) >= 0.1)  # spread >= 0.1
+        sample = scale * (np.array([x1, x2, -x1 - x2]) + offset)
+        a_n, _ = empirical_shape(sample, legacy=legacy)
+        assert a_n == pytest.approx(kurtosis, rel=1e-9)
 
     def test_constant_sample_rejected(self):
         with pytest.raises(DegenerateSampleError):
