@@ -224,7 +224,6 @@ def _cmd_test(args) -> gjb_io.Report:
 
 def _cmd_campaign(args) -> gjb_io.Report:
     config = CampaignConfig(
-        alpha=args.alpha,
         sample_size=args.size,
         replications=args.reps,
         seed=args.seed,
@@ -232,7 +231,7 @@ def _cmd_campaign(args) -> gjb_io.Report:
         legacy=args.legacy,
     )
     data_alpha = args.alpha if args.command == "simulate" else args.data_alpha
-    p_values = simulate_alternative(config, data_alpha=data_alpha)
+    p_values = simulate_alternative(config, args.alpha, data_alpha=data_alpha)
     payload = {
         "alpha": args.alpha,
         "data_alpha": data_alpha,
@@ -300,12 +299,9 @@ def _cmd_tables(args) -> None:
         rows = []
         for size in sizes:
             # one pass per size: the shapes share the size's replicate stream
-            configs = [
-                CampaignConfig(alpha=alpha, sample_size=size, replications=reps,
-                               seed=args.seed, legacy=True)
-                for alpha in alphas
-            ]
-            p_values = simulate_campaigns(configs, alphas)
+            config = CampaignConfig(sample_size=size, replications=reps,
+                                    seed=args.seed, legacy=True)
+            p_values = simulate_campaigns(config, alphas, alphas)
             rows.append([str(size)] + [
                 f"{100 * float(p.mean()):.2f} (ref {REFERENCE_MEAN_PVALUES[(size, alpha)]})"
                 for alpha, p in zip(alphas, p_values)

@@ -47,8 +47,9 @@ def delta_of_alpha(alpha: float) -> float:
 class SkewNormalShape:
     """The single knob of the standard skew-normal family.
 
-    ``delta`` is derived from ``alpha`` on construction, so the identity
-    ``delta == alpha / sqrt(1 + alpha^2)`` holds to machine precision.
+    ``delta`` is a property, recomputed from ``alpha`` on each access, so
+    the identity ``delta == alpha / sqrt(1 + alpha^2)`` holds to machine
+    precision.
     """
 
     alpha: float

@@ -23,21 +23,23 @@ asymptotically chi-squared with 2 degrees of freedom, so p = exp(-J_n/2).
 Duplicating a sample k times leaves (a_n, b_n) unchanged and multiplies
 J_n by exactly k.
 
-Campaigns key their replicate stream by their seed alone, under the
-campaign prefix ``(0,)``, not by the shape: campaigns with the same seed
-and sample size test their shapes on the same standard normals (common
-random numbers), so their mean p-values are correlated estimates.
-:func:`simulate_campaigns` evaluates such campaigns from one draw per
-stream chunk, stacking the samples of several shapes into one block that
-is reduced at once; ``simulate_alternative`` and ``simulate_true_model``
-are its one-shape calls. Rows shorter than 16 values are summed left to
-right, a column at a time (:func:`_row_sums`); longer rows use numpy's
-own row reduction.
+A :class:`CampaignConfig` holds what a grid of campaigns shares: sample
+size, replications, seed, covariance route and conventions. The shapes are
+arguments of the campaign functions. Campaigns key their replicate stream
+by their seed alone, under the campaign prefix ``(0,)``, not by the shape:
+campaigns with the same seed and sample size test their shapes on the same
+standard normals (common random numbers), so their mean p-values are
+correlated estimates. ``simulate_campaigns(config, alphas, data_alphas)``
+evaluates several shapes from one draw per stream chunk, stacking their
+samples into one block that is reduced at once;
+``simulate_alternative(config, alpha, data_alpha)`` and
+``simulate_true_model(config, alpha)`` are its one-shape calls. Rows
+shorter than 16 values are summed left to right, a column at a time
+(:func:`_row_sums`); longer rows use numpy's own row reduction.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -116,9 +118,10 @@ class TestOutcome:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Configuration of a simulation campaign."""
+    """Settings a simulation campaign shares with the others of its grid;
+    the shapes it tests and draws from are arguments of the campaign
+    functions."""
 
-    alpha: float
     sample_size: int
     replications: int
     seed: int
@@ -128,6 +131,7 @@ class CampaignConfig:
     def __post_init__(self):
         _check_count("replications", self.replications, 1)
         _check_count("sample_size", self.sample_size, 2)
+        _check_count("seed", self.seed, 0)
         if self.sigma_route not in _SIGMA_ROUTES:
             raise DomainError(
                 f"sigma_route must be one of {_SIGMA_ROUTES}, got {self.sigma_route!r}"
@@ -338,9 +342,10 @@ def run_test(
     ``duplication_factor=k`` evaluates the test on k concatenated copies of
     the sample: (a_n, b_n) are unchanged and the statistic is exactly
     k times the single-copy one. ``seed`` only matters for the monte-carlo
-    covariance route.
+    covariance route, and is checked on either.
     """
     _check_count("duplication_factor", duplication_factor, 1)
+    _check_count("seed", seed, 0)
     _check_level(level)
     n = np.size(sample)
     a_n, b_n = empirical_shape(sample, legacy=legacy)
@@ -372,41 +377,35 @@ def _outcome(
 
 
 def simulate_campaigns(
-    configs: Sequence[CampaignConfig], data_alphas: Sequence[float | None]
+    config: CampaignConfig,
+    alphas: Sequence[float],
+    data_alphas: Sequence[float | None],
 ) -> np.ndarray:
-    """Per-replicate p-values of several campaigns that differ only in the
-    hypothesized shape, from one pass over the replicates.
+    """Per-replicate p-values of the campaigns of ``config`` for several
+    shapes, from one pass over the replicates.
 
-    Row i holds ``simulate_alternative(configs[i], data_alphas[i])``, bit for
-    bit. The configs must agree on every field but ``alpha``, so the
-    campaigns share their replicate stream (common random numbers): each
-    stream chunk of r rows is drawn once, and the shapes build their
-    samples from those normals in groups of ``max(1, 2**16 // (r n))``,
-    each group stacked in one block and reduced at once. A lane's blocks
-    hold at most ``max(2**16, R(n) n)`` values, whatever the shape count.
+    Row i tests SN(``alphas[i]``) on data drawn from SN(``data_alphas[i]``),
+    or from N(0,1) for ``None``, and holds ``simulate_alternative(config,
+    alphas[i], data_alphas[i])`` bit for bit. The rows share the replicate
+    stream of ``config`` (common random numbers): each stream chunk of r rows
+    is drawn once, and the shapes build their samples from those normals in
+    groups of ``max(1, 2**16 // (r n))``, each group stacked in one block and
+    reduced at once. A lane's blocks hold at most ``max(2**16, R(n) n)``
+    values, whatever the shape count.
     """
-    configs, data_alphas = list(configs), list(data_alphas)
-    if not configs:
-        raise DomainError("need at least one campaign config")
-    if len(data_alphas) != len(configs):
+    alphas, data_alphas = list(alphas), list(data_alphas)
+    if not alphas:
+        raise DomainError("need at least one alpha")
+    if len(data_alphas) != len(alphas):
         raise DomainError(
-            f"need one data_alpha per config, got {len(data_alphas)} for {len(configs)}"
+            f"need one data_alpha per alpha, got {len(data_alphas)} for {len(alphas)}"
         )
-    first = configs[0]
-    for f in dataclasses.fields(CampaignConfig):
-        for i, config in enumerate(configs):
-            if f.name != "alpha" and getattr(config, f.name) != getattr(first, f.name):
-                raise DomainError(
-                    f"campaigns may differ only in alpha, but {f.name} is "
-                    f"{getattr(first, f.name)!r} in config 0 and "
-                    f"{getattr(config, f.name)!r} in config {i}"
-                )
     laws = [
-        _null_law(SkewNormalShape(c.alpha), c.sigma_route, c.seed, legacy=c.legacy)
-        for c in configs
+        _null_law(SkewNormalShape(a), config.sigma_route, config.seed, legacy=config.legacy)
+        for a in alphas
     ]
     deltas = [0.0 if a is None else SkewNormalShape(a).delta for a in data_alphas]
-    n = first.sample_size
+    n = config.sample_size
 
     def make_p_values(block: tuple[int, int]):
         # the samples of up to `group` shapes are stacked in one block of
@@ -429,7 +428,7 @@ def simulate_campaigns(
                         xs[rows] = normal
                     else:
                         sn_from_normals(z, deltas[i], xs[rows], d2[rows])
-                a_n, b_n, constant = _shape_rows(xs, d2, legacy=first.legacy)
+                a_n, b_n, constant = _shape_rows(xs, d2, legacy=config.legacy)
                 if constant.any():
                     raise DegenerateSampleError("a replicate sample is constant (zero variance)")
                 j = np.empty(len(xs))
@@ -442,28 +441,29 @@ def simulate_campaigns(
         return p_values
 
     p = map_replicates(
-        lambda g, z: g.standard_normal(out=z), make_p_values, first.replications, n,
-        first.seed, key_prefix=(0,), width=2 * n if any(deltas) else n,
+        lambda g, z: g.standard_normal(out=z), make_p_values, config.replications, n,
+        config.seed, key_prefix=(0,), width=2 * n if any(deltas) else n,
     )
     return np.ascontiguousarray(p.T)
 
 
 def simulate_alternative(
-    config: CampaignConfig, data_alpha: float | None = None
+    config: CampaignConfig, alpha: float, data_alpha: float | None = None
 ) -> np.ndarray:
-    """Per-replicate p-values of the test of SN(config.alpha) over samples
-    from the data law.
+    """Per-replicate p-values of the test of SN(alpha) over the samples of
+    ``config`` from the data law.
 
     ``data_alpha=None`` draws standard normal data, which measures power;
     otherwise SN(data_alpha). Replicates are drawn under the campaign key
     prefix ``(0,)``.
     """
-    return simulate_campaigns([config], [data_alpha])[0]
+    return simulate_campaigns(config, [alpha], [data_alpha])[0]
 
 
-def simulate_true_model(config: CampaignConfig) -> np.ndarray:
-    """Per-replicate p-values when the data really follow SN(config.alpha)."""
-    return simulate_alternative(config, data_alpha=config.alpha)
+def simulate_true_model(config: CampaignConfig, alpha: float) -> np.ndarray:
+    """Per-replicate p-values of the test of SN(alpha) over the samples of
+    ``config`` when the data really follow SN(alpha)."""
+    return simulate_alternative(config, alpha, data_alpha=alpha)
 
 
 def rejection_size_search(
@@ -479,20 +479,20 @@ def rejection_size_search(
     p-value of testing SN(alpha) against N(0,1) data drops below ``level``.
 
     Reaching ``cap`` without a crossing reports ``capped=True`` instead of
-    raising; a ``cap`` below ``start``, which would search no n, raises.
+    raising; ``cap`` must be an integer, and one below ``start``, which
+    would search no n, raises.
     """
     if alpha == 0.0:
         raise DomainError("alpha must be nonzero (the alternative is N(0,1))")
     _check_level(level)
     _check_count("reps", reps, 1)
     _check_count("start", start, 2)
-    if not cap >= start:  # a NaN cap too
-        raise DomainError(f"need cap >= start, got cap={cap}, start={start}")
+    _check_count("cap", cap, start)
     trace: list[tuple[int, float]] = []
     n = start
     while n <= cap:
-        config = CampaignConfig(alpha=alpha, sample_size=n, replications=reps, seed=seed)
-        mean_p = float(simulate_alternative(config, data_alpha=None).mean())
+        config = CampaignConfig(sample_size=n, replications=reps, seed=seed)
+        mean_p = float(simulate_alternative(config, alpha).mean())
         trace.append((n, mean_p))
         if mean_p < level:
             return SizeSearchResult(n=n, trace=trace)
@@ -603,6 +603,7 @@ def duplication_decision(
     verdict, copies and test, with alpha-hat and the bounds negated.
     """
     _check_count("resamples", resamples, 1)
+    _check_count("seed", seed, 0)
     _check_count("k_cap", k_cap, 1)
     _check_level(level)
 

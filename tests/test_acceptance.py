@@ -85,10 +85,8 @@ def test_criterion_3_mean_pvalue_table():
     failures = []
     worst = 0.0
     for (size, alpha), ref_percent in REFERENCE_MEAN_PVALUES.items():
-        config = CampaignConfig(
-            alpha=alpha, sample_size=size, replications=2000, seed=0, legacy=True
-        )
-        mean_percent = 100.0 * float(simulate_true_model(config).mean())
+        config = CampaignConfig(sample_size=size, replications=2000, seed=0, legacy=True)
+        mean_percent = 100.0 * float(simulate_true_model(config, alpha).mean())
         tol = 7.0 if size == 2 else 5.0
         gap = abs(mean_percent - ref_percent)
         worst = max(worst, gap)
@@ -180,8 +178,8 @@ def test_criterion_7_property_suite():
             problems.append(f"duplication scaling k={k}")
 
     # p-value uniformity under the true model
-    config = CampaignConfig(alpha=1.0, sample_size=5000, replications=2000, seed=0)
-    ps = np.sort(simulate_true_model(config))
+    config = CampaignConfig(sample_size=5000, replications=2000, seed=0)
+    ps = np.sort(simulate_true_model(config, 1.0))
     grid = np.arange(1, ps.size + 1) / ps.size
     sup = float(np.max(np.maximum(np.abs(ps - grid), np.abs(ps - grid + 1.0 / ps.size))))
     if sup >= 0.05:

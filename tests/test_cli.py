@@ -173,7 +173,7 @@ class TestRejectSizeCommand:
     def test_cap_below_start_is_runtime_error(self, capsys):
         # a cap below the default start of 10 would search no size at all
         assert run(["reject-size", "--alpha", "6", "--cap", "5"]) == 3
-        assert "need cap >= start" in capsys.readouterr().err
+        assert "need cap >= 10, got 5" in capsys.readouterr().err
 
 
 class TestTablesCommand:
@@ -213,9 +213,9 @@ class TestTablesCommand:
         for size in sizes:
             row = [str(size)]
             for alpha in alphas:
-                config = CampaignConfig(alpha=alpha, sample_size=size, replications=reps,
+                config = CampaignConfig(sample_size=size, replications=reps,
                                         seed=seed, legacy=True)
-                mean_p = float(simulate_true_model(config).mean())
+                mean_p = float(simulate_true_model(config, alpha).mean())
                 row.append(f"{100 * mean_p:.2f} (ref {REFERENCE_MEAN_PVALUES[(size, alpha)]})")
             rows.append(row)
         print(f"Mean p-values under the true model (percent, reps={reps}, "

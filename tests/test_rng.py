@@ -87,7 +87,7 @@ def test_consumer_keys_are_distinct(seed, monkeypatch):
     monkeypatch.setattr(gjb.asymptotics, "map_replicates", spy)
     monkeypatch.setattr(gjb.distributions, "substream", recorded_substream)
     sample_sn(SkewNormalShape(1.0), 10, seed)
-    simulate_true_model(CampaignConfig(alpha=1.0, sample_size=10, replications=3, seed=seed))
+    simulate_true_model(CampaignConfig(sample_size=10, replications=3, seed=seed), 1.0)
     gjb.testing._bootstrap_alphas(np.arange(5.0), 3, seed)
     sigma_monte_carlo(SkewNormalShape(1.0), 3, 10, seed)
     assert len(seen) == 4
@@ -303,10 +303,10 @@ def test_constant_replicate_error_on_any_lane_count(lanes, monkeypatch):
         return real(constant_in_chunk_two, make_kernel, reps, n, seed, **kwargs)
 
     monkeypatch.setattr(gjb.testing, "map_replicates", spy)
-    config = CampaignConfig(alpha=1.0, sample_size=2**14, replications=20, seed=0)
+    config = CampaignConfig(sample_size=2**14, replications=20, seed=0)
     before = threading.active_count()
     with pytest.raises(DegenerateSampleError, match="a replicate sample is constant"):
-        simulate_true_model(config)
+        simulate_true_model(config, 1.0)
     assert threading.active_count() == before
 
 

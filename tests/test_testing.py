@@ -43,10 +43,10 @@ from allocation_probe import per_call_allocations
 from reference_streams import replicate_generator, sn_row
 
 
-def reference_campaign_p_values(config, data_alpha):
+def reference_campaign_p_values(config, alpha, data_alpha):
     """The per-replicate campaign loop that the blocked kernel replaced, each
     replicate drawn on its own from its chunk of the campaign stream."""
-    shape = SkewNormalShape(config.alpha)
+    shape = SkewNormalShape(alpha)
     raw = sn_raw_moments(shape)
     ab = shape_statistics(raw)
     sig = sigma_analytic(raw, legacy=config.legacy)
@@ -131,14 +131,20 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
          "need seed >= 0, got -1"),
         (lambda x: run_test(x, 1.0, sigma_route="exact"),
          r"sigma_route must be one of \('analytic', 'monte-carlo'\), got 'exact'"),
-        (lambda x: simulate_alternative(CampaignConfig(1.0, 10, 10, -1)),
-         "need seed >= 0, got -1"),
+        (lambda x: run_test(x, 1.0, seed=-1), "need seed >= 0, got -1"),
+        (lambda x: run_test(x, 1.0, seed=1.5), "need an integer seed, got 1.5"),
+        (lambda x: CampaignConfig(10, 10, -1), "need seed >= 0, got -1"),
+        (lambda x: CampaignConfig(10, 10, 1.5), "need an integer seed, got 1.5"),
         (lambda x: duplication_decision(x, seed=-1), "need seed >= 0, got -1"),
         (lambda x: duplication_decision(x, seed=1.5), "need an integer seed, got 1.5"),
+        # from 10^4 values on decide draws nothing, and still checks the seed
+        (lambda x: duplication_decision(np.tile(x, 400), seed=-1), "need seed >= 0, got -1"),
+        (lambda x: duplication_decision(np.tile(x, 400), seed=1.5),
+         "need an integer seed, got 1.5"),
         (lambda x: run_test(x, 1.0, duplication_factor=2.5),
          "need an integer duplication_factor, got 2.5"),
-        (lambda x: CampaignConfig(1.0, 10, 2.5, 0), "need an integer replications, got 2.5"),
-        (lambda x: CampaignConfig(1.0, 10.5, 10, 0), "need an integer sample_size, got 10.5"),
+        (lambda x: CampaignConfig(10, 2.5, 0), "need an integer replications, got 2.5"),
+        (lambda x: CampaignConfig(10.5, 10, 0), "need an integer sample_size, got 10.5"),
         (lambda x: duplication_decision(x, resamples=10.5),
          "need an integer resamples, got 10.5"),
         (lambda x: duplication_decision(x, k_cap=2.0), "need an integer k_cap, got 2.0"),
@@ -148,15 +154,19 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
          "need an integer reps, got 10.0"),
         (lambda x: sigma_monte_carlo(SkewNormalShape(1.0), 10, 100.5, 0),
          "need an integer per_rep_n, got 100.5"),
-        (lambda x: rejection_size_search(6.0, cap=5), "need cap >= start, got cap=5, start=10"),
-        (lambda x: rejection_size_search(6.0, cap=math.nan), "need cap >= start, got cap=nan"),
+        (lambda x: rejection_size_search(6.0, cap=5), "need cap >= 10, got 5"),
+        (lambda x: rejection_size_search(6.0, cap=math.nan), "need an integer cap, got nan"),
+        (lambda x: rejection_size_search(6.0, cap=2.5e6), "need an integer cap, got 2500000.0"),
+        (lambda x: rejection_size_search(6.0, cap=math.inf), "need an integer cap, got inf"),
     ],
     ids=["k_cap", "decide-level-high", "decide-level-negative", "test-level-high",
          "test-level-zero", "start", "sample-seed", "sample-n-float", "test-mc-seed",
-         "test-sigma-route", "campaign-seed", "decide-seed", "decide-seed-float", "duplication_factor-float",
+         "test-sigma-route", "test-seed", "test-seed-float", "campaign-seed",
+         "campaign-seed-float", "decide-seed", "decide-seed-float", "decide-influence-seed",
+         "decide-influence-seed-float", "duplication_factor-float",
          "replications-float", "sample_size-float", "resamples-float", "k_cap-float",
          "start-float", "search-reps-float", "mc-reps-float", "mc-per_rep_n-float",
-         "cap-below-start", "cap-nan"],
+         "cap-below-start", "cap-nan", "cap-float", "cap-inf"],
 )
 def test_bad_argument_named_at_entry(call, message):
     with pytest.raises(DomainError, match=message):
@@ -185,9 +195,9 @@ def test_column_vector_reads_as_flat(entry, n):
 def test_numpy_integer_counts_accepted():
     x = sample_sn(SkewNormalShape(6.0), 50, seed=np.int64(1))
     assert run_test(x, 1.0, duplication_factor=np.int64(2)) == run_test(x, 1.0, duplication_factor=2)
-    config = CampaignConfig(1.0, np.int32(10), np.int64(20), np.uint8(3))
-    assert np.array_equal(simulate_alternative(config), simulate_alternative(
-        CampaignConfig(1.0, 10, 20, 3)))
+    config = CampaignConfig(np.int32(10), np.int64(20), np.uint8(3))
+    assert np.array_equal(simulate_alternative(config, 1.0), simulate_alternative(
+        CampaignConfig(10, 20, 3), 1.0))
     decision = duplication_decision(x, k_cap=np.int64(5), seed=np.int64(2), resamples=np.int16(50))
     assert decision == duplication_decision(x, k_cap=5, seed=2, resamples=50)
 
@@ -452,29 +462,29 @@ class TestRunTest:
 
 class TestCampaigns:
     def test_deterministic(self):
-        config = CampaignConfig(alpha=1.0, sample_size=10, replications=200, seed=5)
-        r1 = simulate_true_model(config)
-        r2 = simulate_true_model(config)
+        config = CampaignConfig(sample_size=10, replications=200, seed=5)
+        r1 = simulate_true_model(config, 1.0)
+        r2 = simulate_true_model(config, 1.0)
         assert np.array_equal(r1, r2)
 
     def test_alternative_equal_to_true_model_when_laws_match(self):
-        config = CampaignConfig(alpha=1.0, sample_size=20, replications=150, seed=2)
-        same = simulate_alternative(config, data_alpha=1.0)
-        true = simulate_true_model(config)
+        config = CampaignConfig(sample_size=20, replications=150, seed=2)
+        same = simulate_alternative(config, 1.0, data_alpha=1.0)
+        true = simulate_true_model(config, 1.0)
         assert np.array_equal(same, true)
 
     def test_true_model_mean_p_is_high(self):
-        config = CampaignConfig(alpha=1.0, sample_size=50, replications=400, seed=3)
-        assert float(simulate_true_model(config).mean()) > 0.4
+        config = CampaignConfig(sample_size=50, replications=400, seed=3)
+        assert float(simulate_true_model(config, 1.0).mean()) > 0.4
 
     def test_power_example_alpha_six(self):
         # hypothesis SN(6) vs standard normal data at the reference size
-        config = CampaignConfig(alpha=6.0, sample_size=130, replications=300, seed=7)
-        assert float(simulate_alternative(config).mean()) < 0.05
+        config = CampaignConfig(sample_size=130, replications=300, seed=7)
+        assert float(simulate_alternative(config, 6.0).mean()) < 0.05
 
     def test_power_example_alpha_one_point_five(self):
-        config = CampaignConfig(alpha=1.5, sample_size=750, replications=300, seed=7)
-        assert float(simulate_alternative(config).mean()) < 0.05
+        config = CampaignConfig(sample_size=750, replications=300, seed=7)
+        assert float(simulate_alternative(config, 1.5).mean()) < 0.05
 
     @pytest.mark.parametrize(
         "alpha,size,legacy,data_alpha",
@@ -487,11 +497,9 @@ class TestCampaigns:
         ],
     )
     def test_matches_per_replicate_reference(self, alpha, size, legacy, data_alpha):
-        config = CampaignConfig(
-            alpha=alpha, sample_size=size, replications=300, seed=11, legacy=legacy
-        )
-        ps = simulate_alternative(config, data_alpha=data_alpha)
-        ref = reference_campaign_p_values(config, data_alpha)
+        config = CampaignConfig(sample_size=size, replications=300, seed=11, legacy=legacy)
+        ps = simulate_alternative(config, alpha, data_alpha=data_alpha)
+        ref = reference_campaign_p_values(config, alpha, data_alpha)
         assert np.max(np.abs(ps - ref)) <= 1e-12
 
     def test_block_size_irrelevant(self):
@@ -499,8 +507,8 @@ class TestCampaigns:
         # replicates end on a short block of 8 rows, 224 on a full one and 33
         # on one row; each replicate's p-value is the same in all three.
         def p_values(reps):
-            config = CampaignConfig(alpha=1.0, sample_size=2000, replications=reps, seed=5)
-            return simulate_true_model(config)
+            config = CampaignConfig(sample_size=2000, replications=reps, seed=5)
+            return simulate_true_model(config, 1.0)
 
         assert gjb.rng.chunk_rows(2000) == 32
         full = p_values(224)
@@ -515,7 +523,8 @@ class TestCampaigns:
         long_reps = gjb.rng.chunk_rows(n) + 3
         short, long = (
             simulate_alternative(
-                CampaignConfig(alpha=1.0, sample_size=n, replications=reps, seed=4),
+                CampaignConfig(sample_size=n, replications=reps, seed=4),
+                1.0,
                 data_alpha=data_alpha,
             )
             for reps in (5, long_reps)
@@ -537,7 +546,7 @@ class TestCampaigns:
 
         monkeypatch.setattr(gjb.testing, "map_replicates", spy)
         reps, n = 1000, 10
-        simulate_true_model(CampaignConfig(alpha=1.0, sample_size=n, replications=reps, seed=0))
+        simulate_true_model(CampaignConfig(sample_size=n, replications=reps, seed=0), 1.0)
         assert len(calls) <= math.ceil(reps / gjb.rng.chunk_rows(n))
         assert sum(calls) == reps
 
@@ -545,31 +554,27 @@ class TestCampaigns:
         monkeypatch.setattr(
             gjb.testing, "sn_from_normals", lambda z, d, out, scratch: out.fill(1.0)
         )
-        config = CampaignConfig(alpha=1.0, sample_size=10, replications=5, seed=0)
+        config = CampaignConfig(sample_size=10, replications=5, seed=0)
         with pytest.raises(DegenerateSampleError):
-            simulate_true_model(config)
+            simulate_true_model(config, 1.0)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            CampaignConfig(alpha=1.0, sample_size=1, replications=10, seed=0)
+            CampaignConfig(sample_size=1, replications=10, seed=0)
         with pytest.raises(DomainError):
-            CampaignConfig(alpha=1.0, sample_size=10, replications=0, seed=0)
+            CampaignConfig(sample_size=10, replications=0, seed=0)
         with pytest.raises(DomainError):
-            CampaignConfig(alpha=1.0, sample_size=10, replications=10, seed=0,
-                           sigma_route="exact")
+            CampaignConfig(sample_size=10, replications=10, seed=0, sigma_route="exact")
 
 
 class TestSimulateCampaigns:
-    """Campaigns that differ only in alpha share one pass over the stream."""
+    """The shapes of one config share one pass over the stream."""
 
     ALPHAS = (0.1, 1.0, 6.0, -2.5, 1.5)
     DATA_ALPHAS = (0.1, 1.0, None, -2.5, 0.0)  # SN and standard normal data
 
-    def configs(self, n, reps, *, legacy=False, alphas=ALPHAS):
-        return [
-            CampaignConfig(alpha=a, sample_size=n, replications=reps, seed=3, legacy=legacy)
-            for a in alphas
-        ]
+    def config(self, n, reps, *, legacy=False):
+        return CampaignConfig(sample_size=n, replications=reps, seed=3, legacy=legacy)
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     @pytest.mark.parametrize("legacy", [False, True])
@@ -578,12 +583,12 @@ class TestSimulateCampaigns:
         # every shape reads the chunk's normals after the others have built
         # and reduced their samples from them
         monkeypatch.setattr(gjb.rng, "worker_count", lambda: lanes)
-        configs = self.configs(10, 20_000, legacy=legacy)
+        config = self.config(10, 20_000, legacy=legacy)
         assert -(-20_000 // gjb.rng.chunk_rows(10)) == 4
-        rows = gjb.testing.simulate_campaigns(configs, self.DATA_ALPHAS)
-        assert rows.shape == (len(configs), 20_000)
-        for row, config, data_alpha in zip(rows, configs, self.DATA_ALPHAS):
-            assert np.array_equal(row, simulate_alternative(config, data_alpha))
+        rows = gjb.testing.simulate_campaigns(config, self.ALPHAS, self.DATA_ALPHAS)
+        assert rows.shape == (len(self.ALPHAS), 20_000)
+        for row, alpha, data_alpha in zip(rows, self.ALPHAS, self.DATA_ALPHAS):
+            assert np.array_equal(row, simulate_alternative(config, alpha, data_alpha))
 
     @pytest.mark.parametrize("legacy", [False, True])
     def test_stacked_groups_match_numpy_row_reductions(self, legacy):
@@ -592,10 +597,10 @@ class TestSimulateCampaigns:
         # that shape's samples alone
         n, reps = 10, 2000
         assert gjb.testing._STACK_ELEMENTS // (reps * n) == 3
-        configs = self.configs(n, reps, legacy=legacy)
-        rows = gjb.testing.simulate_campaigns(configs, self.DATA_ALPHAS)
+        config = self.config(n, reps, legacy=legacy)
+        rows = gjb.testing.simulate_campaigns(config, self.ALPHAS, self.DATA_ALPHAS)
         z = replicate_generator(3, (0,), 0, n)[0].standard_normal((reps, 2 * n))
-        for row, config, data_alpha in zip(rows, configs, self.DATA_ALPHAS):
+        for row, alpha, data_alpha in zip(rows, self.ALPHAS, self.DATA_ALPHAS):
             d = 0.0 if data_alpha is None else SkewNormalShape(data_alpha).delta
             if d == 0.0:
                 x = z.reshape(-1)[: reps * n].reshape(reps, n)
@@ -606,7 +611,7 @@ class TestSimulateCampaigns:
             v = left_to_right_sums(d2) / (n - 1 if legacy else n)
             a_n = left_to_right_sums(d2 * d2) / n / (v * v)
             b_n = left_to_right_sums(d2 * dev) / n / v**1.5
-            raw = sn_raw_moments(SkewNormalShape(config.alpha))
+            raw = sn_raw_moments(SkewNormalShape(alpha))
             ab = shape_statistics(raw)
             sigma = sigma_analytic(raw, legacy=legacy)
             j = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
@@ -619,11 +624,8 @@ class TestSimulateCampaigns:
         # closed form up to the rounding of the sample's mean
         alphas = sorted({alpha for _, alpha in REFERENCE_MEAN_PVALUES})
         assert len(alphas) == 6
-        configs = [
-            CampaignConfig(alpha=a, sample_size=2, replications=2000, seed=0, legacy=legacy)
-            for a in alphas
-        ]
-        rows = gjb.testing.simulate_campaigns(configs, alphas)
+        config = CampaignConfig(sample_size=2, replications=2000, seed=0, legacy=legacy)
+        rows = gjb.testing.simulate_campaigns(config, alphas, alphas)
         a_n = 0.25 if legacy else 1.0
         for row, alpha in zip(rows, alphas):
             raw = sn_raw_moments(SkewNormalShape(alpha))
@@ -634,11 +636,11 @@ class TestSimulateCampaigns:
 
     def test_normal_data_only(self):
         # no SN data: the chunk holds n normals per replicate, read in place
-        configs = self.configs(40, 500, alphas=(1.0, 6.0))
-        rows = gjb.testing.simulate_campaigns(configs, [None, 0.0])
-        for row, config in zip(rows, configs):
-            assert np.array_equal(row, simulate_alternative(config))
-            assert np.max(np.abs(row - reference_campaign_p_values(config, None))) <= 1e-12
+        config = self.config(40, 500)
+        rows = gjb.testing.simulate_campaigns(config, [1.0, 6.0], [None, 0.0])
+        for row, alpha in zip(rows, (1.0, 6.0)):
+            assert np.array_equal(row, simulate_alternative(config, alpha))
+            assert np.max(np.abs(row - reference_campaign_p_values(config, alpha, None))) <= 1e-12
 
     @pytest.mark.parametrize("index", [0, 1, 3])
     def test_constant_replicate_in_any_shape(self, index, monkeypatch):
@@ -655,26 +657,15 @@ class TestSimulateCampaigns:
         with pytest.raises(
             DegenerateSampleError, match=r"^a replicate sample is constant \(zero variance\)$"
         ):
-            gjb.testing.simulate_campaigns(self.configs(10, 50), self.DATA_ALPHAS)
+            gjb.testing.simulate_campaigns(self.config(10, 50), self.ALPHAS, self.DATA_ALPHAS)
 
     def test_empty_rejected(self):
-        with pytest.raises(DomainError, match="at least one"):
-            gjb.testing.simulate_campaigns([], [])
+        with pytest.raises(DomainError, match="^need at least one alpha$"):
+            gjb.testing.simulate_campaigns(self.config(10, 50), [], [])
 
     def test_one_data_alpha_per_config(self):
-        with pytest.raises(DomainError, match="one data_alpha per config"):
-            gjb.testing.simulate_campaigns(self.configs(10, 50), [1.0])
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [("sample_size", 11), ("replications", 51), ("seed", 4),
-         ("sigma_route", "monte-carlo"), ("legacy", True)],
-    )
-    def test_configs_differing_beyond_alpha_rejected(self, field, value):
-        configs = self.configs(10, 50)
-        configs[2] = dataclasses.replace(configs[2], **{field: value})
-        with pytest.raises(DomainError, match=f"only in alpha, but {field} is"):
-            gjb.testing.simulate_campaigns(configs, self.DATA_ALPHAS)
+        with pytest.raises(DomainError, match="^need one data_alpha per alpha, got 1 for 5$"):
+            gjb.testing.simulate_campaigns(self.config(10, 50), self.ALPHAS, [1.0])
 
     def test_draw_allocates_no_chunk_temporaries(self, monkeypatch):
         # each lane draws a chunk's normals into a (R, 2n) array of its own
@@ -682,11 +673,11 @@ class TestSimulateCampaigns:
         # allocates nothing of the chunk's size
         n = 1000
         chunk_bytes = gjb.rng.chunk_rows(n) * n * 8
-        configs = self.configs(n, 200, alphas=(1.0, 6.0))
+        config = self.config(n, 200)
         extra = per_call_allocations(
             monkeypatch,
             gjb.testing,
-            lambda: gjb.testing.simulate_campaigns(configs, [1.0, 6.0]),
+            lambda: gjb.testing.simulate_campaigns(config, [1.0, 6.0], [1.0, 6.0]),
         )
         assert len(extra["draw"]) == len(extra["kernel"]) == 4
         assert max(extra["draw"]) < 0.5 * chunk_bytes
@@ -981,7 +972,7 @@ def test_replicate_consumers_do_not_depend_on_lane_count(monkeypatch):
     # bits, and those bits are the reference streams'. Each call spans
     # several chunks: the campaign 4 of 93 rows, the bootstrap 32 of 32 and
     # the Monte-Carlo covariance 5 of 65.
-    config = CampaignConfig(alpha=1.0, sample_size=700, replications=300, seed=11)
+    config = CampaignConfig(sample_size=700, replications=300, seed=11)
     x = sample_sn(SkewNormalShape(2.0), 2000, seed=5)
     xc = gjb.testing._prepare_sample(x)
     shape = SkewNormalShape(1.5)
@@ -999,7 +990,7 @@ def test_replicate_consumers_do_not_depend_on_lane_count(monkeypatch):
         decision = duplication_decision(x, seed=7)
         sigma_monte_carlo(shape, reps=300, per_rep_n=1000, seed=8)
         runs.append((
-            simulate_true_model(config),
+            simulate_true_model(config, 1.0),
             gjb.testing._bootstrap_alphas(xc, 1000, seed=7),
             mc_rows[-1],
             np.array([decision.ci_low, decision.ci_high]),
@@ -1008,7 +999,7 @@ def test_replicate_consumers_do_not_depend_on_lane_count(monkeypatch):
         for got, expected in zip(other, runs[0]):
             assert np.array_equal(got, expected)
     ps, alphas, rows, _ = runs[0]
-    assert np.max(np.abs(ps - reference_campaign_p_values(config, 1.0))) <= 1e-12
+    assert np.max(np.abs(ps - reference_campaign_p_values(config, 1.0, 1.0))) <= 1e-12
     np.testing.assert_allclose(
         alphas, reference_bootstrap_alphas(xc, 1000, seed=7), rtol=1e-10, atol=1e-15
     )
