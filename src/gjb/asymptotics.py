@@ -79,26 +79,29 @@ def influence_polynomials(
     raw: np.ndarray, *, legacy: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients, in ascending powers of x, of the kurtosis polynomial C
-    (degree 4) and the skewness polynomial B (degree 3), constants set to 0.
+    (degree 4) and the skewness polynomial B (degree 3), constants set to 0:
+    arrays of length 5 and 4, or of shape ``(5, m)`` and ``(4, m)`` for raw
+    moments stacked along a last axis of length m.
 
     Built from ``a2 = (x-m1)^2``, ``a3 = (x-m1)^3 - 3 s^2 x`` and
     ``a4 = (x-m1)^4 - 4 mu3 x`` (constants dropped) as
-    ``C = (a4 - 2 (mu4/s^2) a2) / s^4`` and ``B = (a3 - (3/2) q a2) / s^3``,
-    where the quadratic-correction scale is ``q = mu3/s^2``, or ``s^2 mu3``
-    with ``legacy=True``.
+    ``C = (a4 - k a2) / s^4`` and ``B = (a3 - h a2) / s^3``, with
+    ``k = 2 mu4/s^2`` and ``h = (3/2) q``, where the quadratic-correction
+    scale is ``q = mu3/s^2``, or ``s^2 mu3`` with ``legacy=True``.
     """
     m1 = raw[1]
     s2 = raw[2] - m1 * m1
-    if s2 <= 0.0:
+    if (s2 <= 0.0).any():
         raise DegenerateSampleError("law has zero variance")
     mu3, mu4 = centered_moment(3, raw), centered_moment(4, raw)
-    q = s2 * mu3 if legacy else mu3 / s2
-    a2 = np.array([0.0, -2.0 * m1, 1.0, 0.0, 0.0])
-    a3 = np.array([0.0, 3.0 * (m1 * m1 - s2), -3.0 * m1, 1.0, 0.0])
-    a4 = np.array([0.0, -4.0 * (m1**3 + mu3), 6.0 * m1 * m1, -4.0 * m1, 1.0])
-    c = (a4 - (2.0 * mu4 / s2) * a2) / (s2 * s2)
-    b = (a3 - (1.5 * q) * a2)[:4] / s2**1.5
-    return c, b
+    k = 2.0 * mu4 / s2
+    h = 1.5 * (s2 * mu3 if legacy else mu3 / s2)
+    zero, one = np.zeros_like(m1), np.ones_like(m1)
+    c = np.array([
+        zero, 2.0 * k * m1 - 4.0 * (m1 * m1 * m1 + mu3), 6.0 * m1 * m1 - k, -4.0 * m1, one,
+    ])
+    b = np.array([zero, 3.0 * (m1 * m1 - s2) + 2.0 * h * m1, -3.0 * m1 - h, one])
+    return c / (s2 * s2), b / (s2 * np.sqrt(s2))
 
 
 def legacy_influence_polynomials(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,21 +111,38 @@ def legacy_influence_polynomials(raw: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return influence_polynomials(raw, legacy=True)
 
 
+# H[i, j] = m_(i+j), as indices into the raw moments
+_MOMENT_MATRIX_INDEX = np.add.outer(np.arange(5), np.arange(5))
+
+
 def sigma_analytic(raw: np.ndarray, *, legacy: bool = False) -> CovarianceMatrix2:
-    """Exact covariance from raw moments up to order 8.
+    """Exact covariance from raw moments up to order 8, as
+    ``P H P' - (P m)(P m)'`` for the coefficient rows P of C and B (see
+    :func:`_sigmas_analytic`, which this calls with one law)."""
+    (sigma,) = _sigmas_analytic(raw[:, None], legacy=legacy)
+    return sigma
+
+
+def _sigmas_analytic(raw: np.ndarray, *, legacy: bool) -> list[CovarianceMatrix2]:
+    """Exact covariance of each law whose raw moments m_0..m_8 are a column
+    of the ``(9, m)`` array ``raw``, each built on its own.
 
     With P the coefficient rows of C and B, H[i, j] = m_(i+j) the moment
-    matrix and m = (m_0, ..., m_4), the covariance of (C, B) is
+    matrix and m = (m_0, ..., m_4) = H e_0, the covariance of (C, B) is
     ``P H P' - (P m)(P m)'``: C and B have degree <= 4, so their second
     moments are linear in the moments of X up to order 8, and no sampling
-    is involved.
+    is involved. Each law gets a 2x5 by 5x5 and a 2x5 by 5x2 matrix
+    product of its own, so its Sigma is the same whatever m.
     """
     cc, bb = influence_polynomials(raw, legacy=legacy)
-    p = np.array([cc, [*bb, 0.0]])
-    k = np.arange(5)
-    pm = p @ raw[:5]
-    cov = p @ raw[k[:, None] + k] @ p.T - np.outer(pm, pm)
-    return CovarianceMatrix2(s11=float(cov[0, 0]), s22=float(cov[1, 1]), s12=float(cov[0, 1]))
+    p = np.zeros((raw.shape[1], 2, 5))
+    p[:, 0] = cc.T
+    p[:, 1, :4] = bb.T
+    ph = p @ raw.T[:, _MOMENT_MATRIX_INDEX]
+    pm = ph[:, :, 0]
+    cov = ph @ p.transpose(0, 2, 1) - pm[:, :, None] * pm[:, None, :]
+    entries = zip(cov[:, 0, 0].tolist(), cov[:, 1, 1].tolist(), cov[:, 0, 1].tolist())
+    return [CovarianceMatrix2(s11=s11, s22=s22, s12=s12) for s11, s22, s12 in entries]
 
 
 def _horner(x: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:

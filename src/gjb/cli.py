@@ -30,6 +30,7 @@ import sys
 import time
 
 from . import io as gjb_io
+from .asymptotics import chi2_survival
 from .errors import GJBError
 from .distributions import SkewNormalShape, sample_sn
 from .moments import analytic_shape_statistics, shape_statistics, sn_raw_moments
@@ -40,7 +41,10 @@ from .reference import (
 )
 from .testing import (
     CampaignConfig,
+    _null_laws,
     duplication_decision,
+    empirical_shape,
+    gjb_statistic,
     rejection_size_search,
     run_test,
     simulate_alternative,
@@ -276,6 +280,15 @@ def _print_table(header: list[str], rows: list[list[str]]) -> None:
 
 
 def _cmd_tables(args) -> None:
+    """Print table 1 (mean p-values under the true model, legacy
+    conventions), 2 (sizes that reject normality) or 3 (shape statistics),
+    each next to its reference.
+
+    Table 1's n = 10 row is one campaign pass over the six shapes. Its
+    n = 2 row is exact and seed-free: every sample of two values has the
+    (a_n, b_n) of [0, 1], so each cell is the p of that pair, from one
+    pass of null laws over the shapes, with no campaign.
+    """
     if args.which == 3:
         header = ["alpha", "kurtosis", "skewness", "ref kurtosis", "ref skewness"]
         rows = []
@@ -298,13 +311,23 @@ def _cmd_tables(args) -> None:
         header = ["size \\ alpha"] + [str(a) for a in alphas]
         rows = []
         for size in sizes:
-            # one pass per size: the shapes share the size's replicate stream
-            config = CampaignConfig(sample_size=size, replications=reps,
-                                    seed=args.seed, legacy=True)
-            p_values = simulate_campaigns(config, alphas, alphas)
+            if size == 2:
+                # any two distinct values are their mean -+ d, so every sample
+                # of two has the (a_n, b_n) of [0, 1], and p is exact
+                a_n, b_n = empirical_shape([0.0, 1.0], legacy=True)
+                laws = _null_laws(alphas, "analytic", args.seed, legacy=True)
+                means = [
+                    chi2_survival(gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, 2))
+                    for ab, sigma in laws
+                ]
+            else:
+                # one pass per size: the shapes share the size's replicate stream
+                config = CampaignConfig(sample_size=size, replications=reps,
+                                        seed=args.seed, legacy=True)
+                means = [float(p.mean()) for p in simulate_campaigns(config, alphas, alphas)]
             rows.append([str(size)] + [
-                f"{100 * float(p.mean()):.2f} (ref {REFERENCE_MEAN_PVALUES[(size, alpha)]})"
-                for alpha, p in zip(alphas, p_values)
+                f"{100 * mean:.2f} (ref {REFERENCE_MEAN_PVALUES[(size, alpha)]})"
+                for alpha, mean in zip(alphas, means)
             ])
     else:
         alphas = _TABLE2_DESK_ALPHAS if args.budget == "desk" else REFERENCE_REJECTION_SIZES

@@ -42,14 +42,21 @@ _C = math.sqrt(2.0 / math.pi)  # E|Z| of the half-normal law
 
 
 class ShapeStatistics(NamedTuple):
-    """Skewness and non-excess kurtosis (the normal law scores (0, 3))."""
+    """Skewness and non-excess kurtosis (the normal law scores (0, 3)):
+    floats, or arrays for a stack of laws."""
 
     skewness: float
     kurtosis: float
 
 
 def sn_raw_moments(shape: SkewNormalShape) -> np.ndarray:
-    """Raw moments m_0..m_8 of SN(alpha), as a length-9 float array.
+    """Raw moments m_0..m_8 of SN(alpha), as a length-9 float array."""
+    return _raw_moments(shape.delta)
+
+
+def _raw_moments(delta) -> np.ndarray:
+    """Raw moments m_0..m_8 of SN(alpha) for a delta or an array of them,
+    in an array of shape ``(9,) + shape(delta)``.
 
     With ``t = delta^2`` and ``c = sqrt(2/pi) delta``, the binomial
     expansion of the module docstring sums, through ``B^2 = 1 - t``, to
@@ -61,34 +68,38 @@ def sn_raw_moments(shape: SkewNormalShape) -> np.ndarray:
     (m_0, m_2, m_4, m_6, m_8) = (1, 1, 3, 15, 105), for every alpha, since
     E|Z1|^(2i) = E Z2^(2i) and A^2 + B^2 = 1.
     """
-    d = shape.delta
+    d = np.asarray(delta, dtype=float)
     t = d * d
     c = _C * d
+    one = np.ones_like(d)
     return np.array([
-        1.0, c, 1.0, c * (3.0 - t), 3.0, c * (15.0 - t * (10.0 - 3.0 * t)),
-        15.0, c * (105.0 - t * (105.0 - t * (63.0 - 15.0 * t))), 105.0,
+        one, c, one, c * (3.0 - t), 3.0 * one, c * (15.0 - t * (10.0 - 3.0 * t)),
+        15.0 * one, c * (105.0 - t * (105.0 - t * (63.0 - 15.0 * t))), 105.0 * one,
     ])
 
 
-def centered_moment(order: int, raw: np.ndarray) -> float:
-    """E(X - m_1)^order from raw moments, by binomial recentring."""
+def centered_moment(order: int, raw: np.ndarray):
+    """E(X - m_1)^order from raw moments, by binomial recentring in Horner
+    form in -m_1; a float for a length-9 ``raw``, and an array for raw
+    moments stacked along a last axis."""
     if order < 1 or order > 8:
         raise DomainError(f"order must be in 1..8, got {order}")
     neg_mean = -raw[1]
-    return sum(
-        math.comb(order, j) * raw[j] * neg_mean ** (order - j)
-        for j in range(order + 1)
-    )
+    total = raw[0]
+    for j in range(1, order + 1):
+        total = total * neg_mean + math.comb(order, j) * raw[j]
+    return total
 
 
 def shape_statistics(raw: np.ndarray) -> ShapeStatistics:
-    """Skewness mu3/mu2^(3/2) and kurtosis mu4/mu2^2 from raw moments."""
+    """Skewness mu3/mu2^(3/2) and kurtosis mu4/mu2^2 from raw moments, as
+    floats, or as arrays for raw moments stacked along a last axis."""
     mu2 = centered_moment(2, raw)
-    if mu2 <= 0.0:
+    if (mu2 <= 0.0).any():
         raise DegenerateSampleError("law has zero variance")
     mu3 = centered_moment(3, raw)
     mu4 = centered_moment(4, raw)
-    return ShapeStatistics(skewness=mu3 / mu2**1.5, kurtosis=mu4 / mu2**2)
+    return ShapeStatistics(skewness=mu3 / (mu2 * np.sqrt(mu2)), kurtosis=mu4 / (mu2 * mu2))
 
 
 def skewness_of_delta(delta: float) -> float:

@@ -49,14 +49,14 @@ import numpy as np
 from .asymptotics import (
     CovarianceMatrix2,
     _horner,
+    _sigmas_analytic,
     chi2_survival,
     influence_polynomials,
-    sigma_analytic,
     sigma_monte_carlo,
 )
-from .distributions import SkewNormalShape, sn_from_normals
+from .distributions import SkewNormalShape, delta_of_alpha, sn_from_normals
 from .errors import DegenerateSampleError, DomainError
-from .moments import ShapeStatistics, delta_from_skewness, shape_statistics, sn_raw_moments
+from .moments import ShapeStatistics, _raw_moments, delta_from_skewness, shape_statistics
 from .reference import rejection_size_hint
 # substream is unused here, but bench/tests/test_bench.py checks that the
 # traced run rebinds gjb.testing.substream; drop it together with that check.
@@ -315,16 +315,37 @@ def _check_level(level: float) -> None:
 def _null_law(
     shape: SkewNormalShape, route: str, seed: int, *, legacy: bool
 ) -> tuple[ShapeStatistics, CovarianceMatrix2]:
-    """Theoretical (a, b) of SN(alpha) and the covariance Sigma by ``route``,
-    from one evaluation of the raw moments."""
-    raw = sn_raw_moments(shape)
-    if route == "analytic":
-        sigma = sigma_analytic(raw, legacy=legacy)
-    elif route == "monte-carlo":
-        sigma = sigma_monte_carlo(shape, *_MC_BUDGET, seed, legacy=legacy)
-    else:
+    """Theoretical (a, b) of SN(alpha) and the covariance Sigma by ``route``
+    (see :func:`_null_laws`)."""
+    return _null_laws([shape.alpha], route, seed, legacy=legacy)[0]
+
+
+def _null_laws(
+    alphas: Sequence[float], route: str, seed: int, *, legacy: bool
+) -> list[tuple[ShapeStatistics, CovarianceMatrix2]]:
+    """Theoretical (a, b) of SN(alpha) and the covariance Sigma by ``route``
+    for each of ``alphas``, from one evaluation of the raw moments over the
+    array of shapes.
+
+    (a, b) and the analytic Sigma are computed for all shapes at once, and
+    each Sigma is built, and so checked, on its own; the Monte-Carlo route
+    estimates one Sigma per shape.
+    """
+    if route not in _SIGMA_ROUTES:
         raise DomainError(f"sigma_route must be one of {_SIGMA_ROUTES}, got {route!r}")
-    return shape_statistics(raw), sigma
+    raw = _raw_moments(np.array([delta_of_alpha(a) for a in alphas]))
+    ab = shape_statistics(raw)
+    if route == "analytic":
+        sigmas = _sigmas_analytic(raw, legacy=legacy)
+    else:
+        sigmas = [
+            sigma_monte_carlo(SkewNormalShape(a), *_MC_BUDGET, seed, legacy=legacy)
+            for a in alphas
+        ]
+    return [
+        (ShapeStatistics(skewness=b, kurtosis=a), sigma)
+        for a, b, sigma in zip(ab.kurtosis.tolist(), ab.skewness.tolist(), sigmas)
+    ]
 
 
 def run_test(
@@ -391,7 +412,13 @@ def simulate_campaigns(
     is drawn once, and the shapes build their samples from those normals in
     groups of ``max(1, 2**16 // (r n))``, each group stacked in one block and
     reduced at once. A lane's blocks hold at most ``max(2**16, R(n) n)``
-    values, whatever the shape count.
+    values, whatever the shape count. The null laws of all the shapes come
+    from one pass of :func:`_null_laws`.
+
+    At ``sample_size=2`` every replicate has the (a_n, b_n) of any two
+    distinct values, so each row is the p of that pair up to the rounding
+    of the samples; table 1 computes its n = 2 row that way, exact and
+    seed-free, and does not call this.
     """
     alphas, data_alphas = list(alphas), list(data_alphas)
     if not alphas:
@@ -400,10 +427,7 @@ def simulate_campaigns(
         raise DomainError(
             f"need one data_alpha per alpha, got {len(data_alphas)} for {len(alphas)}"
         )
-    laws = [
-        _null_law(SkewNormalShape(a), config.sigma_route, config.seed, legacy=config.legacy)
-        for a in alphas
-    ]
+    laws = _null_laws(alphas, config.sigma_route, config.seed, legacy=config.legacy)
     deltas = [0.0 if a is None else SkewNormalShape(a).delta for a in data_alphas]
     n = config.sample_size
 

@@ -13,6 +13,7 @@ import pytest
 
 import gjb
 import gjb.cli
+import gjb.testing
 from gjb.cli import main
 from gjb.distributions import SkewNormalShape, sample_sn
 from gjb.io import write_sample_csv
@@ -224,6 +225,22 @@ class TestTablesCommand:
         expected = capsys.readouterr().out
         assert run(["tables", "--which", "1", "--seed", str(seed), "--budget", budget]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_mean_pvalue_table_draws_no_two_value_campaign(self, monkeypatch, capsys):
+        # every sample of two values has one (a_n, b_n), so the n = 2 row is
+        # computed in closed form and only the n = 10 row runs a campaign
+        sizes = []
+        real = gjb.testing.map_replicates
+
+        def recorded(draw, make_kernel, reps, n, *args, **kwargs):
+            sizes.append(n)
+            return real(draw, make_kernel, reps, n, *args, **kwargs)
+
+        monkeypatch.setattr(gjb.testing, "map_replicates", recorded)
+        assert run(["tables", "--which", "1"]) == 0
+        assert sizes == [10]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[3:]] == ["2", "10"]
 
 
 class TestDecideCommand:

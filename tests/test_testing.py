@@ -352,6 +352,26 @@ class TestEmpiricalShape:
         a_n, _ = empirical_shape(sample, legacy=legacy)
         assert a_n == pytest.approx(kurtosis, rel=1e-9)
 
+    @pytest.mark.parametrize("legacy,kurtosis", [(False, 1.0), (True, 0.25)])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x1=st.floats(-1.0, 1.0),
+        x2=st.floats(-1.0, 1.0),
+        exponent=st.floats(-100.0, 100.0),
+        offset=st.floats(-1e8, 1e8),
+    )
+    @example(x1=0.0, x2=1.0, exponent=0.0, offset=0.0)
+    @example(x1=-1.0, x2=1.0, exponent=0.0, offset=0.0)
+    def test_any_two_values_have_one_shape(self, legacy, kurtosis, x1, x2, exponent, offset):
+        # any two distinct values are their mean -+ d: a_n is 1, or 1/4
+        # under legacy, and b_n is 0, whatever the sample; table 1's n = 2
+        # row rests on this
+        assume(abs(x1 - x2) >= 0.1)
+        sample = 10.0**exponent * (np.array([x1, x2]) + offset)
+        a_n, b_n = empirical_shape(sample, legacy=legacy)
+        assert a_n == pytest.approx(kurtosis, rel=1e-12)
+        assert abs(b_n) <= 1e-12
+
     def test_constant_sample_rejected(self):
         with pytest.raises(DegenerateSampleError):
             empirical_shape([2.0, 2.0, 2.0])
@@ -682,6 +702,55 @@ class TestSimulateCampaigns:
         assert len(extra["draw"]) == len(extra["kernel"]) == 4
         assert max(extra["draw"]) < 0.5 * chunk_bytes
         assert max(extra["kernel"]) < 0.5 * chunk_bytes
+
+
+class TestNullLaws:
+    @pytest.mark.parametrize("legacy", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(alphas=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=12))
+    @example(alphas=[0.0, 1e-8, -1e-8, 0.1, 240.0, 1e8, 1e200])
+    def test_array_path_matches_per_shape(self, legacy, alphas):
+        # one pass over the shapes gives each shape's own law: bit for bit
+        # the one-shape pass, and within 1e-13 the scalar entry points; s12
+        # is measured against sqrt(s11 s22), since it vanishes at alpha = 0
+        laws = gjb.testing._null_laws(alphas, "analytic", 0, legacy=legacy)
+        assert len(laws) == len(alphas)
+        for alpha, (ab, sigma) in zip(alphas, laws):
+            raw = sn_raw_moments(SkewNormalShape(alpha))
+            one = shape_statistics(raw)
+            ref = sigma_analytic(raw, legacy=legacy)
+            assert gjb.testing._null_law(
+                SkewNormalShape(alpha), "analytic", 0, legacy=legacy
+            ) == (ab, sigma)
+            assert ab.kurtosis == pytest.approx(one.kurtosis, rel=1e-13)
+            assert ab.skewness == pytest.approx(one.skewness, rel=1e-13)
+            assert sigma.s11 == pytest.approx(ref.s11, rel=1e-13)
+            assert sigma.s22 == pytest.approx(ref.s22, rel=1e-13)
+            assert abs(sigma.s12 - ref.s12) <= 1e-13 * math.sqrt(ref.s11 * ref.s22)
+            assert type(ab.kurtosis) is type(sigma.s11) is float
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_alpha_rejected(self, bad):
+        with pytest.raises(DomainError, match="^alpha must be finite"):
+            gjb.testing._null_laws([1.0, bad, 6.0], "analytic", 0, legacy=False)
+        with pytest.raises(DomainError, match="^alpha must be finite"):
+            gjb.testing._null_laws(np.array([0.5, bad]), "analytic", 0, legacy=True)
+
+    def test_monte_carlo_route_is_per_shape(self, monkeypatch):
+        # each shape's covariance is estimated on its own, from the seed
+        calls = []
+        monkeypatch.setattr(gjb.testing, "_MC_BUDGET", (50, 40))
+        real = gjb.testing.sigma_monte_carlo
+
+        def recorded(shape, *args, **kwargs):
+            calls.append(shape.alpha)
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(gjb.testing, "sigma_monte_carlo", recorded)
+        laws = gjb.testing._null_laws([1.0, 6.0], "monte-carlo", 3, legacy=True)
+        assert calls == [1.0, 6.0]
+        for alpha, (_, sigma) in zip((1.0, 6.0), laws):
+            assert sigma == real(SkewNormalShape(alpha), 50, 40, 3, legacy=True)
 
 
 class TestRejectionSizeSearch:
