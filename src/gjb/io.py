@@ -6,12 +6,12 @@ header row (auto-detected when the first row is not numeric). Multi-column
 files are rejected rather than guessing a column. A file that does not
 decode or that the CSV reader rejects raises SampleParseError, like a bad
 row. Plain files, which may start with a quoted header such as R's
-``"value"``, are read in blocks of characters, and each value is
-``float()`` of its line: a line ``[+-]digits[.digits]`` is computed
-exactly from its digits as an integer scaled in long double, any other
-line goes through ``float()``. A file with a line the CSV reader might
-read differently (any other quote, a comma, a lone carriage return, an
-over-long line) or a line that fails is read again through
+``"value"``, are read in blocks of bytes, an ASCII block never decoded,
+and each value is ``float()`` of its line: a line ``[+-]digits[.digits]``
+is computed exactly from its digits as an integer scaled in long double,
+any other line goes through ``float()``. A file with a line the CSV
+reader might read differently (any other quote, a comma, a lone carriage
+return, an over-long line) or a line that fails is read again through
 ``csv.reader``, so both paths give the same values, counts and errors.
 
 Report format: a flat JSON object with fixed, documented keys
@@ -47,10 +47,11 @@ from .errors import DomainError, EmptyInputError, SampleParseError
 from .testing import TestOutcome
 
 SCHEMA_VERSION = "1"
-# characters per block on the plain path: bounds the text held at once, and
-# stays below the CSV reader's default field limit, so a block no longer
-# than the limit holds no over-long line
-_BLOCK_CHARS = 1 << 16
+# bytes per block on the plain path: bounds the text held at once, and stays
+# below the CSV reader's default field limit, so a block no longer than the
+# limit holds no over-long line
+_BLOCK_BYTES = 1 << 16
+_UTF8_BOM = b"\xef\xbb\xbf"
 # A decimal w / 10**k with |w| < 2**63 and k <= 27 is w and 10**k held
 # exactly, divided with one IEEE rounding, when long double keeps 64-bit
 # integers and has a 15-bit exponent (x87 extended, IEEE quad; not IBM
@@ -115,17 +116,18 @@ def read_sample_csv(path: str) -> SampleFile:
     with its line number, as does a row the CSV reader rejects; a file that
     is not UTF-8 raises SampleParseError naming the file.
 
-    A plain file is read in blocks of characters, and each value is
-    ``float()`` of its line, the conversion the CSV reader's rows get: a
-    line ``[+-]digits[.digits]`` is computed exactly from its digits where
-    long double allows it, any other line by ``float()``. Its first
-    non-blank line may be one quoted field without a comma or an inner
-    quote, which is read as the text between the quotes. A file with any
-    other line holding a quote or a comma, a carriage return not followed by a
-    line feed, more characters than ``csv.field_size_limit()``, a value
-    ``float()`` rejects or a non-finite value is read again through the CSV
-    reader, which alone raises the errors above. Values, row counts and
-    errors are the same on both paths.
+    A plain file is read in blocks of bytes, a block of ASCII bytes never
+    decoded, and each value is ``float()`` of its line, the conversion the
+    CSV reader's rows get: a line ``[+-]digits[.digits]`` is computed
+    exactly from its digits where long double allows it, any other line by
+    ``float()``. Its first non-blank line may be one quoted field without a
+    comma or an inner quote, which is read as the text between the quotes.
+    A file with any other line holding a quote or a comma, a carriage
+    return not followed by a line feed, more characters than
+    ``csv.field_size_limit()``, a value ``float()`` rejects or a non-finite
+    value is read again through the CSV reader, which alone raises the
+    errors above. Values, row counts and errors are the same on both
+    paths.
     """
     sample = _read_plain(path)
     return _read_csv(path) if sample is None else sample
@@ -134,34 +136,44 @@ def read_sample_csv(path: str) -> SampleFile:
 def _read_plain(path: str) -> SampleFile | None:
     """``path`` read block by block, each value ``float()`` of its line, or
     None when it holds a line the CSV reader might split, unquote or reject,
-    a value ``float()`` rejects, a non-finite value, or no value:
-    ``_read_csv`` reads those.
+    a value ``float()`` rejects, a non-finite value, no value, or text that
+    is not UTF-8: ``_read_csv`` reads those.
 
-    A block is ``_BLOCK_CHARS`` characters topped up to the end of a line.
-    Until a non-blank line is seen, a block is split into lines to find the
-    header: the first non-blank line may be one quoted field without a comma
-    or an inner quote, such as a quoted header; it is read as the CSV reader
-    reads it, as the text between the quotes. A block more than
-    ``csv.field_size_limit()`` characters long is left to ``_read_csv``."""
+    A block is ``_BLOCK_BYTES`` bytes topped up to the end of a line, so it
+    never ends inside a UTF-8 sequence. A block of ASCII bytes is never
+    decoded; any other block is decoded once, to check it and to count its
+    characters. Until a non-blank line is seen, a block is decoded and split
+    into lines to find the header: the first non-blank line may be one
+    quoted field without a comma or an inner quote, such as a quoted header;
+    it is read as the CSV reader reads it, as the text between the quotes.
+    The quote, comma and carriage-return checks run on the bytes, in which
+    those bytes never occur inside a UTF-8 sequence. A block of more than
+    ``csv.field_size_limit()`` characters is left to ``_read_csv``."""
     blocks: list[np.ndarray] = []
     skipped = 0
     header_checked = False
     limit = csv.field_size_limit()
     convert = _decimal_lines if _EXTENDED_PRECISION else _float_lines
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            while text := fh.read(_BLOCK_CHARS):
-                text += fh.readline()
-                if not header_checked:
-                    # split as the file iterator splits: at \n, \r\n and \r
+        with open(path, "rb") as fh:
+            data = fh.read(_BLOCK_BYTES).removeprefix(_UTF8_BOM)
+            while data:
+                data += fh.readline()
+                if header_checked:
+                    size = len(data) if data.isascii() else len(data.decode())
+                else:
+                    text = data.decode()
+                    # split as the CSV reader's file iterator splits: at \n, \r\n and \r
                     lines = StringIO(text, newline="").readlines()
                     first = next((i for i, line in enumerate(lines) if not line.isspace()), None)
                     if first is not None and (quoted := _QUOTED_LINE.fullmatch(lines[first])):
                         lines[first] = quoted[1] + (quoted[2] or "")
                         text = "".join(lines)
-                if ('"' in text or "," in text
-                        or ("\r" in text and text.count("\r") != text.count("\r\n"))
-                        or len(text) > limit):
+                        data = text.encode()
+                    size = len(text)
+                if (b'"' in data or b"," in data
+                        or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
+                        or size > limit):
                     return None
                 if not header_checked and first is not None:
                     header_checked = True
@@ -170,10 +182,11 @@ def _read_plain(path: str) -> SampleFile | None:
                     except ValueError:
                         del lines[first]
                         skipped += 1
-                        text = "".join(lines)
-                values, blank = convert(text)
+                        data = "".join(lines).encode()
+                values, blank = convert(data)
                 blocks.append(values)
                 skipped += blank
+                data = fh.read(_BLOCK_BYTES)
     # float() or the UTF-8 decoder rejected the text; older numpy only warns
     # on text np.fromstring cannot read to its end
     except (ValueError, DeprecationWarning):
@@ -184,18 +197,18 @@ def _read_plain(path: str) -> SampleFile | None:
     return SampleFile(values=values, skipped_rows=skipped)
 
 
-def _float_lines(text: str) -> tuple[np.ndarray, int]:
-    """``float()`` of each non-blank line of ``text``, and the count of
-    blank (whitespace-only) lines."""
-    lines = StringIO(text, newline="").readlines()
+def _float_lines(data: bytes) -> tuple[np.ndarray, int]:
+    """``float()`` of each non-blank line of UTF-8 ``data``, and the count
+    of blank (whitespace-only) lines."""
+    lines = StringIO(data.decode(), newline="").readlines()
     numeric = list(filterfalse(str.isspace, lines))
     return np.fromiter(map(float, numeric), float, len(numeric)), len(lines) - len(numeric)
 
 
-def _decimal_lines(text: str) -> tuple[np.ndarray, int]:
-    """``_float_lines(text)`` bit for bit, without a Python object per line
-    of the form ``[+-]digits[.digits]``, for text whose every carriage
-    return ends a line.
+def _decimal_lines(data: bytes) -> tuple[np.ndarray, int]:
+    """``_float_lines(data)`` bit for bit, without a Python object per line
+    of the form ``[+-]digits[.digits]``, for UTF-8 ``data`` whose every
+    carriage return ends a line.
 
     Such a line with digits w and k of them after the point is w / 10**k
     (Clinger, 1990): |w| < 2**63 and 10**k with k <= 27 are exact in long
@@ -206,49 +219,59 @@ def _decimal_lines(text: str) -> tuple[np.ndarray, int]:
     with another byte (an exponent, a space, ``_``, non-ASCII text), no
     digit, two points, k > 27, a mantissa np.fromstring clamps to the int64
     range, or a quotient on a halfway point."""
-    data = text.encode()
     if data and not data.endswith(b"\n"):
         data += b"\n"
     b = np.frombuffer(data, np.uint8)
     at = np.flatnonzero(b - np.uint8(48) > 9)  # every byte but a digit
-    byte = b[at]
-    newline = byte == 10
-    ends = at[newline]
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1] + 1
-    # the byte before a line's \n; for ends[0] = 0, index -1 is the last \n
-    stops = ends - (b[ends - 1] == 13)
-    line = np.cumsum(newline) - newline  # the line each non-digit byte is on
-    point = byte == 46
-    sign = (byte == 43) | (byte == 45)
-    # any byte but a point, a \r before a \n, or a sign that starts its line
-    odd = ~(newline | point | (byte == 13))
-    odd[sign] = b[at[sign] - 1] != 10
-    odd = np.bincount(line[odd], minlength=ends.size) > 0
-    on_line = line[point]
-    points = np.bincount(on_line, minlength=ends.size)
-    k = np.zeros_like(ends)
-    k[on_line] = stops[on_line] - at[point] - 1
-    first = b[starts]
-    digits = stops - starts - points - ((first == 43) | (first == 45))
-    blank = stops == starts
-    scaled = ~(odd | blank) & (digits > 0) & (points < 2) & (k <= 27)
-    rows = data if scaled.all() else b[np.repeat(scaled, ends - starts + 1)].tobytes()
+    byte = b.take(at)
+    newline = np.flatnonzero(byte == 10)  # each line's \n, as an index into at
+    ends = at.take(newline)
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    # a \r before a line's \n; for ends[0] = 0, index -1 is the last \n
+    cr = b.take(ends - 1) == 13
+    stops = ends - cr
+    other = newline + 1  # non-digit bytes on each line
+    np.subtract(newline[1:], newline[:-1], out=other[1:])
+    first = b.take(starts)
+    signed = (first == 43) | (first == 45)
+    # beyond its \n, a leading sign and a \r before its \n, a line of the
+    # form holds no non-digit byte but one point, the last of them before
+    # the \r or \n
+    other -= 1 + signed + cr
+    before = newline - 1 - cr
+    point = (other == 1) & (byte.take(before) == 46)
+    digits = stops - starts - point - signed
+    k = (stops - at.take(before) - 1) * point  # digits after the point
+    scaled = ((other == 0) | point) & (digits > 0) & (k <= 27)
+    every = scaled.all()
+    rows = data
+    if not every:
+        keep = np.flatnonzero(scaled)
+        rows = b.compress(np.repeat(scaled, ends - starts + 1)).tobytes()
+        k, first = k.take(keep), first.take(keep)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         w = np.fromstring(rows.replace(b".", b""), dtype=np.int64, sep="\n")
-    exact = np.abs(w).astype(np.longdouble) / _POW10[k[scaled]]
+    exact = np.abs(w).astype(np.longdouble) / _POW10.take(k)
     values = exact.astype(np.float64)
     # exact - values is exact; on a halfway point it is half the gap above
     # values, or a quarter of it when values is a power of two above exact
     residual = np.abs((exact - values).astype(np.float64))
     gap = np.spacing(values)
-    np.negative(values, out=values, where=first[scaled] == 45)
-    out = np.empty(ends.size)
-    out[scaled] = values
-    by_float = ~(scaled | blank)
-    by_float[scaled] = (
+    halfway = (
         (w == _INT64.max) | (w == _INT64.min) | (2 * residual == gap) | (4 * residual == gap))
+    values *= np.where(first == 45, -1.0, 1.0)
+    if every:
+        if not halfway.any():
+            return values, 0
+        keep = slice(None)
+    out = np.empty(ends.size)
+    out[keep] = values
+    blank = stops == starts
+    by_float = ~(scaled | blank)
+    by_float[keep] = halfway
     for i in np.flatnonzero(by_float):
         line_text = data[starts[i]:ends[i] + 1].decode()
         if line_text.isspace():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gjb import SkewNormalShape, sample_sn
 from gjb import io as gjb_io
 from gjb.cli import main
 from gjb.asymptotics import CovarianceMatrix2
@@ -127,10 +128,37 @@ class TestReadSampleCsv:
         assert sample.parsed_rows == n
         assert peak < 3 * 8 * n
 
+    @pytest.mark.skipif(not gjb_io._EXTENDED_PRECISION,
+                        reason="every line goes through float() here")
+    def test_written_sample_stays_on_the_block_path(self, tmp_path, monkeypatch):
+        # what the decide and test speed rests on: a file write_sample_csv
+        # wrote is read without a Python object per line but the odd one
+        values = sample_sn(SkewNormalShape(1.0), 50_000, 0)
+        path = tmp_path / "sn1.csv"
+        gjb_io.write_sample_csv(values, str(path))
+        calls = []
+
+        def counting_float(x):
+            calls.append(x)
+            return float(x)
+
+        monkeypatch.setattr(gjb_io, "float", counting_float, raising=False)
+        sample = gjb_io._read_plain(str(path))
+        assert isinstance(sample, gjb_io.SampleFile)
+        assert sample.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+        assert sample.skipped_rows == 0
+        lines = path.read_text().splitlines(keepends=True)
+        # the header check of the first line, each exponent-form line, and
+        # the few lines whose long double quotient lies on a halfway point
+        # (about 1 in 2**11 of them), all in file order
+        assert calls[0] == lines[0]
+        assert [x for x in calls[1:] if "e" in x] == [line for line in lines if "e" in line]
+        assert len([x for x in calls[1:] if "e" not in x]) <= len(lines) >> 10
+
 
 FIELD_LIMIT = csv.field_size_limit()
 # ends the first block on a line end, so what follows starts a later one
-LATER_BLOCK = b"0.5\n" * (gjb_io._BLOCK_CHARS // 4 + 1)
+LATER_BLOCK = b"0.5\n" * (gjb_io._BLOCK_BYTES // 4 + 1)
 # Lines the streamed path reads itself, and lines on which it and the CSV
 # reader could part ways: each file mixes the first with a few of the second.
 PLAIN_LINES = st.tuples(
@@ -173,7 +201,7 @@ def sample_files(draw) -> bytes:
 
     # padding puts the second group of lines in a later block than the
     # first, the block boundary falling just before, on or after a line end
-    padding = draw(st.sampled_from([0, *(gjb_io._BLOCK_CHARS // 4 + d for d in (-1, 0, 1))]))
+    padding = draw(st.sampled_from([0, *(gjb_io._BLOCK_BYTES // 4 + d for d in (-1, 0, 1))]))
     text = lines() + "0.5\n" * padding + lines()
     if draw(st.booleans()):
         text = "".join(draw(ODD_LINES)) + text  # a header, or a row taken for one
@@ -229,6 +257,14 @@ class TestStreamedPathMatchesCsvReader:
     @example(data=b'""\n"value"\n1.5\n')  # a blank field, then a quoted header
     @example(data=b'"value"\n1.5\n"2.5"\n')  # a later quoted line
     @example(data=b'"1"2\n3\n')  # text after the closing quote: the value 12
+    @example(data=b'\xef\xbb\xbf"value"\n1.5\n')  # a byte-order mark, then a quoted header
+    @example(data=b"\xef\xbb\xbf")  # a byte-order mark alone
+    @example(data=LATER_BLOCK + "\u0663\u0661\n\u3000-2.5 \n".encode())  # non-ASCII lines
+    # a 2-byte character across the first block's byte offset, then a later one's
+    @example(data=b"0.5\n" * (gjb_io._BLOCK_BYTES // 4 - 1) + "1.5\u00a0\n2.5\n".encode())
+    @example(data=LATER_BLOCK + b"0.5\n" * (gjb_io._BLOCK_BYTES // 4 - 1)
+             + "1.5\u00a0\n2.5\n".encode())
+    @example(data=LATER_BLOCK + b"1.5\xff\n")  # not UTF-8, after an ASCII block
     def test_same_values_counts_and_errors(self, tmp_path_factory, data):
         assert_same_outcome(tmp_path_factory, data)
 
@@ -241,7 +277,7 @@ class TestStreamedPathMatchesCsvReader:
             mp.setattr(gjb_io, "_EXTENDED_PRECISION", False)
             assert_same_outcome(tmp_path_factory, data)
 
-    @pytest.mark.parametrize("lead", [5000, gjb_io._BLOCK_CHARS // 2 + 1],
+    @pytest.mark.parametrize("lead", [5000, gjb_io._BLOCK_BYTES // 2 + 1],
                              ids=["first-block", "later-block"])
     @pytest.mark.parametrize("tail", [
         "12\n-\n3\n", "12\n.\n3\n", "12\n+\n-3\n", "12\n-.\n3\n",
@@ -333,8 +369,11 @@ class TestDecimalLines:
     @example(lines=[(x, "\n") for x in [
         "5.723849386572662734", "-562698.6479319037753",
         "0.06249999999999999653", "-8589934591.999999523"]])
+    @example(lines=[("1.5", "\n"), ("-2.25", "\r\n"), ("+3", "\n"), ("0.001", "\n")])  # all plain
+    # 2**53 + 1, halfway between two doubles, among plain lines
+    @example(lines=[("1.5", "\n"), ("9007199254740993", "\n"), ("-2.25", "\r\n")])
     def test_values_are_float_of_each_line(self, lines):
-        values, blank = gjb_io._decimal_lines("".join(a + b for a, b in lines))
+        values, blank = gjb_io._decimal_lines("".join(a + b for a, b in lines).encode())
         expected = np.array([float(a) for a, _ in lines])
         assert blank == 0
         assert values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
@@ -344,7 +383,7 @@ class TestDecimalLines:
         # np.fromstring would join a lone sign to the next line, skip a lone
         # point and read "1.2.3" without its points as 123
         with pytest.raises(ValueError, match="could not convert string to float"):
-            gjb_io._decimal_lines(f"12\n{line}\n3\n")
+            gjb_io._decimal_lines(f"12\n{line}\n3\n".encode())
 
 
 def make_outcome(p=0.5, j=1.3862943611198906, alpha=1.0) -> TestOutcome:
