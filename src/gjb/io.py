@@ -6,13 +6,15 @@ header row (auto-detected when the first row is not numeric). Multi-column
 files are rejected rather than guessing a column. A file that does not
 decode or that the CSV reader rejects raises SampleParseError, like a bad
 row. Plain files, which may start with a quoted header such as R's
-``"value"``, are read in blocks of bytes, an ASCII block never decoded,
-and each value is ``float()`` of its line: a line ``[+-]digits[.digits]``
-is computed exactly from its digits as an integer scaled in long double,
-any other line goes through ``float()``. A file with a line the CSV
-reader might read differently (any other quote, a comma, a lone carriage
-return, an over-long line) or a line that fails is read again through
-``csv.reader``, so both paths give the same values, counts and errors.
+``"value"``, have their header found line by line, then are read in
+blocks of bytes, and each value is ``float()`` of its line: a line
+``[+-]digits[.digits]`` is computed exactly from its bytes as an integer
+scaled in long double where long double allows it, any other line is
+decoded on its own and goes through ``float()``. A file with a line the
+CSV reader might read differently (any other quote, a comma, a lone
+carriage return, an over-long line) or a line that fails is read again
+through ``csv.reader``, so both paths give the same values, counts and
+errors.
 
 Report format: a flat JSON object with fixed, documented keys
 
@@ -116,18 +118,18 @@ def read_sample_csv(path: str) -> SampleFile:
     with its line number, as does a row the CSV reader rejects; a file that
     is not UTF-8 raises SampleParseError naming the file.
 
-    A plain file is read in blocks of bytes, a block of ASCII bytes never
-    decoded, and each value is ``float()`` of its line, the conversion the
+    A plain file has its header found line by line, then is read in blocks
+    of bytes, and each value is ``float()`` of its line, the conversion the
     CSV reader's rows get: a line ``[+-]digits[.digits]`` is computed
-    exactly from its digits where long double allows it, any other line by
-    ``float()``. Its first non-blank line may be one quoted field without a
-    comma or an inner quote, which is read as the text between the quotes.
-    A file with any other line holding a quote or a comma, a carriage
-    return not followed by a line feed, more characters than
-    ``csv.field_size_limit()``, a value ``float()`` rejects or a non-finite
-    value is read again through the CSV reader, which alone raises the
-    errors above. Values, row counts and errors are the same on both
-    paths.
+    exactly from its bytes where long double allows it, any other line is
+    decoded on its own and goes through ``float()``. Its first non-blank
+    line may be one quoted field without a comma or an inner quote, which
+    is read as the text between the quotes. A file with any other line
+    holding a quote or a comma, a carriage return not followed by a line
+    feed, a block of more bytes than ``csv.field_size_limit()``, a value
+    ``float()`` rejects or a non-finite value is read again through the CSV
+    reader, which alone raises the errors above. Values, row counts and
+    errors are the same on both paths.
     """
     sample = _read_plain(path)
     return _read_csv(path) if sample is None else sample
@@ -139,53 +141,56 @@ def _read_plain(path: str) -> SampleFile | None:
     a value ``float()`` rejects, a non-finite value, no value, or text that
     is not UTF-8: ``_read_csv`` reads those.
 
-    A block is ``_BLOCK_BYTES`` bytes topped up to the end of a line, so it
-    never ends inside a UTF-8 sequence. A block of ASCII bytes is never
-    decoded; any other block is decoded once, to check it and to count its
-    characters. Until a non-blank line is seen, a block is decoded and split
-    into lines to find the header: the first non-blank line may be one
-    quoted field without a comma or an inner quote, such as a quoted header;
-    it is read as the CSV reader reads it, as the text between the quotes.
-    The quote, comma and carriage-return checks run on the bytes, in which
-    those bytes never occur inside a UTF-8 sequence. A block of more than
-    ``csv.field_size_limit()`` characters is left to ``_read_csv``."""
+    The lines up to the first non-blank one are read first, and start the
+    first block. That line may be one quoted field without a comma or an
+    inner quote, such as a quoted header; it is read as the CSV reader
+    reads it, as the text between the quotes, and it is the header when
+    ``float()`` rejects it. The header is cut from the first block only
+    after the block's checks, which must see its bytes. A block is
+    ``_BLOCK_BYTES`` bytes topped up to the end of a line, so it never ends
+    inside a UTF-8 sequence, and no block is decoded here: ``_decimal_lines``
+    decodes each line it sends to ``float()``, ``_float_lines`` its whole
+    block, so text that is not UTF-8 raises in either. The quote, comma and
+    carriage-return checks run on the bytes, in which those bytes never
+    occur inside a UTF-8 sequence. A block of more bytes than
+    ``csv.field_size_limit()`` is left to ``_read_csv``; a block has no
+    more characters than bytes, so one within the limit holds no over-long
+    line."""
     blocks: list[np.ndarray] = []
-    skipped = 0
-    header_checked = False
     limit = csv.field_size_limit()
     convert = _decimal_lines if _EXTENDED_PRECISION else _float_lines
     try:
         with open(path, "rb") as fh:
-            data = fh.read(_BLOCK_BYTES).removeprefix(_UTF8_BOM)
+            # the lines up to the first non-blank one, the first block's
+            # start; more lines than the limit make a block over it, which
+            # is left to _read_csv, so stop there
+            lines = [fh.readline().removeprefix(_UTF8_BOM)]
+            while (text := lines[-1].decode()).isspace() and len(lines) <= limit:
+                lines.append(fh.readline())
+            data = b"".join(lines)
+            start = len(data) - len(lines[-1])
+            if quoted := _QUOTED_LINE.fullmatch(text):
+                text = quoted[1] + (quoted[2] or "")
+                data = data[:start] + text.encode()
+            # the header, cut after the first block's checks; at the end of
+            # the file, the empty line is taken for one, but then no value
+            # is read and _read_csv reads the file
+            skipped, stop = 0, start
+            try:
+                float(text)
+            except ValueError:
+                skipped, stop = 1, len(data)
+            data += fh.read(_BLOCK_BYTES)
             while data:
                 data += fh.readline()
-                if header_checked:
-                    size = len(data) if data.isascii() else len(data.decode())
-                else:
-                    text = data.decode()
-                    # split as the CSV reader's file iterator splits: at \n, \r\n and \r
-                    lines = StringIO(text, newline="").readlines()
-                    first = next((i for i, line in enumerate(lines) if not line.isspace()), None)
-                    if first is not None and (quoted := _QUOTED_LINE.fullmatch(lines[first])):
-                        lines[first] = quoted[1] + (quoted[2] or "")
-                        text = "".join(lines)
-                        data = text.encode()
-                    size = len(text)
                 if (b'"' in data or b"," in data
                         or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
-                        or size > limit):
+                        or len(data) > limit):
                     return None
-                if not header_checked and first is not None:
-                    header_checked = True
-                    try:
-                        float(lines[first])
-                    except ValueError:
-                        del lines[first]
-                        skipped += 1
-                        data = "".join(lines).encode()
-                values, blank = convert(data)
+                values, blank = convert(data[:start] + data[stop:])
                 blocks.append(values)
                 skipped += blank
+                start = stop = 0
                 data = fh.read(_BLOCK_BYTES)
     # float() or the UTF-8 decoder rejected the text; older numpy only warns
     # on text np.fromstring cannot read to its end
@@ -198,8 +203,8 @@ def _read_plain(path: str) -> SampleFile | None:
 
 
 def _float_lines(data: bytes) -> tuple[np.ndarray, int]:
-    """``float()`` of each non-blank line of UTF-8 ``data``, and the count
-    of blank (whitespace-only) lines."""
+    """``float()`` of each non-blank line of ``data``, decoded whole as
+    UTF-8, and the count of blank (whitespace-only) lines."""
     lines = StringIO(data.decode(), newline="").readlines()
     numeric = list(filterfalse(str.isspace, lines))
     return np.fromiter(map(float, numeric), float, len(numeric)), len(lines) - len(numeric)
@@ -207,8 +212,10 @@ def _float_lines(data: bytes) -> tuple[np.ndarray, int]:
 
 def _decimal_lines(data: bytes) -> tuple[np.ndarray, int]:
     """``_float_lines(data)`` bit for bit, without a Python object per line
-    of the form ``[+-]digits[.digits]``, for UTF-8 ``data`` whose every
-    carriage return ends a line.
+    of the form ``[+-]digits[.digits]``, for ``data`` whose every carriage
+    return ends a line. ``data`` need not be UTF-8: a line with a byte of
+    0x80 or above is never of the form, so it is decoded on its own for
+    ``float()``, and a line that is not UTF-8 raises UnicodeDecodeError.
 
     Such a line with digits w and k of them after the point is w / 10**k
     (Clinger, 1990): |w| < 2**63 and 10**k with k <= 27 are exact in long

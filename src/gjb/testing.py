@@ -312,14 +312,6 @@ def _check_level(level: float) -> None:
         raise DomainError(f"level must be in (0, 1), got {level}")
 
 
-def _null_law(
-    shape: SkewNormalShape, route: str, seed: int, *, legacy: bool
-) -> tuple[ShapeStatistics, CovarianceMatrix2]:
-    """Theoretical (a, b) of SN(alpha) and the covariance Sigma by ``route``
-    (see :func:`_null_laws`)."""
-    return _null_laws([shape.alpha], route, seed, legacy=legacy)[0]
-
-
 def _null_laws(
     alphas: Sequence[float], route: str, seed: int, *, legacy: bool
 ) -> list[tuple[ShapeStatistics, CovarianceMatrix2]]:
@@ -379,7 +371,7 @@ def _outcome(
 ) -> TestOutcome:
     """The test of SN(alpha) on k copies of a sample of n values whose
     shape statistics are (a_n, b_n)."""
-    ab, sigma = _null_law(SkewNormalShape(alpha), sigma_route, seed, legacy=legacy)
+    [(ab, sigma)] = _null_laws([alpha], sigma_route, seed, legacy=legacy)
     j_n = k * gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
     p = chi2_survival(j_n)
     return TestOutcome(

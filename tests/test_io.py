@@ -130,30 +130,38 @@ class TestReadSampleCsv:
 
     @pytest.mark.skipif(not gjb_io._EXTENDED_PRECISION,
                         reason="every line goes through float() here")
-    def test_written_sample_stays_on_the_block_path(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("header", ["", "value\n"], ids=["no-header", "header"])
+    def test_written_sample_stays_on_the_block_path(self, tmp_path, monkeypatch, header):
         # what the decide and test speed rests on: a file write_sample_csv
-        # wrote is read without a Python object per line but the odd one
+        # wrote is read without a Python object per line but the odd one,
+        # and no block is decoded and split into lines whole
         values = sample_sn(SkewNormalShape(1.0), 50_000, 0)
         path = tmp_path / "sn1.csv"
         gjb_io.write_sample_csv(values, str(path))
+        path.write_text(header + path.read_text())
         calls = []
 
         def counting_float(x):
             calls.append(x)
             return float(x)
 
+        def no_string_io(*args, **kwargs):
+            raise AssertionError("a block was split into lines through StringIO")
+
         monkeypatch.setattr(gjb_io, "float", counting_float, raising=False)
+        monkeypatch.setattr(gjb_io, "StringIO", no_string_io)
         sample = gjb_io._read_plain(str(path))
         assert isinstance(sample, gjb_io.SampleFile)
         assert sample.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
-        assert sample.skipped_rows == 0
+        assert sample.skipped_rows == len(header.splitlines())
         lines = path.read_text().splitlines(keepends=True)
+        rows = lines[sample.skipped_rows:]
         # the header check of the first line, each exponent-form line, and
         # the few lines whose long double quotient lies on a halfway point
         # (about 1 in 2**11 of them), all in file order
         assert calls[0] == lines[0]
-        assert [x for x in calls[1:] if "e" in x] == [line for line in lines if "e" in line]
-        assert len([x for x in calls[1:] if "e" not in x]) <= len(lines) >> 10
+        assert [x for x in calls[1:] if "e" in x] == [line for line in rows if "e" in line]
+        assert len([x for x in calls[1:] if "e" not in x]) <= len(rows) >> 10
 
 
 FIELD_LIMIT = csv.field_size_limit()
@@ -265,6 +273,19 @@ class TestStreamedPathMatchesCsvReader:
     @example(data=LATER_BLOCK + b"0.5\n" * (gjb_io._BLOCK_BYTES // 4 - 1)
              + "1.5\u00a0\n2.5\n".encode())
     @example(data=LATER_BLOCK + b"1.5\xff\n")  # not UTF-8, after an ASCII block
+    # the header step: a first non-blank line the CSV reader splits, one it
+    # reads as two fields, blank lines it splits, no non-blank line, a
+    # header that is not UTF-8, a byte-order mark before blank lines, a
+    # header over the limit, and one line over the limit in bytes but not
+    # in characters
+    @example(data=b"x\r0.0\n0.0\n")
+    @example(data=b"a,b\n1\n")
+    @example(data=b" \r \nvalue\n1\n")
+    @example(data=b"\n\n\n")
+    @example(data=b"\xffvalue\n1\n")
+    @example(data=b"\xef\xbb\xbf\n\nvalue\n1.5\n")
+    @example(data=("x" * (FIELD_LIMIT + 1) + "\n1\n").encode())
+    @example(data=("\u0663" * (gjb_io._BLOCK_BYTES + 1) + "\n").encode())
     def test_same_values_counts_and_errors(self, tmp_path_factory, data):
         assert_same_outcome(tmp_path_factory, data)
 

@@ -719,9 +719,7 @@ class TestNullLaws:
             raw = sn_raw_moments(SkewNormalShape(alpha))
             one = shape_statistics(raw)
             ref = sigma_analytic(raw, legacy=legacy)
-            assert gjb.testing._null_law(
-                SkewNormalShape(alpha), "analytic", 0, legacy=legacy
-            ) == (ab, sigma)
+            assert gjb.testing._null_laws([alpha], "analytic", 0, legacy=legacy) == [(ab, sigma)]
             assert ab.kurtosis == pytest.approx(one.kurtosis, rel=1e-13)
             assert ab.skewness == pytest.approx(one.skewness, rel=1e-13)
             assert sigma.s11 == pytest.approx(ref.s11, rel=1e-13)
