@@ -30,7 +30,6 @@ import sys
 import time
 
 from . import io as gjb_io
-from .asymptotics import chi2_survival
 from .errors import GJBError
 from .distributions import SkewNormalShape, sample_sn
 from .moments import analytic_shape_statistics, shape_statistics, sn_raw_moments
@@ -41,10 +40,7 @@ from .reference import (
 )
 from .testing import (
     CampaignConfig,
-    _null_laws,
     duplication_decision,
-    empirical_shape,
-    gjb_statistic,
     rejection_size_search,
     run_test,
     simulate_alternative,
@@ -284,10 +280,9 @@ def _cmd_tables(args) -> None:
     conventions), 2 (sizes that reject normality) or 3 (shape statistics),
     each next to its reference.
 
-    Table 1's n = 10 row is one campaign pass over the six shapes. Its
-    n = 2 row is exact and seed-free: every sample of two values has the
-    (a_n, b_n) of [0, 1], so each cell is the p of that pair, from one
-    pass of null laws over the shapes, with no campaign.
+    Each row of table 1 is one campaign pass over the six shapes; the
+    n = 2 row draws nothing and is the same for every seed (see
+    :func:`gjb.testing.simulate_campaigns`).
     """
     if args.which == 3:
         header = ["alpha", "kurtosis", "skewness", "ref kurtosis", "ref skewness"]
@@ -311,20 +306,10 @@ def _cmd_tables(args) -> None:
         header = ["size \\ alpha"] + [str(a) for a in alphas]
         rows = []
         for size in sizes:
-            if size == 2:
-                # any two distinct values are their mean -+ d, so every sample
-                # of two has the (a_n, b_n) of [0, 1], and p is exact
-                a_n, b_n = empirical_shape([0.0, 1.0], legacy=True)
-                laws = _null_laws(alphas, "analytic", args.seed, legacy=True)
-                means = [
-                    chi2_survival(gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, 2))
-                    for ab, sigma in laws
-                ]
-            else:
-                # one pass per size: the shapes share the size's replicate stream
-                config = CampaignConfig(sample_size=size, replications=reps,
-                                        seed=args.seed, legacy=True)
-                means = [float(p.mean()) for p in simulate_campaigns(config, alphas, alphas)]
+            # one pass per size: the shapes share the size's replicate stream
+            config = CampaignConfig(sample_size=size, replications=reps,
+                                    seed=args.seed, legacy=True)
+            means = [float(p.mean()) for p in simulate_campaigns(config, alphas, alphas)]
             rows.append([str(size)] + [
                 f"{100 * mean:.2f} (ref {REFERENCE_MEAN_PVALUES[(size, alpha)]})"
                 for alpha, mean in zip(alphas, means)

@@ -31,7 +31,8 @@ campaigns with the same seed and sample size test their shapes on the same
 standard normals (common random numbers), so their mean p-values are
 correlated estimates. ``simulate_campaigns(config, alphas, data_alphas)``
 evaluates several shapes from one draw per stream chunk, stacking their
-samples into one block that is reduced at once;
+samples into one block that is reduced at once, and draws nothing at
+n = 2, where every sample has one (a_n, b_n);
 ``simulate_alternative(config, alpha, data_alpha)`` and
 ``simulate_true_model(config, alpha)`` are its one-shape calls. Rows
 shorter than 16 values are summed left to right, a column at a time
@@ -372,7 +373,13 @@ def _outcome(
     """The test of SN(alpha) on k copies of a sample of n values whose
     shape statistics are (a_n, b_n)."""
     [(ab, sigma)] = _null_laws([alpha], sigma_route, seed, legacy=legacy)
-    j_n = k * gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
+    j = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
+    try:
+        j_n = k * j
+    except OverflowError:  # k itself is past the float range
+        j_n = math.inf
+    if not math.isfinite(j_n):
+        raise DomainError(f"duplication_factor must keep k * J_n finite, got {k}")
     p = chi2_survival(j_n)
     return TestOutcome(
         alpha=alpha,
@@ -407,10 +414,10 @@ def simulate_campaigns(
     values, whatever the shape count. The null laws of all the shapes come
     from one pass of :func:`_null_laws`.
 
-    At ``sample_size=2`` every replicate has the (a_n, b_n) of any two
-    distinct values, so each row is the p of that pair up to the rounding
-    of the samples; table 1 computes its n = 2 row that way, exact and
-    seed-free, and does not call this.
+    At ``sample_size=2`` nothing is drawn: any two distinct values are
+    their mean -+ d, so every replicate has the (a_n, b_n) of [0, 1], and
+    each row holds that pair's exact p, the same for every seed on the
+    analytic route.
     """
     alphas, data_alphas = list(alphas), list(data_alphas)
     if not alphas:
@@ -422,6 +429,11 @@ def simulate_campaigns(
     laws = _null_laws(alphas, config.sigma_route, config.seed, legacy=config.legacy)
     deltas = [0.0 if a is None else SkewNormalShape(a).delta for a in data_alphas]
     n = config.sample_size
+    if n == 2:
+        a_n, b_n = empirical_shape([0.0, 1.0], legacy=config.legacy)
+        p = [chi2_survival(gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, 2))
+             for ab, sigma in laws]
+        return np.repeat(np.array(p)[:, None], config.replications, axis=1)
 
     def make_p_values(block: tuple[int, int]):
         # the samples of up to `group` shapes are stacked in one block of

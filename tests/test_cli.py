@@ -81,6 +81,12 @@ class TestTestCommand:
                     "--out", out]) == 0
         assert payload(out)["p_value"] < 0.05
 
+    @pytest.mark.parametrize("k", ["1" + "0" * 308, "1" + "0" * 309], ids=["1e308", "1e309"])
+    def test_duplication_past_the_float_range_is_a_runtime_error(self, tmp_path, k, capsys):
+        data = sample_file(tmp_path, 1.0, 50, seed=1)
+        assert run(["test", "--data", data, "--alpha", "0", "--duplicate", k]) == 3
+        assert capsys.readouterr().err.startswith("gjb: error: duplication_factor ")
+
     def test_sigma_routes_agree_on_statistic(self, tmp_path):
         data = sample_file(tmp_path, 1.0, 2_000, seed=5)
         out_a = str(tmp_path / "a.json")

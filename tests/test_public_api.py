@@ -1,14 +1,17 @@
 """The exported surface: every name in an ``__all__`` resolves, and names
 removed from the library stay gone rather than lingering as stale exports."""
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gjb
+import gjb.cli
 import gjb.io
 import gjb.testing
 
@@ -85,3 +88,16 @@ def test_derived_value_is_a_property_not_a_field(cls, name, instance, value):
     assert getattr(instance, name) == value
     with pytest.raises(AttributeError):
         setattr(instance, name, value)
+
+
+def test_cli_imports_no_private_library_name():
+    # the CLI is a client of the library's public surface
+    tree = ast.parse(Path(gjb.cli.__file__).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("gjb"))
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name.startswith("_")] == []

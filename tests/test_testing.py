@@ -158,6 +158,14 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
         (lambda x: rejection_size_search(6.0, cap=math.nan), "need an integer cap, got nan"),
         (lambda x: rejection_size_search(6.0, cap=2.5e6), "need an integer cap, got 2500000.0"),
         (lambda x: rejection_size_search(6.0, cap=math.inf), "need an integer cap, got inf"),
+        # k * J_n is inf at k = 10^308, and k is no float at all at 10^309
+        (lambda x: run_test(x, 0.0, duplication_factor=10**308),
+         rf"^duplication_factor must keep k \* J_n finite, got {10**308}$"),
+        (lambda x: run_test(x, 0.0, duplication_factor=10**309),
+         rf"^duplication_factor must keep k \* J_n finite, got {10**309}$"),
+        # an n = 2 campaign draws nothing, and still checks its data shapes
+        (lambda x: gjb.testing.simulate_campaigns(CampaignConfig(2, 10, 0), [1.0], [math.nan]),
+         "^alpha must be finite, got nan$"),
     ],
     ids=["k_cap", "decide-level-high", "decide-level-negative", "test-level-high",
          "test-level-zero", "start", "sample-seed", "sample-n-float", "test-mc-seed",
@@ -166,7 +174,8 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
          "decide-influence-seed-float", "duplication_factor-float",
          "replications-float", "sample_size-float", "resamples-float", "k_cap-float",
          "start-float", "search-reps-float", "mc-reps-float", "mc-per_rep_n-float",
-         "cap-below-start", "cap-nan", "cap-float", "cap-inf"],
+         "cap-below-start", "cap-nan", "cap-float", "cap-inf",
+         "duplication_factor-1e308", "duplication_factor-1e309", "campaign-n2-data-alpha-nan"],
 )
 def test_bad_argument_named_at_entry(call, message):
     with pytest.raises(DomainError, match=message):
@@ -641,18 +650,33 @@ class TestSimulateCampaigns:
     def test_two_value_samples_match_the_closed_form(self, legacy):
         # any two distinct values have (a_n, b_n) = (1, 0), or (1/4, 0) under
         # legacy, so every replicate p of table 1's n = 2 row is known in
-        # closed form up to the rounding of the sample's mean
+        # closed form
         alphas = sorted({alpha for _, alpha in REFERENCE_MEAN_PVALUES})
         assert len(alphas) == 6
         config = CampaignConfig(sample_size=2, replications=2000, seed=0, legacy=legacy)
         rows = gjb.testing.simulate_campaigns(config, alphas, alphas)
+        assert rows.shape == (6, 2000) and rows.flags.c_contiguous
         a_n = 0.25 if legacy else 1.0
         for row, alpha in zip(rows, alphas):
             raw = sn_raw_moments(SkewNormalShape(alpha))
             ab = shape_statistics(raw)
             sigma = sigma_analytic(raw, legacy=legacy)
             p = chi2_survival(gjb_statistic(a_n, 0.0, ab.kurtosis, ab.skewness, sigma, 2))
-            assert np.max(np.abs(row - p)) <= 1e-10
+            assert np.array_equal(row, np.full(2000, p))
+
+    def test_two_value_campaigns_draw_nothing(self, monkeypatch):
+        # the rows are the same whatever the seed and the data law, and no
+        # replicate is drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an n = 2 campaign drew replicates")
+
+        monkeypatch.setattr(gjb.testing, "map_replicates", no_draw)
+        alphas = [1.0, 6.0, -2.5]
+        rows = [
+            gjb.testing.simulate_campaigns(CampaignConfig(2, 300, seed), alphas, [data] * 3)
+            for seed in (0, 1) for data in (None, 6.0)
+        ]
+        assert all(np.array_equal(row, rows[0]) for row in rows[1:])
 
     def test_normal_data_only(self):
         # no SN data: the chunk holds n normals per replicate, read in place
