@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import SkewNormalShape, sn_from_normals
-from .errors import DegenerateSampleError, DomainError, SingularCovarianceError
-from .moments import centered_moment, sn_raw_moments
+from .errors import DomainError, SingularCovarianceError
+from .moments import _centered_moments, sn_raw_moments
 from .rng import _check_count, map_replicates
 
 __all__ = [
@@ -89,11 +89,12 @@ def influence_polynomials(
     ``k = 2 mu4/s^2`` and ``h = (3/2) q``, where the quadratic-correction
     scale is ``q = mu3/s^2``, or ``s^2 mu3`` with ``legacy=True``.
     """
-    m1 = raw[1]
-    s2 = raw[2] - m1 * m1
-    if (s2 <= 0.0).any():
-        raise DegenerateSampleError("law has zero variance")
-    mu3, mu4 = centered_moment(3, raw), centered_moment(4, raw)
+    return _influence_polynomials(raw[1], *_centered_moments(raw), legacy=legacy)
+
+
+def _influence_polynomials(m1, s2, mu3, mu4, *, legacy: bool):
+    """:func:`influence_polynomials` of a law of mean ``m1`` and centred
+    moments ``s2 = mu2 > 0``, ``mu3`` and ``mu4``."""
     k = 2.0 * mu4 / s2
     h = 1.5 * (s2 * mu3 if legacy else mu3 / s2)
     zero, one = np.zeros_like(m1), np.ones_like(m1)
@@ -119,13 +120,15 @@ def sigma_analytic(raw: np.ndarray, *, legacy: bool = False) -> CovarianceMatrix
     """Exact covariance from raw moments up to order 8, as
     ``P H P' - (P m)(P m)'`` for the coefficient rows P of C and B (see
     :func:`_sigmas_analytic`, which this calls with one law)."""
-    (sigma,) = _sigmas_analytic(raw[:, None], legacy=legacy)
+    (sigma,) = _sigmas_analytic(raw, _centered_moments(raw), legacy=legacy)
     return sigma
 
 
-def _sigmas_analytic(raw: np.ndarray, *, legacy: bool) -> list[CovarianceMatrix2]:
-    """Exact covariance of each law whose raw moments m_0..m_8 are a column
-    of the ``(9, m)`` array ``raw``, each built on its own.
+def _sigmas_analytic(raw: np.ndarray, mu: tuple, *, legacy: bool) -> list[CovarianceMatrix2]:
+    """Exact covariance of each law whose raw moments m_0..m_8 are ``raw``,
+    of shape ``(9,)``, or a column of the ``(9, m)`` array ``raw``, each
+    built on its own; ``mu`` holds the laws' centred moments mu2 > 0, mu3
+    and mu4.
 
     With P the coefficient rows of C and B, H[i, j] = m_(i+j) the moment
     matrix and m = (m_0, ..., m_4) = H e_0, the covariance of (C, B) is
@@ -134,7 +137,8 @@ def _sigmas_analytic(raw: np.ndarray, *, legacy: bool) -> list[CovarianceMatrix2
     is involved. Each law gets a 2x5 by 5x5 and a 2x5 by 5x2 matrix
     product of its own, so its Sigma is the same whatever m.
     """
-    cc, bb = influence_polynomials(raw, legacy=legacy)
+    cc, bb = _influence_polynomials(raw[1], *mu, legacy=legacy)
+    raw, cc, bb = (a.reshape(len(a), -1) for a in (raw, cc, bb))
     p = np.zeros((raw.shape[1], 2, 5))
     p[:, 0] = cc.T
     p[:, 1, :4] = bb.T

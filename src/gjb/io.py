@@ -36,7 +36,6 @@ import json
 import math
 import re
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from io import StringIO
@@ -63,7 +62,8 @@ _EXTENDED_PRECISION = (np.finfo(np.longdouble).nmant >= 63
                        and np.finfo(np.longdouble).nexp == 15)
 # 10**k for k <= 27, each an exact product
 _POW10 = np.multiply.accumulate(np.r_[1, np.full(27, 10)].astype(np.longdouble))
-_INT64 = np.iinfo(np.int64)
+# the magnitude, as uint64, of a mantissa np.fromstring clamped to the int64 range
+_CLAMPED = np.uint64(np.iinfo(np.int64).max)
 # one quoted field on a line of its own (R's write.csv quotes its header);
 # the CSV reader reads it as the text between the quotes
 _QUOTED_LINE = re.compile(r'"([^",\r\n]*)"(\r?\n)?')
@@ -149,13 +149,14 @@ def _read_plain(path: str) -> SampleFile | None:
     after the block's checks, which must see its bytes. A block is
     ``_BLOCK_BYTES`` bytes topped up to the end of a line, so it never ends
     inside a UTF-8 sequence, and no block is decoded here: ``_decimal_lines``
-    decodes each line it sends to ``float()``, ``_float_lines`` its whole
-    block, so text that is not UTF-8 raises in either. The quote, comma and
-    carriage-return checks run on the bytes, in which those bytes never
-    occur inside a UTF-8 sequence. A block of more bytes than
-    ``csv.field_size_limit()`` is left to ``_read_csv``; a block has no
-    more characters than bytes, so one within the limit holds no over-long
-    line."""
+    reads each line of the form ``[+-]digits[.digits]`` exactly, whatever
+    else its block holds, and decodes each line it sends to ``float()``;
+    ``_float_lines`` decodes its whole block, so text that is not UTF-8
+    raises in either. The quote, comma and carriage-return checks run on
+    the bytes, in which those bytes never occur inside a UTF-8 sequence. A
+    block of more bytes than ``csv.field_size_limit()`` is left to
+    ``_read_csv``; a block has no more characters than bytes, so one within
+    the limit holds no over-long line."""
     blocks: list[np.ndarray] = []
     limit = csv.field_size_limit()
     convert = _decimal_lines if _EXTENDED_PRECISION else _float_lines
@@ -192,9 +193,8 @@ def _read_plain(path: str) -> SampleFile | None:
                 skipped += blank
                 start = stop = 0
                 data = fh.read(_BLOCK_BYTES)
-    # float() or the UTF-8 decoder rejected the text; older numpy only warns
-    # on text np.fromstring cannot read to its end
-    except (ValueError, DeprecationWarning):
+    # float() or the UTF-8 decoder rejected the text
+    except ValueError:
         return None
     values = np.concatenate(blocks) if blocks else np.empty(0)
     if not values.size or not np.isfinite(values).all():
@@ -225,7 +225,14 @@ def _decimal_lines(data: bytes) -> tuple[np.ndarray, int]:
     ``-0`` is -0.0. Any other line goes through ``float()`` on its own: one
     with another byte (an exponent, a space, ``_``, non-ASCII text), no
     digit, two points, k > 27, a mantissa np.fromstring clamps to the int64
-    range, or a quotient on a halfway point."""
+    range, or a quotient on a halfway point.
+
+    The lines not of the form stay in the block: in a copy of it, each of
+    their bytes that is not a digit or their line feed is overwritten with
+    ``0``, so np.fromstring, whose line-feed separator swallows empty
+    lines, reads one integer per non-empty line, and ``float()`` overwrites
+    their values. So the lines of the form keep the exact path whatever
+    shares their block."""
     if data and not data.endswith(b"\n"):
         data += b"\n"
     b = np.frombuffer(data, np.uint8)
@@ -236,56 +243,57 @@ def _decimal_lines(data: bytes) -> tuple[np.ndarray, int]:
     starts = np.empty_like(ends)
     starts[:1] = 0
     np.add(ends[:-1], 1, out=starts[1:])
-    # a \r before a line's \n; for ends[0] = 0, index -1 is the last \n
-    cr = b.take(ends - 1) == 13
-    stops = ends - cr
-    other = newline + 1  # non-digit bytes on each line
-    np.subtract(newline[1:], newline[:-1], out=other[1:])
+    count = newline + 1  # non-digit bytes on each line, its \n among them
+    np.subtract(newline[1:], newline[:-1], out=count[1:])
     first = b.take(starts)
     signed = (first == 43) | (first == 45)
+    cr = 0
+    if b"\r" in data:
+        # a \r before a line's \n; for ends[0] = 0, index -1 is the last \n
+        cr = b.take(ends - 1) == 13
     # beyond its \n, a leading sign and a \r before its \n, a line of the
     # form holds no non-digit byte but one point, the last of them before
-    # the \r or \n
-    other -= 1 + signed + cr
+    # the \r or \n, and it holds a digit: more bytes than non-digit ones
+    other = count - 1 - signed - cr
     before = newline - 1 - cr
     point = (other == 1) & (byte.take(before) == 46)
-    digits = stops - starts - point - signed
-    k = (stops - at.take(before) - 1) * point  # digits after the point
-    scaled = ((other == 0) | point) & (digits > 0) & (k <= 27)
-    every = scaled.all()
-    rows = data
-    if not every:
-        keep = np.flatnonzero(scaled)
-        rows = b.compress(np.repeat(scaled, ends - starts + 1)).tobytes()
-        k, first = k.take(keep), first.take(keep)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        w = np.fromstring(rows.replace(b".", b""), dtype=np.int64, sep="\n")
-    exact = np.abs(w).astype(np.longdouble) / _POW10.take(k)
+    k = (ends - cr - at.take(before) - 1) * point  # digits after the point
+    scaled = ((other == 0) | point) & (ends - starts >= count) & (k <= 27)
+    rows, empty = data, 0
+    if not scaled.all():
+        # a line not of the form reads as digits: each non-digit byte of it
+        # but its \n becomes a 0
+        patched = b.copy()
+        patched[at.compress(np.repeat(~scaled, count) & (byte != 10))] = 48
+        rows = patched.tobytes()
+        full = np.flatnonzero(ends > starts)  # the lines np.fromstring reads
+        empty = ends.size - full.size
+        if not full.size:  # np.fromstring reads a 0 from whitespace alone
+            return np.empty(0), empty
+        # a line not of the form reads as an integer, 10**0 its scale
+        starts, ends, first, scaled = (a.take(full) for a in (starts, ends, first, scaled))
+        k = k.take(full) * scaled
+    w = np.fromstring(rows.replace(b".", b""), dtype=np.int64, sep="\n")
+    mantissa = np.abs(w)  # -2**63 stays -2**63, which is 2**63 as uint64
+    exact = mantissa.astype(np.longdouble) / _POW10.take(k)
     values = exact.astype(np.float64)
     # exact - values is exact; on a halfway point it is half the gap above
     # values, or a quarter of it when values is a power of two above exact
     residual = np.abs((exact - values).astype(np.float64))
     gap = np.spacing(values)
-    halfway = (
-        (w == _INT64.max) | (w == _INT64.min) | (2 * residual == gap) | (4 * residual == gap))
+    by_float = (~scaled | (mantissa.view(np.uint64) >= _CLAMPED)
+                | (2 * residual == gap) | (4 * residual == gap))
     values *= np.where(first == 45, -1.0, 1.0)
-    if every:
-        if not halfway.any():
-            return values, 0
-        keep = slice(None)
-    out = np.empty(ends.size)
-    out[keep] = values
-    blank = stops == starts
-    by_float = ~(scaled | blank)
-    by_float[keep] = halfway
-    for i in np.flatnonzero(by_float):
+    blank = []
+    for i in np.flatnonzero(by_float).tolist():
         line_text = data[starts[i]:ends[i] + 1].decode()
         if line_text.isspace():
-            blank[i] = True
+            blank.append(i)
         else:
-            out[i] = float(line_text)
-    return out[~blank], int(np.count_nonzero(blank))
+            values[i] = float(line_text)
+    if blank:
+        values = np.delete(values, blank)
+    return values, empty + len(blank)
 
 
 def _read_csv(path: str) -> SampleFile:

@@ -91,14 +91,23 @@ def centered_moment(order: int, raw: np.ndarray):
     return total
 
 
-def shape_statistics(raw: np.ndarray) -> ShapeStatistics:
-    """Skewness mu3/mu2^(3/2) and kurtosis mu4/mu2^2 from raw moments, as
-    floats, or as arrays for raw moments stacked along a last axis."""
+def _centered_moments(raw: np.ndarray):
+    """mu2, mu3 and mu4 from raw moments (see :func:`centered_moment`);
+    raises DegenerateSampleError unless mu2 > 0."""
     mu2 = centered_moment(2, raw)
     if (mu2 <= 0.0).any():
         raise DegenerateSampleError("law has zero variance")
-    mu3 = centered_moment(3, raw)
-    mu4 = centered_moment(4, raw)
+    return mu2, centered_moment(3, raw), centered_moment(4, raw)
+
+
+def shape_statistics(raw: np.ndarray) -> ShapeStatistics:
+    """Skewness mu3/mu2^(3/2) and kurtosis mu4/mu2^2 from raw moments, as
+    floats, or as arrays for raw moments stacked along a last axis."""
+    return _shape_statistics(*_centered_moments(raw))
+
+
+def _shape_statistics(mu2, mu3, mu4) -> ShapeStatistics:
+    """:func:`shape_statistics` from the centred moments mu2 > 0, mu3, mu4."""
     return ShapeStatistics(skewness=mu3 / (mu2 * np.sqrt(mu2)), kurtosis=mu4 / (mu2 * mu2))
 
 

@@ -57,7 +57,8 @@ from .asymptotics import (
 )
 from .distributions import SkewNormalShape, delta_of_alpha, sn_from_normals
 from .errors import DegenerateSampleError, DomainError
-from .moments import ShapeStatistics, _raw_moments, delta_from_skewness, shape_statistics
+from .moments import (
+    ShapeStatistics, _centered_moments, _raw_moments, _shape_statistics, delta_from_skewness)
 from .reference import rejection_size_hint
 # substream is unused here, but bench/tests/test_bench.py checks that the
 # traced run rebinds gjb.testing.substream; drop it together with that check.
@@ -326,10 +327,12 @@ def _null_laws(
     """
     if route not in _SIGMA_ROUTES:
         raise DomainError(f"sigma_route must be one of {_SIGMA_ROUTES}, got {route!r}")
-    raw = _raw_moments(np.array([delta_of_alpha(a) for a in alphas]))
-    ab = shape_statistics(raw)
+    # a (9,) raw for one shape, which numpy runs on scalars
+    raw = _raw_moments(np.array([delta_of_alpha(a) for a in alphas]).squeeze())
+    mu = _centered_moments(raw)
+    ab = _shape_statistics(*mu)
     if route == "analytic":
-        sigmas = _sigmas_analytic(raw, legacy=legacy)
+        sigmas = _sigmas_analytic(raw, mu, legacy=legacy)
     else:
         sigmas = [
             sigma_monte_carlo(SkewNormalShape(a), *_MC_BUDGET, seed, legacy=legacy)
@@ -337,7 +340,8 @@ def _null_laws(
         ]
     return [
         (ShapeStatistics(skewness=b, kurtosis=a), sigma)
-        for a, b, sigma in zip(ab.kurtosis.tolist(), ab.skewness.tolist(), sigmas)
+        for a, b, sigma in zip(
+            np.atleast_1d(ab.kurtosis).tolist(), np.atleast_1d(ab.skewness).tolist(), sigmas)
     ]
 
 

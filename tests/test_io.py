@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -255,6 +256,7 @@ class TestStreamedPathMatchesCsvReader:
     @example(data=b"1,\n2.5\n")  # "1" and an empty field: a value
     @example(data=b",1\n2.5\n")
     @example(data=b"1.0\r2.0\r\r\n3.0\n")  # lone carriage returns
+    @example(data=b"1.0\r\n2.0\r")  # and one that ends the file
     @example(data=("0." + "0" * (FIELD_LIMIT - 1) + "\n").encode())  # over the limit
     @example(data=b"1.0\ninf\n")
     @example(data=LATER_BLOCK + b"x\n")  # no header in a later block
@@ -376,6 +378,25 @@ DECIMAL_LINES = st.one_of(
 )
 
 
+# one line of each shape that takes the block kernel off its exact path, or
+# that it reads there with a sign, each joined with \n
+EDGE_LINES = {
+    "exponent": "1.2e-05", "empty": "", "crlf-only": "\r", "whitespace": " \t",
+    "plus": "+1.5", "minus": "-2.25", "point": ".", "sign": "-",
+    "k-28": "0." + "0" * 27 + "1", "mantissa-20": "-12345678901234567890.5",
+    "non-ascii": "\u0663\u0661.\u0665",
+}
+UNPARSED = {"point", "sign"}  # float() rejects these
+
+
+def block_outcome(convert, data):
+    try:
+        values, blank = convert(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return values.view(np.uint64).tolist(), blank
+
+
 @pytest.mark.skipif(not gjb_io._EXTENDED_PRECISION,
                     reason="long double cannot scale a decimal exactly here")
 class TestDecimalLines:
@@ -405,6 +426,43 @@ class TestDecimalLines:
         # point and read "1.2.3" without its points as 123
         with pytest.raises(ValueError, match="could not convert string to float"):
             gjb_io._decimal_lines(f"12\n{line}\n3\n".encode())
+
+    @pytest.mark.parametrize("middle", ["parsed", "every"])
+    @pytest.mark.parametrize("edge", EDGE_LINES)
+    def test_patched_block_reads_as_float_lines(self, edge, middle):
+        # each shape first and last in a block that mixes every shape that
+        # parses, or every shape, with lines of the exact path
+        lines = [line for name, line in EDGE_LINES.items()
+                 if middle == "every" or name not in UNPARSED]
+        data = "\n".join([EDGE_LINES[edge], "0.5", *lines, "-3.75", EDGE_LINES[edge]]) + "\n"
+        assert (block_outcome(gjb_io._decimal_lines, data.encode())
+                == block_outcome(gjb_io._float_lines, data.encode()))
+
+    @pytest.mark.parametrize("data", [b"\n", b"\n\n\n", b"\r\n\n", b" \n\n", b"\n\n1.5\n\n"])
+    def test_blank_lines_alone_read_no_value(self, data):
+        # np.fromstring reads a 0 from a text of whitespace alone
+        assert block_outcome(gjb_io._decimal_lines, data) == block_outcome(gjb_io._float_lines, data)
+
+    def test_every_line_reaches_fromstring_as_one_integer(self, monkeypatch):
+        # so np.fromstring cannot stop short of the end of its text, and no
+        # warning it gives on such text needs catching
+        texts = []
+        fromstring = np.fromstring
+
+        def recording(text, *args, **kwargs):
+            texts.append(text)
+            return fromstring(text, *args, **kwargs)
+
+        monkeypatch.setattr(np, "fromstring", recording)
+        data = "\n".join(EDGE_LINES.values()).encode()
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            gjb_io._decimal_lines(data)
+        [text] = texts
+        lines = text.split(b"\n")
+        # every line of data, which gains a \n at its end, then the empty rest
+        assert len(lines) == data.count(b"\n") + 2
+        assert all(re.fullmatch(rb"([+-]?[0-9]+\r?)?", line) for line in lines)
+        assert sum(map(bool, lines)) == len(fromstring(text, dtype=np.int64, sep="\n"))
 
 
 def make_outcome(p=0.5, j=1.3862943611198906, alpha=1.0) -> TestOutcome:
