@@ -9,7 +9,10 @@ row. Plain files, which may start with a quoted header such as R's
 ``"value"``, have their header found line by line, then are read in
 blocks of bytes, and each value is ``float()`` of its line: a line
 ``[+-]digits[.digits]`` is computed exactly from its bytes as an integer
-scaled in long double where long double allows it, any other line is
+scaled in long double where long double allows it (x87 extended or IEEE
+quad of 16 little-endian bytes: x86-64 and aarch64 Linux), unless the long
+double quotient lies exactly halfway between two doubles, which its low
+mantissa bits show; any other line, and every line on other platforms, is
 decoded on its own and goes through ``float()``. A file with a line the
 CSV reader might read differently (any other quote, a comma, a lone
 carriage return, an over-long line) or a line that fails is read again
@@ -53,13 +56,20 @@ SCHEMA_VERSION = "1"
 # limit holds no over-long line
 _BLOCK_BYTES = 1 << 16
 _UTF8_BOM = b"\xef\xbb\xbf"
+_LONG_DOUBLE = np.finfo(np.longdouble)
 # A decimal w / 10**k with |w| < 2**63 and k <= 27 is w and 10**k held
 # exactly, divided with one IEEE rounding, when long double keeps 64-bit
 # integers and has a 15-bit exponent (x87 extended, IEEE quad; not IBM
-# double-double, whose division is not correctly rounded). Elsewhere every
-# line goes through float().
-_EXTENDED_PRECISION = (np.finfo(np.longdouble).nmant >= 63
-                       and np.finfo(np.longdouble).nexp == 15)
+# double-double, whose division is not correctly rounded), and _on_halfway
+# finds its low mantissa word as the first 8 of 16 little-endian bytes (not
+# in 32-bit x86's 12). Elsewhere every line goes through float().
+_EXTENDED_PRECISION = (_LONG_DOUBLE.nmant >= 63 and _LONG_DOUBLE.nexp == 15
+                       and _LONG_DOUBLE.dtype.itemsize == 16 and sys.byteorder == "little")
+# On a double's halfway point, a long double's nmant - 52 mantissa bits below
+# a double's 53 are 1 then 0s; in x87 extended and IEEE quad of 16
+# little-endian bytes they are the low bits of the first 8
+_LOW_BITS = np.uint64((1 << _LONG_DOUBLE.nmant >> 52) - 1)
+_HALF = np.uint64(1 << _LONG_DOUBLE.nmant >> 53)
 # 10**k for k <= 27, each an exact product
 _POW10 = np.multiply.accumulate(np.r_[1, np.full(27, 10)].astype(np.longdouble))
 # the magnitude, as uint64, of a mantissa np.fromstring clamped to the int64 range
@@ -221,8 +231,11 @@ def _decimal_lines(data: bytes) -> tuple[np.ndarray, int]:
     (Clinger, 1990): |w| < 2**63 and 10**k with k <= 27 are exact in long
     double, and rounding the long double quotient to float64 gives the
     correctly rounded value unless the quotient lies exactly halfway
-    between two doubles. The sign comes from the line's first byte, so
-    ``-0`` is -0.0. Any other line goes through ``float()`` on its own: one
+    between two doubles. It does so when its mantissa bits below a double's
+    53 are 1 then 0s, which ``_on_halfway`` reads off the long double's low
+    mantissa word; every quotient is 0 or of a normal double's size, from
+    1e-27 to 2**63 in magnitude. The sign comes from the line's first byte,
+    so ``-0`` is -0.0. Any other line goes through ``float()`` on its own: one
     with another byte (an exponent, a space, ``_``, non-ASCII text), no
     digit, two points, k > 27, a mantissa np.fromstring clamps to the int64
     range, or a quotient on a halfway point.
@@ -247,18 +260,22 @@ def _decimal_lines(data: bytes) -> tuple[np.ndarray, int]:
     np.subtract(newline[1:], newline[:-1], out=count[1:])
     first = b.take(starts)
     signed = (first == 43) | (first == 45)
-    cr = 0
+    # beyond a leading sign and a \r before its \n, a line of the form holds
+    # no non-digit byte but its \n and one point, the last of them before
+    # the \r or \n, and it holds a digit: more bytes than non-digit ones
+    other = count - signed
+    before = newline - 1
+    last = ends  # the line's \r or \n
     if b"\r" in data:
         # a \r before a line's \n; for ends[0] = 0, index -1 is the last \n
         cr = b.take(ends - 1) == 13
-    # beyond its \n, a leading sign and a \r before its \n, a line of the
-    # form holds no non-digit byte but one point, the last of them before
-    # the \r or \n, and it holds a digit: more bytes than non-digit ones
-    other = count - 1 - signed - cr
-    before = newline - 1 - cr
-    point = (other == 1) & (byte.take(before) == 46)
-    k = (ends - cr - at.take(before) - 1) * point  # digits after the point
-    scaled = ((other == 0) | point) & (ends - starts >= count) & (k <= 27)
+        other -= cr
+        before -= cr
+        last = ends - cr
+    dot = at.take(before)
+    point = (other == 2) & (b.take(dot) == 46)
+    k = (last - dot - 1) * point  # digits after the point
+    scaled = ((other == 1) | point) & (ends - starts >= count) & (k <= 27)
     rows, empty = data, 0
     if not scaled.all():
         # a line not of the form reads as digits: each non-digit byte of it
@@ -277,12 +294,7 @@ def _decimal_lines(data: bytes) -> tuple[np.ndarray, int]:
     mantissa = np.abs(w)  # -2**63 stays -2**63, which is 2**63 as uint64
     exact = mantissa.astype(np.longdouble) / _POW10.take(k)
     values = exact.astype(np.float64)
-    # exact - values is exact; on a halfway point it is half the gap above
-    # values, or a quarter of it when values is a power of two above exact
-    residual = np.abs((exact - values).astype(np.float64))
-    gap = np.spacing(values)
-    by_float = (~scaled | (mantissa.view(np.uint64) >= _CLAMPED)
-                | (2 * residual == gap) | (4 * residual == gap))
+    by_float = ~scaled | (mantissa.view(np.uint64) >= _CLAMPED) | _on_halfway(exact)
     values *= np.where(first == 45, -1.0, 1.0)
     blank = []
     for i in np.flatnonzero(by_float).tolist():
@@ -294,6 +306,13 @@ def _decimal_lines(data: bytes) -> tuple[np.ndarray, int]:
     if blank:
         values = np.delete(values, blank)
     return values, empty + len(blank)
+
+
+def _on_halfway(exact: np.ndarray) -> np.ndarray:
+    """Whether each long double of ``exact``, 0 or of a normal double's
+    size, lies exactly halfway between two doubles, read off its low
+    mantissa bits."""
+    return exact.view(np.uint64)[::2] & _LOW_BITS == _HALF
 
 
 def _read_csv(path: str) -> SampleFile:

@@ -12,14 +12,16 @@ no line has an exponent; ``few``, as written (about 4 exponent lines per
 form is written with ``\\n`` and with ``\\r\\n`` line ends. For each file it
 prints the median ms per read and ns per row of ``read_sample_csv`` over
 ``READS`` reads, the ``float()`` calls of one read (the header check, the
-lines off the exact path and the halfway candidates), how many blocks took
-the patch path (a line not of the form ``[+-]digits[.digits]`` in the
-block), and whether the values and skipped count equal ``_read_csv``'s, the
-values bit for bit.
+lines off the exact path and the halfway points), of them the halfway points
+(lines of the form ``[+-]digits[.digits]`` after the header check: no line
+of these files has too many digits for the exact path), how many blocks took
+the patch path (a line not of the form in the block), and whether the values
+and skipped count equal ``_read_csv``'s, the values bit for bit.
 """
 
 from __future__ import annotations
 
+import re
 import statistics
 import tempfile
 import time
@@ -35,6 +37,7 @@ SEED = 0
 SIZES = (50_000, 1_000_000)
 READS = {50_000: 20, 1_000_000: 5}
 EVERY = 64  # one line in EVERY is in exponent form in the "many" files
+DECIMAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?\r?\n")  # a line of the exact path's form
 
 
 def lines_of(x: np.ndarray, form: str) -> list[str]:
@@ -46,14 +49,15 @@ def lines_of(x: np.ndarray, form: str) -> list[str]:
     return lines
 
 
-def counted_read(path: str) -> tuple[gjb_io.SampleFile, int, int]:
-    """One read, with its ``float()`` calls and its patch-path blocks,
-    counted by stand-ins for the names ``gjb.io`` looks up: ``float`` and
-    ``np.repeat``, which only the patch path calls."""
-    calls = {"float": 0, "patch": 0}
+def counted_read(path: str) -> tuple[gjb_io.SampleFile, list[str], int]:
+    """One read, with the texts of its ``float()`` calls and the count of
+    its patch-path blocks, recorded by stand-ins for the names ``gjb.io``
+    looks up: ``float`` and ``np.repeat``, which only the patch path calls."""
+    texts = []
+    calls = {"patch": 0}
 
     def counting_float(text):
-        calls["float"] += 1
+        texts.append(text)
         return float(text)
 
     def counting_repeat(*args, **kwargs):
@@ -67,7 +71,7 @@ def counted_read(path: str) -> tuple[gjb_io.SampleFile, int, int]:
     finally:
         del gjb_io.float
         gjb_io.np = np
-    return sample, calls["float"], calls["patch"]
+    return sample, texts, calls["patch"]
 
 
 def study(path: str, n: int) -> str:
@@ -76,13 +80,14 @@ def study(path: str, n: int) -> str:
         start = time.perf_counter()
         gjb_io.read_sample_csv(path)
         times.append(time.perf_counter() - start)
-    sample, floats, patched = counted_read(path)
+    sample, texts, patched = counted_read(path)
+    halfway = sum(bool(DECIMAL.fullmatch(text)) for text in texts[1:])
     reference = gjb_io._read_csv(path)
     same = (sample.values.view(np.uint64).tolist() == reference.values.view(np.uint64).tolist()
             and sample.skipped_rows == reference.skipped_rows)
     blocks = -(-Path(path).stat().st_size // gjb_io._BLOCK_BYTES)
     ms = statistics.median(times) * 1e3
-    return (f"{ms:9.2f} {ms * 1e6 / n:7.1f} {floats:7d} {patched:4d}/{blocks:<4d}"
+    return (f"{ms:9.2f} {ms * 1e6 / n:7.1f} {len(texts):7d} {halfway:7d} {patched:4d}/{blocks:<4d}"
             f" {'yes' if same else 'NO'}")
 
 
@@ -90,7 +95,7 @@ def main() -> None:
     print(f"SN(1) samples, seed {SEED}; long double exact path:"
           f" {'yes' if gjb_io._EXTENDED_PRECISION else 'no'}")
     print(f"{'rows':>8} {'form':>5} {'ends':>5} {'e-lines':>7} {'ms/read':>9}"
-          f" {'ns/row':>7} {'float()':>7} {'patched':>9} {'same':>4}")
+          f" {'ns/row':>7} {'float()':>7} {'halfway':>7} {'patched':>9} {'same':>4}")
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "sample.csv")
         for n in SIZES:

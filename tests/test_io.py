@@ -131,15 +131,17 @@ class TestReadSampleCsv:
 
     @pytest.mark.skipif(not gjb_io._EXTENDED_PRECISION,
                         reason="every line goes through float() here")
-    @pytest.mark.parametrize("header", ["", "value\n"], ids=["no-header", "header"])
-    def test_written_sample_stays_on_the_block_path(self, tmp_path, monkeypatch, header):
+    @pytest.mark.parametrize(("header", "end"), [("", "\n"), ("value", "\n"), ("", "\r\n")],
+                             ids=["no-header", "header", "crlf"])
+    def test_written_sample_stays_on_the_block_path(self, tmp_path, monkeypatch, header, end):
         # what the decide and test speed rests on: a file write_sample_csv
         # wrote is read without a Python object per line but the odd one,
         # and no block is decoded and split into lines whole
         values = sample_sn(SkewNormalShape(1.0), 50_000, 0)
         path = tmp_path / "sn1.csv"
         gjb_io.write_sample_csv(values, str(path))
-        path.write_text(header + path.read_text())
+        lines = [line + end for line in [header] * bool(header) + path.read_text().splitlines()]
+        path.write_bytes("".join(lines).encode())
         calls = []
 
         def counting_float(x):
@@ -154,15 +156,14 @@ class TestReadSampleCsv:
         sample = gjb_io._read_plain(str(path))
         assert isinstance(sample, gjb_io.SampleFile)
         assert sample.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
-        assert sample.skipped_rows == len(header.splitlines())
-        lines = path.read_text().splitlines(keepends=True)
+        assert sample.skipped_rows == bool(header)
         rows = lines[sample.skipped_rows:]
         # the header check of the first line, each exponent-form line, and
         # the few lines whose long double quotient lies on a halfway point
-        # (about 1 in 2**11 of them), all in file order
+        # (8 of these 5*10^4), all in file order
         assert calls[0] == lines[0]
         assert [x for x in calls[1:] if "e" in x] == [line for line in rows if "e" in line]
-        assert len([x for x in calls[1:] if "e" not in x]) <= len(rows) >> 10
+        assert len([x for x in calls[1:] if "e" not in x]) <= len(rows) >> 12
 
 
 FIELD_LIMIT = csv.field_size_limit()
@@ -295,10 +296,23 @@ class TestStreamedPathMatchesCsvReader:
     @given(data=sample_files())
     @example(data=LATER_BLOCK + b"1.2e-05\n \t\n-0.0\n")
     def test_float_lines_path_matches(self, tmp_path_factory, data):
-        # the path of a platform without an extended long double
+        # the path of a platform without an extended long double or whose
+        # long double fails the layout check: no block reaches _decimal_lines
+        def no_decimal_lines(data):
+            raise AssertionError("a block went through _decimal_lines")
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gjb_io, "_EXTENDED_PRECISION", False)
+            mp.setattr(gjb_io, "_decimal_lines", no_decimal_lines)
             assert_same_outcome(tmp_path_factory, data)
+
+    @pytest.mark.parametrize("block", [b"", LATER_BLOCK], ids=["first-block", "later-block"])
+    @pytest.mark.parametrize("tail", [b"1.0\r\n2.0\r", b"1.0\r\n\r\r\n2.0\r\n", b"1.0\r2.0\n"],
+                             ids=["at-end", "before-crlf", "inner"])
+    def test_lone_carriage_return_goes_to_csv_reader(self, tmp_path, block, tail):
+        path = tmp_path / "data.csv"
+        path.write_bytes(block + tail)
+        assert gjb_io._read_plain(str(path)) is None
 
     @pytest.mark.parametrize("lead", [5000, gjb_io._BLOCK_BYTES // 2 + 1],
                              ids=["first-block", "later-block"])
@@ -387,6 +401,9 @@ EDGE_LINES = {
     "non-ascii": "\u0663\u0661.\u0665",
 }
 UNPARSED = {"point", "sign"}  # float() rejects these
+# decimals whose long double quotient lies a quarter of a gap from a double,
+# next to a power of two or not: none lies on a halfway point
+QUARTER_GAP = ["4785228655507545.75", "9456610372726765.5", "138642353215363628"]
 
 
 def block_outcome(convert, data):
@@ -414,11 +431,36 @@ class TestDecimalLines:
     @example(lines=[("1.5", "\n"), ("-2.25", "\r\n"), ("+3", "\n"), ("0.001", "\n")])  # all plain
     # 2**53 + 1, halfway between two doubles, among plain lines
     @example(lines=[("1.5", "\n"), ("9007199254740993", "\n"), ("-2.25", "\r\n")])
+    @example(lines=[(x, "\n") for x in QUARTER_GAP])
     def test_values_are_float_of_each_line(self, lines):
         values, blank = gjb_io._decimal_lines("".join(a + b for a, b in lines).encode())
         expected = np.array([float(a) for a, _ in lines])
         assert blank == 0
         assert values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_only_a_halfway_quotient_goes_to_float(self, monkeypatch):
+        # 2**53 + 1 between decimals whose quotients are its x87 neighbours,
+        # then quotients a quarter of a gap from a double, off halfway
+        calls = []
+
+        def counting_float(x):
+            calls.append(x)
+            return float(x)
+
+        monkeypatch.setattr(gjb_io, "float", counting_float, raising=False)
+        lines = ["9007199254740992.999", "9007199254740993", "9007199254740993.001",
+                 *QUARTER_GAP]
+        values, _ = gjb_io._decimal_lines("".join(x + "\n" for x in lines).encode())
+        assert calls == ["9007199254740993\n"]
+        assert values.tolist() == [float(x) for x in lines]
+
+    def test_layout_probe_holds(self):
+        # where the layout check lets the exact path run, the halfway test
+        # flags a midpoint and not its long double neighbours
+        midpoint = np.longdouble(2**53) + 1
+        probe = np.array([np.nextafter(midpoint, -np.inf), midpoint,
+                          np.nextafter(midpoint, np.inf)])
+        assert gjb_io._on_halfway(probe).tolist() == [False, True, False]
 
     @pytest.mark.parametrize("line", ["-", "+", ".", "-.", "5-", "5-3", "+-1", "1.2.3"])
     def test_malformed_line_goes_to_float(self, line):
