@@ -39,11 +39,11 @@ import json
 import math
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import asdict, dataclass
 from io import StringIO
 from itertools import filterfalse
-from typing import IO, Any, Iterator
+from typing import IO, Any
 
 import numpy as np
 
@@ -387,14 +387,10 @@ def test_report(
     return Report(command=command, payload=payload)
 
 
-@contextmanager
-def _sink(dest: str | None) -> Iterator[IO[str]]:
-    """The file at path ``dest``, or stdout for None."""
-    if dest is None:
-        yield sys.stdout  # looked up per call: callers may redirect it
-        return
-    with open(dest, "w", newline="") as fh:
-        yield fh
+def _sink(dest: str | None) -> AbstractContextManager[IO[str]]:
+    """The file at path ``dest``, or stdout for None, looked up per call:
+    callers may redirect it."""
+    return nullcontext(sys.stdout) if dest is None else open(dest, "w", newline="")
 
 
 def _flatten(obj: dict[str, Any], prefix: str = "") -> dict[str, str]:

@@ -30,7 +30,8 @@ chunk. Every lane runs the same loop: the caller's thread is lane 0, and
 each other lane is a thread started for the call and joined before it
 returns. Lane ``w`` of ``L`` draws and reduces chunks ``j = w, w + L, ...``
 one at a time in a ``(R, width)`` row buffer and kernel scratch of its own,
-and keeps each chunk's results, a new array; once every lane is joined they
+and keeps each chunk's results, a new array, or the exception it raised;
+once every lane is joined the first exception is raised, else the results
 are concatenated in chunk order. A kernel may build several samples from
 the same drawn rows: campaigns that share a seed and n evaluate every shape
 from one draw per chunk (common random numbers), stacking the shapes'
@@ -117,11 +118,13 @@ def map_replicates(
     It has no default: the empty prefix is ``substream(seed)``'s key, so
     chunk 0 would replay ``sample_sn(seed)``.
 
-    If chunks raise, the exception of the lowest-index failing chunk is
-    raised, whatever the lane count (a lane whose ``make_kernel`` raises
-    fails at its first chunk): a lane stops before any chunk above the
-    lowest failure seen so far, and every lane stops at its next chunk on a
-    Ctrl-C. Every thread is joined before this returns or raises.
+    Each chunk records its results or the exception it raised (a lane whose
+    ``make_kernel`` raises fails at its first chunk), and each lane the chunk
+    at which it failed. A lane runs its chunks in order and skips those
+    above any lane's failure, and every lane stops at its next chunk on a
+    Ctrl-C. Every thread is joined before this returns or raises: the first
+    exception in chunk order is the lowest failing chunk's, whatever the
+    lane count.
     """
     _check_count("seed", seed, 0)
     key = np.random.SeedSequence(seed, spawn_key=key_prefix).generate_state(2, np.uint64)
@@ -129,10 +132,8 @@ def map_replicates(
     chunks = -(-reps // per_chunk)
     block = (min(per_chunk, reps), n)
     lanes = min(chunks, worker_count())
-    results: list[np.ndarray | None] = [None] * chunks
-    failed = [chunks]  # lowest failing chunk so far; -1 stops every lane
-    errors: dict[int, BaseException] = {}
-    lock = threading.Lock()
+    results: list[np.ndarray | BaseException | None] = [None] * chunks
+    failed = [chunks] * lanes  # lane w's failing chunk, or -1 to stop every lane
 
     def work(w: int) -> None:
         j = w
@@ -140,18 +141,15 @@ def map_replicates(
             buf = np.empty((block[0], n if width is None else width))
             kernel = make_kernel(block)
             for j in range(w, chunks, lanes):
-                if j > failed[0]:
+                if j > min(failed):
                     return
                 rows = buf[: reps - j * per_chunk]
                 draw(np.random.Generator(np.random.Philox(key=key, counter=[0, j, 0, 0])), rows)
                 results[j] = kernel(rows)
         except Exception as exc:  # raised once every lane has stopped
-            with lock:
-                errors[j] = exc
-                failed[0] = min(failed[0], j)
+            results[j], failed[w] = exc, j
         except BaseException as exc:  # a Ctrl-C: stop every lane at its next chunk
-            errors[j] = exc
-            failed[0] = -1
+            results[j], failed[w] = exc, -1
             raise
 
     started = []
@@ -169,6 +167,7 @@ def map_replicates(
     finally:
         for t in started:
             t.join()
-    if errors:
-        raise errors[min(errors)]
+    for outcome in results:  # the lowest failing chunk's, as every chunk below it ran
+        if isinstance(outcome, BaseException):
+            raise outcome
     return np.concatenate(results)

@@ -219,6 +219,35 @@ def test_lowest_failing_chunk_raises(lanes, monkeypatch):
     assert (5 in seen) == (lanes > 1)
 
 
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_no_lane_starts_a_chunk_above_a_recorded_failure(lanes, monkeypatch):
+    # n = 2^16: one row per chunk, twelve chunks. Chunk 1 fails; every other
+    # chunk waits for that failure and a while longer, so it is recorded
+    # before the chunk ends: the other lanes finish the chunk they are on
+    # (0, and 2 on three lanes) and start none above it
+    _on_lanes(monkeypatch, lanes)
+    chunk_one_failed = threading.Event()
+    seen = []
+
+    def failing(block):
+        def kernel(xs):
+            j = int(xs[0, 0])
+            seen.append(j)
+            if j == 1:
+                chunk_one_failed.set()
+                raise _ChunkFailure(j)
+            chunk_one_failed.wait(5.0)
+            time.sleep(0.05)
+            return xs[:, 0]
+
+        return kernel
+
+    with pytest.raises(_ChunkFailure) as info:
+        map_replicates(_chunk_index, failing, 12, 2**16, seed=0, key_prefix=(0,))
+    assert info.value.args == (1,)
+    assert max(seen) <= 2
+
+
 @pytest.mark.parametrize("lanes", [1, 2, 3])
 def test_chunk_zero_fails_while_other_lanes_run(lanes, monkeypatch):
     # chunk 0 runs on the caller's lane like any other chunk: it fails while
