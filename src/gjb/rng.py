@@ -34,10 +34,10 @@ and keeps each chunk's results, a new array, or the exception it raised;
 once every lane is joined the first exception is raised, else the results
 are concatenated in chunk order. A kernel may build several samples from
 the same drawn rows: campaigns that share a seed and n evaluate every shape
-from one draw per chunk (common random numbers), stacking the shapes'
-samples so that one reduction serves several of them. numpy releases the
-GIL in the draws, gathers and ufunc loops that fill and reduce the rows,
-so the lanes run in parallel.
+from one draw per chunk (common random numbers), building and reducing the
+shapes' samples one at a time in one block of the lane's own. numpy
+releases the GIL in the draws, gathers and ufunc loops that fill and reduce
+the rows, so the lanes run in parallel.
 Since every chunk owns its counter range, results are bit-identical for any
 core count or affinity mask, and memory is O(L R(n) n) whatever the
 replicate count.

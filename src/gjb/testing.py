@@ -30,9 +30,9 @@ by their seed alone, under the campaign prefix ``(0,)``, not by the shape:
 campaigns with the same seed and sample size test their shapes on the same
 standard normals (common random numbers), so their mean p-values are
 correlated estimates. ``simulate_campaigns(config, alphas, data_alphas)``
-evaluates several shapes from one draw per stream chunk, stacking their
-samples into one block that is reduced at once, and draws nothing at
-n = 2, where every sample has one (a_n, b_n);
+evaluates several shapes from one draw per stream chunk, building and
+reducing their samples one shape at a time in one block, and draws nothing
+at n = 2, where every sample has one (a_n, b_n);
 ``simulate_alternative(config, alpha, data_alpha)`` and
 ``simulate_true_model(config, alpha)`` are its one-shape calls. Rows
 shorter than 16 values are summed left to right, a column at a time
@@ -89,10 +89,6 @@ SKEWNESS_CLAMP = 0.9952
 _SIGMA_ROUTES = ("analytic", "monte-carlo")
 
 _EPS = np.finfo(float).eps
-
-# Values a campaign lane stacks from the shapes of one stream chunk before
-# reducing them together.
-_STACK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -412,11 +408,11 @@ def simulate_campaigns(
     or from N(0,1) for ``None``, and holds ``simulate_alternative(config,
     alphas[i], data_alphas[i])`` bit for bit. The rows share the replicate
     stream of ``config`` (common random numbers): each stream chunk of r rows
-    is drawn once, and the shapes build their samples from those normals in
-    groups of ``max(1, 2**16 // (r n))``, each group stacked in one block and
-    reduced at once. A lane's blocks hold at most ``max(2**16, R(n) n)``
-    values, whatever the shape count. The null laws of all the shapes come
-    from one pass of :func:`_null_laws`.
+    is drawn once, and the shapes build their samples from those normals
+    one at a time, each in the same sample block of the lane's own, where it
+    is reduced. That block and its scratch hold at most R(n) n values each,
+    whatever the shape count. The null laws of all the shapes come from one
+    pass of :func:`_null_laws`.
 
     At ``sample_size=2`` nothing is drawn: any two distinct values are
     their mean -+ d, so every replicate has the (a_n, b_n) of [0, 1], and
@@ -440,35 +436,25 @@ def simulate_campaigns(
         return np.repeat(np.array(p)[:, None], config.replications, axis=1)
 
     def make_p_values(block: tuple[int, int]):
-        # the samples of up to `group` shapes are stacked in one block of
-        # the lane's own and reduced together, in at most max(2^16, R n) values
-        group = max(1, _STACK_ELEMENTS // (block[0] * n))
-        samples, scratch = np.empty((2, min(group, len(laws)) * block[0], n))
+        samples, scratch = np.empty((2,) + block)  # the lane's own
 
         def p_values(z: np.ndarray) -> np.ndarray:
             r = len(z)
+            xs, d2 = samples[:r], scratch[:r]
             # standard normal data are the chunk's first r * n normals, which
             # a draw of r * n alone would give; they are copied, not written
             normal = z.reshape(-1)[: r * n].reshape(r, n)
-            out = np.empty((len(laws), r))
-            for g0 in range(0, len(laws), group):
-                shapes = range(g0, min(g0 + group, len(laws)))
-                xs, d2 = samples[: len(shapes) * r], scratch[: len(shapes) * r]
-                parts = [slice(k * r, (k + 1) * r) for k in range(len(shapes))]
-                for i, rows in zip(shapes, parts):
-                    if deltas[i] == 0.0:
-                        xs[rows] = normal
-                    else:
-                        sn_from_normals(z, deltas[i], xs[rows], d2[rows])
+            j = np.empty((len(laws), r))
+            for i, ((ab, sigma), delta) in enumerate(zip(laws, deltas)):
+                if delta == 0.0:
+                    xs[:] = normal
+                else:
+                    sn_from_normals(z, delta, xs, d2)
                 a_n, b_n, constant = _shape_rows(xs, d2, legacy=config.legacy)
                 if constant.any():
                     raise DegenerateSampleError("a replicate sample is constant (zero variance)")
-                j = np.empty(len(xs))
-                for i, rows in zip(shapes, parts):
-                    ab, sigma = laws[i]
-                    j[rows] = gjb_statistic(a_n[rows], b_n[rows], ab.kurtosis, ab.skewness, sigma, n)
-                out[shapes.start : shapes.stop] = chi2_survival(j).reshape(-1, r)
-            return out.T
+                j[i] = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
+            return chi2_survival(j).T
 
         return p_values
 
@@ -524,7 +510,8 @@ def rejection_size_search(
     n = start
     while n <= cap:
         config = CampaignConfig(sample_size=n, replications=reps, seed=seed)
-        mean_p = float(simulate_alternative(config, alpha).mean())
+        p = simulate_alternative(config, alpha)
+        mean_p = float(p[0] + (p - p[0]).mean())  # exact when every p is equal
         trace.append((n, mean_p))
         if mean_p < level:
             return SizeSearchResult(n=n, trace=trace)

@@ -133,6 +133,16 @@ class TestCampaignCommands:
         assert len(obj["p_values"]) == 50
         assert obj["mean_p_value"] == pytest.approx(np.mean(obj["p_values"]))
 
+    @pytest.mark.parametrize("reps", [1000, 2000, 5000])
+    def test_mean_is_exact_when_every_p_is_equal(self, tmp_path, reps):
+        # every replicate at n = 2 has the same p; numpy's pairwise mean of
+        # these equal values would land a few ulps off it
+        out = str(tmp_path / "p.json")
+        assert run(["power", "--alpha", "6", "--size", "2", "--reps", str(reps),
+                    "--seed", "4", "--full", "--out", out]) == 0
+        obj = payload(out)
+        assert set(obj["p_values"]) == {obj["mean_p_value"]}
+
     def test_simulate_deterministic(self, tmp_path):
         out1, out2 = str(tmp_path / "1.json"), str(tmp_path / "2.json")
         args = ["simulate", "--alpha", "1", "--size", "10", "--reps", "100",

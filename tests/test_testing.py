@@ -620,12 +620,11 @@ class TestSimulateCampaigns:
             assert np.array_equal(row, simulate_alternative(config, alpha, data_alpha))
 
     @pytest.mark.parametrize("legacy", [False, True])
-    def test_stacked_groups_match_numpy_row_reductions(self, legacy):
-        # n = 10, 2000 replicates: one chunk, whose 5 shapes are stacked in
-        # groups of 3 and 2; each row is what left-to-right row sums give on
-        # that shape's samples alone
+    def test_rows_match_numpy_row_reductions(self, legacy):
+        # n = 10, 2000 replicates: one chunk, from which the 5 shapes build
+        # and reduce their samples in turn; each row is what left-to-right
+        # row sums give on that shape's samples alone
         n, reps = 10, 2000
-        assert gjb.testing._STACK_ELEMENTS // (reps * n) == 3
         config = self.config(n, reps, legacy=legacy)
         rows = gjb.testing.simulate_campaigns(config, self.ALPHAS, self.DATA_ALPHAS)
         z = replicate_generator(3, (0,), 0, n)[0].standard_normal((reps, 2 * n))
@@ -727,6 +726,27 @@ class TestSimulateCampaigns:
         assert max(extra["draw"]) < 0.5 * chunk_bytes
         assert max(extra["kernel"]) < 0.5 * chunk_bytes
 
+    def test_lane_memory_does_not_grow_with_the_shape_count(self, monkeypatch):
+        # one lane, one chunk of 1000 rows of 10: the shapes take turns in the
+        # lane's one sample block and its scratch, so K shapes peak above one
+        # shape by less than 3 K reps doubles (the shapes' statistics, their
+        # p-values and one temporary of that size), not by K more blocks
+        monkeypatch.setattr(gjb.rng, "worker_count", lambda: 1)
+        n, reps, alphas = 10, 1000, (0.1, 1.0, 1.5, 3.0, 6.0, 10.0)
+        config = CampaignConfig(sample_size=n, replications=reps, seed=0)
+
+        def peak(k):
+            gjb.testing.simulate_campaigns(config, alphas[:k], alphas[:k])  # warm
+            tracemalloc.start()
+            try:
+                gjb.testing.simulate_campaigns(config, alphas[:k], alphas[:k])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        k = len(alphas)
+        assert peak(k) - peak(1) < 3 * k * reps * 8
+
 
 class TestNullLaws:
     @pytest.mark.parametrize("legacy", [False, True])
@@ -795,6 +815,14 @@ class TestRejectionSizeSearch:
     def test_bad_level_rejected(self):
         with pytest.raises(DomainError):
             rejection_size_search(1.0, 1.5, seed=1)
+
+    @pytest.mark.parametrize("reps", [1000, 5000])
+    def test_mean_is_exact_when_every_p_is_equal(self, reps):
+        # every replicate of an n = 2 campaign has the same p, which the
+        # trace reports exactly, not a pairwise mean a few ulps off it
+        [p] = set(simulate_alternative(CampaignConfig(2, reps, 0), 6.0).tolist())
+        result = rejection_size_search(6.0, seed=0, cap=2, reps=reps, start=2)
+        assert result.trace == [(2, p)]
 
 
 class TestEstimateAlpha:
