@@ -26,7 +26,6 @@ from .asymptotics import (
     CovarianceMatrix2,
     chi2_survival,
     influence_polynomials,
-    legacy_influence_polynomials,
     sigma_analytic,
     sigma_monte_carlo,
 )
@@ -38,13 +37,11 @@ from .testing import (
     duplication_decision,
     empirical_shape,
     estimate_alpha,
-    estimate_alpha_with_flag,
     gjb_statistic,
     rejection_size_search,
     run_test,
     simulate_alternative,
     simulate_campaigns,
-    simulate_true_model,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +58,6 @@ __all__ = [
     "analytic_shape_statistics",
     "CovarianceMatrix2",
     "influence_polynomials",
-    "legacy_influence_polynomials",
     "sigma_analytic",
     "sigma_monte_carlo",
     "chi2_survival",
@@ -72,12 +68,10 @@ __all__ = [
     "empirical_shape",
     "gjb_statistic",
     "run_test",
-    "simulate_true_model",
     "simulate_alternative",
     "simulate_campaigns",
     "rejection_size_search",
     "estimate_alpha",
-    "estimate_alpha_with_flag",
     "duplication_decision",
     "GJBError",
     "DomainError",

@@ -277,6 +277,16 @@ class TestDecideCommand:
         assert run(["decide", "--data", data, "--seed", "0", "--out", out]) == 0
         assert payload(out)["verdict"] == "accept-symmetry"
 
+    def test_out_of_memory_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        # exit 1 means reject-normality, so a crash must not exit 1
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(gjb.cli, "duplication_decision", exhausted)
+        data = sample_file(tmp_path, 6.0, 50, seed=1)
+        assert run(["decide", "--data", data]) == 3
+        assert capsys.readouterr().err == "gjb: error: Unable to allocate 7.45 GiB\n"
+
 
 class TestInputLayouts:
     """One sample written in several layouts gives one report, apart from

@@ -20,6 +20,7 @@ from gjb.moments import (
     skewness_of_delta,
     sn_raw_moments,
 )
+from gjb.reference import REFERENCE_SHAPE_VALUES
 
 C = math.sqrt(2.0 / math.pi)
 
@@ -193,8 +194,9 @@ class TestAnalyticShapeStatistics:
         assert skewness_of_delta(0.9999999) < SKEWNESS_SUP
 
     def test_path_equality_on_random_grid(self):
+        # the random grid plus the shapes ``tables --which 3`` prints
         rng = np.random.default_rng(2024)
-        for alpha in rng.uniform(-10, 10, size=200):
+        for alpha in [*rng.uniform(-10, 10, size=200), *REFERENCE_SHAPE_VALUES]:
             shape = SkewNormalShape(alpha)
             closed = analytic_shape_statistics(shape)
             viamoments = shape_statistics(sn_raw_moments(shape))

@@ -33,6 +33,9 @@ REMOVED = [
     ("gjb", "CampaignResult"),
     ("gjb.testing", "CampaignResult"),
     ("gjb.distributions", "fill_sn"),
+    ("gjb", "simulate_true_model"),
+    ("gjb", "estimate_alpha_with_flag"),
+    ("gjb", "legacy_influence_polynomials"),
 ]
 
 

@@ -163,6 +163,12 @@ def test_worker_count_is_the_lane_budget(monkeypatch):
     assert len(kernels) == 5
 
 
+def test_worker_count_without_affinity_call(monkeypatch):
+    # platforms without sched_getaffinity (macOS) fall back to the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert worker_count() == (os.cpu_count() or 1)
+
+
 @pytest.mark.parametrize("reps", [1, 5, 4 * 2**16 + 3])
 def test_map_replicates_order(reps, monkeypatch):
     # n = 1: 2^16 rows per chunk. Small campaigns are checked row by row, the
