@@ -7,9 +7,10 @@ files are rejected rather than guessing a column. A file that does not
 decode or that the CSV reader rejects raises SampleParseError, like a bad
 row. Plain files, which may start with a quoted header such as R's
 ``"value"``, have their header found line by line, then are read in
-blocks of bytes, and each value is ``float()`` of its line: a line
-``[+-]digits[.digits]`` is computed exactly from its bytes as an integer
-scaled in long double where long double allows it (x87 extended or IEEE
+blocks of bytes, each CRLF line end read as LF as its bytes are read,
+and each value is ``float()`` of its line: a line ``[+-]digits[.digits]``
+is computed exactly from its bytes as an integer scaled in long double
+where long double allows it (x87 extended or IEEE
 quad of 16 little-endian bytes: x86-64 and aarch64 Linux), unless the long
 double quotient lies exactly halfway between two doubles, which its low
 mantissa bits show; any other line, and every line on other platforms, is
@@ -76,7 +77,7 @@ _POW10 = np.multiply.accumulate(np.r_[1, np.full(27, 10)].astype(np.longdouble))
 _CLAMPED = np.uint64(np.iinfo(np.int64).max)
 # one quoted field on a line of its own (R's write.csv quotes its header);
 # the CSV reader reads it as the text between the quotes
-_QUOTED_LINE = re.compile(r'"([^",\r\n]*)"(\r?\n)?')
+_QUOTED_LINE = re.compile(r'"([^",\r\n]*)"(\n)?')
 
 __all__ = [
     "SampleFile",
@@ -129,17 +130,17 @@ def read_sample_csv(path: str) -> SampleFile:
     is not UTF-8 raises SampleParseError naming the file.
 
     A plain file has its header found line by line, then is read in blocks
-    of bytes, and each value is ``float()`` of its line, the conversion the
-    CSV reader's rows get: a line ``[+-]digits[.digits]`` is computed
-    exactly from its bytes where long double allows it, any other line is
-    decoded on its own and goes through ``float()``. Its first non-blank
-    line may be one quoted field without a comma or an inner quote, which
-    is read as the text between the quotes. A file with any other line
-    holding a quote or a comma, a carriage return not followed by a line
-    feed, a block of more bytes than ``csv.field_size_limit()``, a value
-    ``float()`` rejects or a non-finite value is read again through the CSV
-    reader, which alone raises the errors above. Values, row counts and
-    errors are the same on both paths.
+    of bytes, each CRLF line end read as LF, and each value is ``float()``
+    of its line, the conversion the CSV reader's rows get: a line
+    ``[+-]digits[.digits]`` is computed exactly from its bytes where long
+    double allows it, any other line is decoded on its own and goes through
+    ``float()``. Its first non-blank line may be one quoted field without a
+    comma or an inner quote, which is read as the text between the quotes.
+    A file with any other line holding a quote or a comma, a carriage
+    return not followed by a line feed, a block of more bytes than
+    ``csv.field_size_limit()``, a value ``float()`` rejects or a non-finite
+    value is read again through the CSV reader, which alone raises the
+    errors above. Values, row counts and errors are the same on both paths.
     """
     sample = _read_plain(path)
     return _read_csv(path) if sample is None else sample
@@ -150,6 +151,14 @@ def _read_plain(path: str) -> SampleFile | None:
     None when it holds a line the CSV reader might split, unquote or reject,
     a value ``float()`` rejects, a non-finite value, no value, or text that
     is not UTF-8: ``_read_csv`` reads those.
+
+    Each CRLF is read as LF exactly once, as its bytes are read, through
+    ``_lf``: each line of the header step, and each block together with the
+    line that tops it up, so a CRLF split across a block's byte offset is
+    read whole. A second pass would read the lone carriage return of a
+    ``\\r\\r\\n`` as part of a CRLF. What reaches the converters is LF text,
+    and a carriage return left in a block stands alone, which sends the
+    file to ``_read_csv``.
 
     The lines up to the first non-blank one are read first, and start the
     first block. That line may be one quoted field without a comma or an
@@ -162,11 +171,12 @@ def _read_plain(path: str) -> SampleFile | None:
     reads each line of the form ``[+-]digits[.digits]`` exactly, whatever
     else its block holds, and decodes each line it sends to ``float()``;
     ``_float_lines`` decodes its whole block, so text that is not UTF-8
-    raises in either. The quote, comma and carriage-return checks run on
-    the bytes, in which those bytes never occur inside a UTF-8 sequence. A
-    block of more bytes than ``csv.field_size_limit()`` is left to
-    ``_read_csv``; a block has no more characters than bytes, so one within
-    the limit holds no over-long line."""
+    raises in either. The CRLF conversion and the quote, comma and
+    carriage-return checks run on the bytes, in which those bytes never
+    occur inside a UTF-8 sequence. A block of more bytes than
+    ``csv.field_size_limit()`` is left to ``_read_csv``; a block has no more
+    characters than bytes, so one within the limit holds no over-long
+    line."""
     blocks: list[np.ndarray] = []
     limit = csv.field_size_limit()
     convert = _decimal_lines if _EXTENDED_PRECISION else _float_lines
@@ -175,9 +185,9 @@ def _read_plain(path: str) -> SampleFile | None:
             # the lines up to the first non-blank one, the first block's
             # start; more lines than the limit make a block over it, which
             # is left to _read_csv, so stop there
-            lines = [fh.readline().removeprefix(_UTF8_BOM)]
+            lines = [_lf(fh.readline().removeprefix(_UTF8_BOM))]
             while (text := lines[-1].decode()).isspace() and len(lines) <= limit:
-                lines.append(fh.readline())
+                lines.append(_lf(fh.readline()))
             data = b"".join(lines)
             start = len(data) - len(lines[-1])
             if quoted := _QUOTED_LINE.fullmatch(text):
@@ -191,18 +201,15 @@ def _read_plain(path: str) -> SampleFile | None:
                 float(text)
             except ValueError:
                 skipped, stop = 1, len(data)
-            data += fh.read(_BLOCK_BYTES)
+            data += _lf(fh.read(_BLOCK_BYTES) + fh.readline())
             while data:
-                data += fh.readline()
-                if (b'"' in data or b"," in data
-                        or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
-                        or len(data) > limit):
+                if b'"' in data or b"," in data or b"\r" in data or len(data) > limit:
                     return None
                 values, blank = convert(data[:start] + data[stop:])
                 blocks.append(values)
                 skipped += blank
                 start = stop = 0
-                data = fh.read(_BLOCK_BYTES)
+                data = _lf(fh.read(_BLOCK_BYTES) + fh.readline())
     # float() or the UTF-8 decoder rejected the text
     except ValueError:
         return None
@@ -210,6 +217,12 @@ def _read_plain(path: str) -> SampleFile | None:
     if not values.size or not np.isfinite(values).all():
         return None
     return SampleFile(values=values, skipped_rows=skipped)
+
+
+def _lf(data: bytes) -> bytes:
+    """``data`` with each CRLF read as LF. Only text holding a carriage
+    return pays for the two-byte search; LF text costs one byte scan."""
+    return data.replace(b"\r\n", b"\n") if b"\r" in data else data
 
 
 def _float_lines(data: bytes) -> tuple[np.ndarray, int]:
@@ -221,11 +234,13 @@ def _float_lines(data: bytes) -> tuple[np.ndarray, int]:
 
 
 def _decimal_lines(data: bytes) -> tuple[np.ndarray, int]:
-    """``_float_lines(data)`` bit for bit, without a Python object per line
-    of the form ``[+-]digits[.digits]``, for ``data`` whose every carriage
-    return ends a line. ``data`` need not be UTF-8: a line with a byte of
-    0x80 or above is never of the form, so it is decoded on its own for
-    ``float()``, and a line that is not UTF-8 raises UnicodeDecodeError.
+    """``float()`` of each non-blank line of ``data``, split at line feeds,
+    and the count of blank lines, without a Python object per line of the
+    form ``[+-]digits[.digits]``: ``_float_lines(data)`` bit for bit on the
+    LF text ``_read_plain`` passes. ``data`` may hold any bytes: a line with
+    a carriage return or a byte of 0x80 or above is never of the form, so it
+    is decoded on its own for ``float()``, and a line that is not UTF-8
+    raises UnicodeDecodeError.
 
     Such a line with digits w and k of them after the point is w / 10**k
     (Clinger, 1990): |w| < 2**63 and 10**k with k <= 27 are exact in long
@@ -260,21 +275,15 @@ def _decimal_lines(data: bytes) -> tuple[np.ndarray, int]:
     np.subtract(newline[1:], newline[:-1], out=count[1:])
     first = b.take(starts)
     signed = (first == 43) | (first == 45)
-    # beyond a leading sign and a \r before its \n, a line of the form holds
-    # no non-digit byte but its \n and one point, the last of them before
-    # the \r or \n, and it holds a digit: more bytes than non-digit ones
+    # beyond a leading sign, a line of the form holds no non-digit byte but
+    # its \n and one point, the last of them before the \n, and it holds a
+    # digit: more bytes than non-digit ones
     other = count - signed
-    before = newline - 1
-    last = ends  # the line's \r or \n
-    if b"\r" in data:
-        # a \r before a line's \n; for ends[0] = 0, index -1 is the last \n
-        cr = b.take(ends - 1) == 13
-        other -= cr
-        before -= cr
-        last = ends - cr
-    dot = at.take(before)
+    # the non-digit byte before each \n, or a \n where a line holds none (for
+    # the first line, index -1 is the last \n)
+    dot = at.take(newline - 1)
     point = (other == 2) & (b.take(dot) == 46)
-    k = (last - dot - 1) * point  # digits after the point
+    k = (ends - dot - 1) * point  # digits after the point
     scaled = ((other == 1) | point) & (ends - starts >= count) & (k <= 27)
     rows, empty = data, 0
     if not scaled.all():

@@ -160,9 +160,10 @@ class TestReadSampleCsv:
         rows = lines[sample.skipped_rows:]
         # the header check of the first line, each exponent-form line, and
         # the few lines whose long double quotient lies on a halfway point
-        # (8 of these 5*10^4), all in file order
-        assert calls[0] == lines[0]
-        assert [x for x in calls[1:] if "e" in x] == [line for line in rows if "e" in line]
+        # (8 of these 5*10^4), all in file order, each read with an LF end
+        assert calls[0] == lines[0].replace("\r\n", "\n")
+        assert [x for x in calls[1:] if "e" in x] == [
+            line.replace("\r\n", "\n") for line in rows if "e" in line]
         assert len([x for x in calls[1:] if "e" not in x]) <= len(rows) >> 12
 
 
@@ -259,6 +260,7 @@ class TestStreamedPathMatchesCsvReader:
     @example(data=b"1.0\r2.0\r\r\n3.0\n")  # lone carriage returns
     @example(data=b"1.0\r\n2.0\r")  # and one that ends the file
     @example(data=("0." + "0" * (FIELD_LIMIT - 1) + "\n").encode())  # over the limit
+    @example(data=("0." + "0" * (FIELD_LIMIT - 3) + "\r\n").encode())  # within it as LF
     @example(data=b"1.0\ninf\n")
     @example(data=LATER_BLOCK + b"x\n")  # no header in a later block
     # an exponent, a whitespace-only line and -0.0 in a later block
@@ -289,6 +291,11 @@ class TestStreamedPathMatchesCsvReader:
     @example(data=b"\xef\xbb\xbf\n\nvalue\n1.5\n")
     @example(data=("x" * (FIELD_LIMIT + 1) + "\n1\n").encode())
     @example(data=("\u0663" * (gjb_io._BLOCK_BYTES + 1) + "\n").encode())
+    # a lone carriage return before a CRLF, which a reader that converted
+    # CRLF to LF twice would lose
+    @example(data=b" +0\r\r\n")
+    @example(data=b"1.5\r\r\n3.25")
+    @example(data="value\r\r\n-21e3\u2028\x85".encode())
     def test_same_values_counts_and_errors(self, tmp_path_factory, data):
         assert_same_outcome(tmp_path_factory, data)
 
@@ -313,6 +320,33 @@ class TestStreamedPathMatchesCsvReader:
         path = tmp_path / "data.csv"
         path.write_bytes(block + tail)
         assert gjb_io._read_plain(str(path)) is None
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["decimal-lines", "float-lines"])
+    def test_no_carriage_return_reaches_the_converter(self, tmp_path, monkeypatch, exact):
+        if exact and not gjb_io._EXTENDED_PRECISION:
+            pytest.skip("every line goes through float() here")
+        name = "_decimal_lines" if exact else "_float_lines"
+        convert = getattr(gjb_io, name)
+        blocks = []
+
+        def recording(data):
+            blocks.append(data)
+            return convert(data)
+
+        monkeypatch.setattr(gjb_io, "_EXTENDED_PRECISION", exact)
+        monkeypatch.setattr(gjb_io, name, recording)
+        # a byte-order mark, a blank line and a quoted header, then 12 bytes
+        # of values before the CRLF copy of LATER_BLOCK, so the first block's
+        # byte offset falls between the \r and the \n of a line
+        path = tmp_path / "data.csv"
+        path.write_bytes(b'\xef\xbb\xbf\r\n"value"\r\n1.5\r\n\r\n-25\r\n'
+                         + LATER_BLOCK.replace(b"\n", b"\r\n") + b"1.2e-05\r\n \r\n+3\r\n")
+        sample = gjb_io._read_plain(str(path))
+        assert sample is not None
+        assert len(blocks) == 2 and not any(b"\r" in block for block in blocks)
+        reference = gjb_io._read_csv(str(path))
+        assert sample.values.view(np.uint64).tolist() == reference.values.view(np.uint64).tolist()
+        assert sample.skipped_rows == reference.skipped_rows
 
     @pytest.mark.parametrize("lead", [5000, gjb_io._BLOCK_BYTES // 2 + 1],
                              ids=["first-block", "later-block"])
@@ -503,7 +537,7 @@ class TestDecimalLines:
         lines = text.split(b"\n")
         # every line of data, which gains a \n at its end, then the empty rest
         assert len(lines) == data.count(b"\n") + 2
-        assert all(re.fullmatch(rb"([+-]?[0-9]+\r?)?", line) for line in lines)
+        assert all(re.fullmatch(rb"([+-]?[0-9]+)?", line) for line in lines)
         assert sum(map(bool, lines)) == len(fromstring(text, dtype=np.int64, sep="\n"))
 
 
