@@ -178,8 +178,8 @@ def sigma_monte_carlo(
     nonsingular estimate (``reps=1, per_rep_n=2``, say) raises
     :class:`SingularCovarianceError`.
     """
-    _check_count("reps", reps, 1)
-    _check_count("per_rep_n", per_rep_n, 2)
+    _check_count("reps", reps, 1, width=3)  # a row of three covariances each
+    _check_count("per_rep_n", per_rep_n, 2, width=2)  # n pairs (Z1, Z2)
     cc, bb = influence_polynomials(sn_raw_moments(shape), legacy=legacy)
     d = shape.delta
 

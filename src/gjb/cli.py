@@ -365,7 +365,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         gjb_io.write_report(report, args.out, args.format)
     except (GJBError, OSError, MemoryError) as exc:
-        print(f"gjb: error: {exc}", file=sys.stderr)
+        # a bare MemoryError (a list too long to build, say) has no text
+        text = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+        print(f"gjb: error: {text}", file=sys.stderr)
         return 3
     return 1 if report.payload.get("verdict") == "reject-normality" else 0
 

@@ -59,8 +59,7 @@ class SkewNormalShape:
         return delta_of_alpha(self.alpha)
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise DomainError(f"alpha must be finite, got {self.alpha!r}")
+        delta_of_alpha(self.alpha)  # checks that alpha is finite
 
 
 # math.erfc applied element-wise; returns Python floats (object dtype)
@@ -94,7 +93,7 @@ def sample_sn(shape: SkewNormalShape, n: int, seed: int) -> np.ndarray:
     Uses the representation delta |Z1| + sqrt(1-delta^2) Z2; Z1 is drawn
     first (one vector), then Z2, from the stream ``substream(seed)``.
     """
-    _check_count("n", n, 1)
+    _check_count("n", n, 1, width=2)  # Z1 and Z2
     z = substream(seed).standard_normal(2 * n)
     out = np.empty(n)
     sn_from_normals(z, shape.delta, out, z[n:])  # Z2 is not needed after

@@ -58,16 +58,25 @@ from .errors import DomainError
 # tuning knob: changing it changes every result.
 _CHUNK_ELEMENTS = 1 << 16
 
+# the most float values one array can hold: numpy caps its size in bytes
+# at what np.intp can index
+_MAX_VALUES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
-def _check_count(name: str, value, least: int) -> None:
+
+def _check_count(name: str, value, least: int, width: int = 0) -> None:
     """Raise DomainError naming ``name`` unless ``value`` is an integer
-    (``operator.index`` accepts it, as it does numpy integers) >= ``least``."""
+    (``operator.index`` accepts it, as it does numpy integers) >= ``least``.
+
+    A count that sizes an array of ``width`` float values per unit
+    (``width > 0``) must also keep that array within numpy's size limit."""
     try:
         operator.index(value)
     except TypeError:
         raise DomainError(f"need an integer {name}, got {value!r}") from None
     if value < least:
         raise DomainError(f"need {name} >= {least}, got {value}")
+    if width and value > _MAX_VALUES // width:
+        raise DomainError(f"need {name} <= {_MAX_VALUES // width}, got {value}")
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

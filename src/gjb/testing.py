@@ -57,8 +57,7 @@ from .asymptotics import (
 )
 from .distributions import SkewNormalShape, delta_of_alpha, sn_from_normals
 from .errors import DegenerateSampleError, DomainError
-from .moments import (
-    ShapeStatistics, _centered_moments, _raw_moments, _shape_statistics, delta_from_skewness)
+from .moments import _centered_moments, _raw_moments, _shape_statistics, delta_from_skewness
 from .reference import rejection_size_hint
 # substream is unused here, but bench/tests/test_bench.py checks that the
 # traced run rebinds gjb.testing.substream; drop it together with that check.
@@ -127,8 +126,8 @@ class CampaignConfig:
     legacy: bool = False
 
     def __post_init__(self):
-        _check_count("replications", self.replications, 1)
-        _check_count("sample_size", self.sample_size, 2)
+        _check_count("replications", self.replications, 1, width=1)
+        _check_count("sample_size", self.sample_size, 2, width=2)  # an SN row's n pairs
         _check_count("seed", self.seed, 0)
         if self.sigma_route not in _SIGMA_ROUTES:
             raise DomainError(
@@ -312,10 +311,13 @@ def _check_level(level: float) -> None:
 
 def _null_laws(
     alphas: Sequence[float], route: str, seed: int, *, legacy: bool
-) -> list[tuple[ShapeStatistics, CovarianceMatrix2]]:
-    """Theoretical (a, b) of SN(alpha) and the covariance Sigma by ``route``
-    for each of ``alphas``, from one evaluation of the raw moments over the
-    array of shapes.
+) -> list[tuple[float, float, CovarianceMatrix2]]:
+    """Theoretical kurtosis a and skewness b of SN(alpha) and the covariance
+    Sigma by ``route`` for each of ``alphas``, from one evaluation of the raw
+    moments over the array of shapes.
+
+    Each record is ``(a, b, sigma)``, in the order of :func:`gjb_statistic`'s
+    ``a, b, sigma`` arguments, so a law is passed on as ``*law``.
 
     (a, b) and the analytic Sigma are computed for all shapes at once, and
     each Sigma is built, and so checked, on its own; the Monte-Carlo route
@@ -324,21 +326,17 @@ def _null_laws(
     if route not in _SIGMA_ROUTES:
         raise DomainError(f"sigma_route must be one of {_SIGMA_ROUTES}, got {route!r}")
     # a (9,) raw for one shape, which numpy runs on scalars
-    raw = _raw_moments(np.array([delta_of_alpha(a) for a in alphas]).squeeze())
+    raw = _raw_moments(np.array([delta_of_alpha(alpha) for alpha in alphas]).squeeze())
     mu = _centered_moments(raw)
-    ab = _shape_statistics(*mu)
+    b, a = _shape_statistics(*mu)  # (skewness, kurtosis)
     if route == "analytic":
         sigmas = _sigmas_analytic(raw, mu, legacy=legacy)
     else:
         sigmas = [
-            sigma_monte_carlo(SkewNormalShape(a), *_MC_BUDGET, seed, legacy=legacy)
-            for a in alphas
+            sigma_monte_carlo(SkewNormalShape(alpha), *_MC_BUDGET, seed, legacy=legacy)
+            for alpha in alphas
         ]
-    return [
-        (ShapeStatistics(skewness=b, kurtosis=a), sigma)
-        for a, b, sigma in zip(
-            np.atleast_1d(ab.kurtosis).tolist(), np.atleast_1d(ab.skewness).tolist(), sigmas)
-    ]
+    return list(zip(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist(), sigmas))
 
 
 def run_test(
@@ -372,8 +370,8 @@ def _outcome(
 ) -> TestOutcome:
     """The test of SN(alpha) on k copies of a sample of n values whose
     shape statistics are (a_n, b_n)."""
-    [(ab, sigma)] = _null_laws([alpha], sigma_route, seed, legacy=legacy)
-    j = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
+    [(a, b, sigma)] = _null_laws([alpha], sigma_route, seed, legacy=legacy)
+    j = gjb_statistic(a_n, b_n, a, b, sigma, n)
     try:
         j_n = k * j
     except OverflowError:  # k itself is past the float range
@@ -386,8 +384,8 @@ def _outcome(
         n=k * n,
         a_n=a_n,
         b_n=b_n,
-        a=ab.kurtosis,
-        b=ab.skewness,
+        a=a,
+        b=b,
         j_n=j_n,
         p_value=p,
         sigma=sigma,
@@ -431,8 +429,7 @@ def simulate_campaigns(
     n = config.sample_size
     if n == 2:
         a_n, b_n = empirical_shape([0.0, 1.0], legacy=config.legacy)
-        p = [chi2_survival(gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, 2))
-             for ab, sigma in laws]
+        p = [chi2_survival(gjb_statistic(a_n, b_n, *law, 2)) for law in laws]
         return np.repeat(np.array(p)[:, None], config.replications, axis=1)
 
     def make_p_values(block: tuple[int, int]):
@@ -445,7 +442,7 @@ def simulate_campaigns(
             # a draw of r * n alone would give; they are copied, not written
             normal = z.reshape(-1)[: r * n].reshape(r, n)
             j = np.empty((len(laws), r))
-            for i, ((ab, sigma), delta) in enumerate(zip(laws, deltas)):
+            for i, (law, delta) in enumerate(zip(laws, deltas)):
                 if delta == 0.0:
                     xs[:] = normal
                 else:
@@ -453,7 +450,7 @@ def simulate_campaigns(
                 a_n, b_n, constant = _shape_rows(xs, d2, legacy=config.legacy)
                 if constant.any():
                     raise DegenerateSampleError("a replicate sample is constant (zero variance)")
-                j[i] = gjb_statistic(a_n, b_n, ab.kurtosis, ab.skewness, sigma, n)
+                j[i] = gjb_statistic(a_n, b_n, *law, n)
             return chi2_survival(j).T
 
         return p_values
@@ -621,7 +618,7 @@ def duplication_decision(
     The gate screens both sides: reflecting the sample gives the same
     verdict, copies and test, with alpha-hat and the bounds negated.
     """
-    _check_count("resamples", resamples, 1)
+    _check_count("resamples", resamples, 1, width=1)
     _check_count("seed", seed, 0)
     _check_count("k_cap", k_cap, 1)
     _check_level(level)

@@ -17,6 +17,10 @@ lines off the exact path and the halfway points), of them the halfway points
 of these files has too many digits for the exact path), how many blocks took
 the patch path (a line not of the form in the block), and whether the values
 and skipped count equal ``_read_csv``'s, the values bit for bit.
+
+Each row is one unpaired median, from one run of one tree. Two runs of the
+same tree have differed by up to 31% on a row, so rows from two trees are no
+before/after evidence; compare trees with paired, interleaved reads.
 """
 
 from __future__ import annotations

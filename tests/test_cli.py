@@ -279,13 +279,36 @@ class TestDecideCommand:
 
     def test_out_of_memory_is_runtime_error(self, tmp_path, monkeypatch, capsys):
         # exit 1 means reject-normality, so a crash must not exit 1
-        def exhausted(*args, **kwargs):
-            raise MemoryError("Unable to allocate 7.45 GiB")
-
-        monkeypatch.setattr(gjb.cli, "duplication_decision", exhausted)
         data = sample_file(tmp_path, 6.0, 50, seed=1)
-        assert run(["decide", "--data", data]) == 3
-        assert capsys.readouterr().err == "gjb: error: Unable to allocate 7.45 GiB\n"
+        for exc, message in [
+            (MemoryError("Unable to allocate 7.45 GiB"), "Unable to allocate 7.45 GiB"),
+            (MemoryError(), "out of memory"),  # numpy's bare error for a list too long
+        ]:
+            def exhausted(*args, **kwargs):
+                raise exc
+
+            monkeypatch.setattr(gjb.cli, "duplication_decision", exhausted)
+            assert run(["decide", "--data", data]) == 3
+            assert capsys.readouterr().err == f"gjb: error: {message}\n"
+
+
+class TestCountsTooLargeForAnArray:
+    # numpy's float arrays hold at most this many values (2^60 - 1 on 64 bits)
+    MOST = np.iinfo(np.intp).max // 8
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--alpha", "1", "--n", str(2**62)], f"n <= {MOST // 2}, got {2**62}"),
+        (["simulate", "--alpha", "1", "--size", str(10**20), "--reps", "1"],
+         f"sample_size <= {MOST // 2}, got {10**20}"),
+        (["reject-size", "--alpha", "1", "--start", str(10**20), "--cap", str(10**20)],
+         f"sample_size <= {MOST // 2}, got {10**20}"),
+        (["simulate", "--alpha", "1", "--size", "2", "--reps", str(10**20)],
+         f"replications <= {MOST}, got {10**20}"),
+    ], ids=["sample-n", "simulate-size", "reject-size-start", "simulate-reps"])
+    def test_is_runtime_error_naming_the_count(self, argv, message, capsys):
+        # exit 1 means reject-normality, so an oversize count must exit 3
+        assert run(argv) == 3
+        assert capsys.readouterr().err == f"gjb: error: need {message}\n"
 
 
 class TestInputLayouts:

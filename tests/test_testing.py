@@ -116,6 +116,10 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
         entry([1.0, 2.0, bad, 4.0])
 
 
+# the most values numpy lets a float array hold (2^60 - 1 on 64 bits)
+_MOST_VALUES = np.iinfo(np.intp).max // 8
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -166,6 +170,19 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
         # an n = 2 campaign draws nothing, and still checks its data shapes
         (lambda x: gjb.testing.simulate_campaigns(CampaignConfig(2, 10, 0), [1.0], [math.nan]),
          "^alpha must be finite, got nan$"),
+        # counts that size a float array stop short of numpy's size limit
+        (lambda x: sample_sn(SkewNormalShape(1.0), 2**62, 0),
+         f"^need n <= {_MOST_VALUES // 2}, got {2**62}$"),
+        (lambda x: CampaignConfig(10**20, 10, 0),
+         f"^need sample_size <= {_MOST_VALUES // 2}, got {10**20}$"),
+        (lambda x: CampaignConfig(10, 10**20, 0),
+         f"^need replications <= {_MOST_VALUES}, got {10**20}$"),
+        (lambda x: sigma_monte_carlo(SkewNormalShape(1.0), 10**20, 100, 0),
+         f"^need reps <= {_MOST_VALUES // 3}, got {10**20}$"),
+        (lambda x: sigma_monte_carlo(SkewNormalShape(1.0), 10, 10**20, 0),
+         f"^need per_rep_n <= {_MOST_VALUES // 2}, got {10**20}$"),
+        (lambda x: duplication_decision(x, resamples=10**20),
+         f"^need resamples <= {_MOST_VALUES}, got {10**20}$"),
     ],
     ids=["k_cap", "decide-level-high", "decide-level-negative", "test-level-high",
          "test-level-zero", "start", "sample-seed", "sample-n-float", "test-mc-seed",
@@ -175,7 +192,9 @@ def test_non_finite_sample_rejected_at_entry(entry, bad):
          "replications-float", "sample_size-float", "resamples-float", "k_cap-float",
          "start-float", "search-reps-float", "mc-reps-float", "mc-per_rep_n-float",
          "cap-below-start", "cap-nan", "cap-float", "cap-inf",
-         "duplication_factor-1e308", "duplication_factor-1e309", "campaign-n2-data-alpha-nan"],
+         "duplication_factor-1e308", "duplication_factor-1e309", "campaign-n2-data-alpha-nan",
+         "sample-n-oversize", "sample_size-oversize", "replications-oversize",
+         "mc-reps-oversize", "mc-per_rep_n-oversize", "resamples-oversize"],
 )
 def test_bad_argument_named_at_entry(call, message):
     with pytest.raises(DomainError, match=message):
@@ -209,6 +228,13 @@ def test_numpy_integer_counts_accepted():
         CampaignConfig(10, 20, 3), 1.0))
     decision = duplication_decision(x, k_cap=np.int64(5), seed=np.int64(2), resamples=np.int16(50))
     assert decision == duplication_decision(x, k_cap=5, seed=2, resamples=50)
+
+
+def test_count_bound_is_the_array_limit_and_spares_seeds():
+    gjb.rng._check_count("n", _MOST_VALUES // 2, 1, width=2)
+    with pytest.raises(DomainError, match=f"^need n <= {_MOST_VALUES // 2}, got"):
+        gjb.rng._check_count("n", np.uint64(_MOST_VALUES // 2 + 1), 1, width=2)
+    assert CampaignConfig(10, 10, 10**41).seed == 10**41
 
 
 def same_bits(a, b):
@@ -759,17 +785,17 @@ class TestNullLaws:
         # is measured against sqrt(s11 s22), since it vanishes at alpha = 0
         laws = gjb.testing._null_laws(alphas, "analytic", 0, legacy=legacy)
         assert len(laws) == len(alphas)
-        for alpha, (ab, sigma) in zip(alphas, laws):
+        for alpha, (a, b, sigma) in zip(alphas, laws):
             raw = sn_raw_moments(SkewNormalShape(alpha))
             one = shape_statistics(raw)
             ref = sigma_analytic(raw, legacy=legacy)
-            assert gjb.testing._null_laws([alpha], "analytic", 0, legacy=legacy) == [(ab, sigma)]
-            assert ab.kurtosis == pytest.approx(one.kurtosis, rel=1e-13)
-            assert ab.skewness == pytest.approx(one.skewness, rel=1e-13)
+            assert gjb.testing._null_laws([alpha], "analytic", 0, legacy=legacy) == [(a, b, sigma)]
+            assert a == pytest.approx(one.kurtosis, rel=1e-13)
+            assert b == pytest.approx(one.skewness, rel=1e-13)
             assert sigma.s11 == pytest.approx(ref.s11, rel=1e-13)
             assert sigma.s22 == pytest.approx(ref.s22, rel=1e-13)
             assert abs(sigma.s12 - ref.s12) <= 1e-13 * math.sqrt(ref.s11 * ref.s22)
-            assert type(ab.kurtosis) is type(sigma.s11) is float
+            assert type(a) is type(b) is type(sigma.s11) is float
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_alpha_rejected(self, bad):
@@ -791,7 +817,7 @@ class TestNullLaws:
         monkeypatch.setattr(gjb.testing, "sigma_monte_carlo", recorded)
         laws = gjb.testing._null_laws([1.0, 6.0], "monte-carlo", 3, legacy=True)
         assert calls == [1.0, 6.0]
-        for alpha, (_, sigma) in zip((1.0, 6.0), laws):
+        for alpha, (_, _, sigma) in zip((1.0, 6.0), laws):
             assert sigma == real(SkewNormalShape(alpha), 50, 40, 3, legacy=True)
 
 
