@@ -183,26 +183,20 @@ def sigma_monte_carlo(
     cc, bb = influence_polynomials(sn_raw_moments(shape), legacy=legacy)
     d = shape.delta
 
-    def make_covariances(block: tuple[int, int]):
-        # the lane's SN rows and its scratch for C and B
-        sn, cz, bz = np.empty((3,) + block)
-
-        def covariances(z: np.ndarray) -> np.ndarray:
-            r = len(z)
-            xs = sn[:r]
-            sn_from_normals(z, d, xs, cz[:r])
-            c, b = _horner(xs, cc, cz[:r]), _horner(xs, bb, bz[:r])
-            c -= c.mean(axis=1, keepdims=True)
-            b -= b.mean(axis=1, keepdims=True)
-            # the products overwrite the SN rows, which are used up
-            sums = [np.multiply(u, w, out=xs).sum(axis=1) for u, w in ((c, c), (b, b), (c, b))]
-            return np.stack(sums, axis=1) / (per_rep_n - 1)
-
-        return covariances
+    def covariances(z: np.ndarray, work: np.ndarray) -> np.ndarray:
+        # the drawn normals are used up once the SN rows are built, so C and B
+        # overwrite them; the products then overwrite the SN rows
+        xs = work[0]
+        sn_from_normals(z, d, xs, z[:, per_rep_n:])
+        c, b = _horner(xs, cc, z[:, :per_rep_n]), _horner(xs, bb, z[:, per_rep_n:])
+        c -= c.mean(axis=1, keepdims=True)
+        b -= b.mean(axis=1, keepdims=True)
+        sums = [np.multiply(u, w, out=xs).sum(axis=1) for u, w in ((c, c), (b, b), (c, b))]
+        return np.stack(sums, axis=1) / (per_rep_n - 1)
 
     rows = map_replicates(
-        lambda g, z: g.standard_normal(out=z), make_covariances, reps, per_rep_n, seed,
-        key_prefix=(2,), width=2 * per_rep_n,
+        lambda g, z: g.standard_normal(out=z), covariances, reps, per_rep_n, seed,
+        key_prefix=(2,), width=2 * per_rep_n, scratch=1,
     )
     s11, s22, s12 = rows.mean(axis=0)
     return CovarianceMatrix2(s11=float(s11), s22=float(s22), s12=float(s12))

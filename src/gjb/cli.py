@@ -5,12 +5,14 @@ Exit codes: 0 success (including decide's accept/inconclusive verdicts),
 1 decide rejected normality, 2 usage error, 3 runtime error.
 
 Every subcommand that draws randomness takes --seed and is bit-reproducible
-in its report payload (wall_time_ms excluded). Campaign replicates, the
-decide bootstrap and Monte-Carlo covariances are processed in stream chunks
-shared among every usable core; the payloads are bit-identical for any core
-count or affinity mask. decide bootstraps its shape interval only for
-samples below 10^4 values; from there on it uses the influence-function
-interval, which draws nothing, and its report's ci_method says which.
+in its report payload (wall_time_ms excluded) for a given numpy build and set
+of CPU features that numpy dispatches to; the draws themselves are the same
+on every platform. Campaign replicates, the decide bootstrap and
+Monte-Carlo covariances are processed in stream chunks shared among every
+usable core; the payloads are bit-identical for any core count or affinity
+mask. decide bootstraps its shape interval only for samples below 10^4
+values; from there on it uses the influence-function interval, which draws
+nothing, and its report's ci_method says which.
 
 Options shared by several subcommands are declared once each, in helper
 functions that add them to a subcommand's parser; ``main`` builds the

@@ -21,23 +21,27 @@ Standard normals are numpy's ziggurat (``Generator.standard_normal``) and
 bootstrap indices come from ``Generator.integers``; both draw sequentially,
 so replicate ``i`` is row ``i % R`` of chunk ``i // R`` whether that chunk
 is drawn whole or short. Each replicate is therefore a pure function of
-(seed, consumer, i, n): it does not depend on the replicate count, and it is
-bit-reproducible across runs and platforms.
+(seed, consumer, i, n): it does not depend on the replicate count, and its
+draws are the same across runs and platforms. What is computed from them is
+bit-reproducible for a given seed, numpy build and set of CPU features that
+numpy dispatches to: numpy picks SIMD kernels (``np.exp``, ``np.power``) at
+run time, and their last bits can differ between dispatch targets.
 
 :func:`map_replicates` shares a consumer's chunks among as many lanes as
 the process has usable cores (:func:`worker_count`), at most one lane per
 chunk. Every lane runs the same loop: the caller's thread is lane 0, and
 each other lane is a thread started for the call and joined before it
 returns. Lane ``w`` of ``L`` draws and reduces chunks ``j = w, w + L, ...``
-one at a time in a ``(R, width)`` row buffer and kernel scratch of its own,
-and keeps each chunk's results, a new array, or the exception it raised;
-once every lane is joined the first exception is raised, else the results
-are concatenated in chunk order. A kernel may build several samples from
-the same drawn rows: campaigns that share a seed and n evaluate every shape
-from one draw per chunk (common random numbers), building and reducing the
-shapes' samples one at a time in one block of the lane's own. numpy
-releases the GIL in the draws, gathers and ufunc loops that fill and reduce
-the rows, so the lanes run in parallel.
+one at a time in a ``(R, width)`` row buffer and the consumer's count of
+``(R, n)`` scratch blocks, both its own and allocated once, and keeps each
+chunk's results, a new array, or the exception it raised; once every lane
+is joined the first exception is raised, else the results are concatenated
+in chunk order. A kernel is a plain function of a chunk's rows and scratch,
+and may build several samples from the same drawn rows: campaigns that
+share a seed and n evaluate every shape from one draw per chunk (common
+random numbers), building and reducing the shapes' samples one at a time
+in one scratch block. numpy releases the GIL in the draws, gathers and
+ufunc loops that fill and reduce the rows, so the lanes run in parallel.
 Since every chunk owns its counter range, results are bit-identical for any
 core count or affinity mask, and memory is O(L R(n) n) whatever the
 replicate count.
@@ -103,37 +107,38 @@ def chunk_rows(n: int) -> int:
 
 def map_replicates(
     draw: Callable[[np.random.Generator, np.ndarray], None],
-    make_kernel: Callable[[tuple[int, int]], Callable[[np.ndarray], np.ndarray]],
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     reps: int,
     n: int,
     seed: int,
     *,
     key_prefix: tuple[int, ...],
     width: int | None = None,
+    scratch: int = 0,
 ) -> np.ndarray:
     """Row-wise kernel results for replicates 0..reps-1, in order.
 
     ``draw(g, rows)`` fills the ``(r, width)`` rows of one chunk (r is
     ``chunk_rows(n)``, or fewer for the last chunk; ``width`` defaults to
-    ``n``) from the chunk's generator ``g``, drawing them in row order. Each
-    lane calls ``make_kernel(block)`` once, with ``block = (R, n)`` where R
-    is the row count of its buffer, for a kernel of its own that maps the
-    drawn rows to one result per row; the kernel may overwrite the rows and
-    keep scratch of the block's shape between chunks.
-    Lanes run at once, so ``draw`` and the kernels may write only their own
-    lane's rows and scratch. A kernel returns a new array of its results;
+    ``n``) from the chunk's generator ``g``, drawing them in row order.
+    ``kernel(rows, work)`` then maps the drawn rows to one result per row,
+    where ``work`` is the chunk's ``(scratch, r, n)`` slice of the lane's
+    own scratch; the kernel may overwrite the rows and the scratch.
+    Lanes run at once, so ``draw`` and ``kernel`` may write only the rows
+    and scratch they are given. A kernel returns a new array of its results;
     they are gathered per chunk along the first axis. ``key_prefix`` names
     the consumer, so distinct consumers of the same seed never share a stream.
     It has no default: the empty prefix is ``substream(seed)``'s key, so
     chunk 0 would replay ``sample_sn(seed)``.
 
-    Each chunk records its results or the exception it raised (a lane whose
-    ``make_kernel`` raises fails at its first chunk), and each lane the chunk
-    at which it failed. A lane runs its chunks in order and skips those
-    above any lane's failure, and every lane stops at its next chunk on a
-    Ctrl-C. Every thread is joined before this returns or raises: the first
-    exception in chunk order is the lowest failing chunk's, whatever the
-    lane count.
+    Each lane allocates its row buffer and scratch once, before its first
+    chunk. Each chunk records its results or the exception it raised (a lane
+    whose buffers cannot be allocated fails at its first chunk), and each
+    lane the chunk at which it failed. A lane runs its chunks in order and
+    skips those above any lane's failure, and every lane stops at its next
+    chunk on a Ctrl-C. Every thread is joined before this returns or raises:
+    the first exception in chunk order is the lowest failing chunk's,
+    whatever the lane count.
     """
     _check_count("seed", seed, 0)
     key = np.random.SeedSequence(seed, spawn_key=key_prefix).generate_state(2, np.uint64)
@@ -144,17 +149,17 @@ def map_replicates(
     results: list[np.ndarray | BaseException | None] = [None] * chunks
     failed = [chunks] * lanes  # lane w's failing chunk, or -1 to stop every lane
 
-    def work(w: int) -> None:
+    def lane(w: int) -> None:
         j = w
         try:
             buf = np.empty((block[0], n if width is None else width))
-            kernel = make_kernel(block)
+            work = np.empty((scratch,) + block)
             for j in range(w, chunks, lanes):
                 if j > min(failed):
                     return
                 rows = buf[: reps - j * per_chunk]
                 draw(np.random.Generator(np.random.Philox(key=key, counter=[0, j, 0, 0])), rows)
-                results[j] = kernel(rows)
+                results[j] = kernel(rows, work[:, : len(rows)])
         except Exception as exc:  # raised once every lane has stopped
             results[j], failed[w] = exc, j
         except BaseException as exc:  # a Ctrl-C: stop every lane at its next chunk
@@ -164,10 +169,10 @@ def map_replicates(
     started = []
     try:
         for w in range(1, lanes):
-            t = threading.Thread(target=work, args=(w,))
+            t = threading.Thread(target=lane, args=(w,))
             t.start()
             started.append(t)
-        work(0)
+        lane(0)
         for t in started:
             t.join()
     except BaseException:  # an interrupt (in a join too), or a lane that could not start

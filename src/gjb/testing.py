@@ -432,32 +432,27 @@ def simulate_campaigns(
         p = [chi2_survival(gjb_statistic(a_n, b_n, *law, 2)) for law in laws]
         return np.repeat(np.array(p)[:, None], config.replications, axis=1)
 
-    def make_p_values(block: tuple[int, int]):
-        samples, scratch = np.empty((2,) + block)  # the lane's own
-
-        def p_values(z: np.ndarray) -> np.ndarray:
-            r = len(z)
-            xs, d2 = samples[:r], scratch[:r]
-            # standard normal data are the chunk's first r * n normals, which
-            # a draw of r * n alone would give; they are copied, not written
-            normal = z.reshape(-1)[: r * n].reshape(r, n)
-            j = np.empty((len(laws), r))
-            for i, (law, delta) in enumerate(zip(laws, deltas)):
-                if delta == 0.0:
-                    xs[:] = normal
-                else:
-                    sn_from_normals(z, delta, xs, d2)
-                a_n, b_n, constant = _shape_rows(xs, d2, legacy=config.legacy)
-                if constant.any():
-                    raise DegenerateSampleError("a replicate sample is constant (zero variance)")
-                j[i] = gjb_statistic(a_n, b_n, *law, n)
-            return chi2_survival(j).T
-
-        return p_values
+    def p_values(z: np.ndarray, work: np.ndarray) -> np.ndarray:
+        r = len(z)
+        xs, d2 = work  # the lane's sample block and its scratch
+        # standard normal data are the chunk's first r * n normals, which
+        # a draw of r * n alone would give; they are copied, not written
+        normal = z.reshape(-1)[: r * n].reshape(r, n)
+        j = np.empty((len(laws), r))
+        for i, (law, delta) in enumerate(zip(laws, deltas)):
+            if delta == 0.0:
+                xs[:] = normal
+            else:
+                sn_from_normals(z, delta, xs, d2)
+            a_n, b_n, constant = _shape_rows(xs, d2, legacy=config.legacy)
+            if constant.any():
+                raise DegenerateSampleError("a replicate sample is constant (zero variance)")
+            j[i] = gjb_statistic(a_n, b_n, *law, n)
+        return chi2_survival(j).T
 
     p = map_replicates(
-        lambda g, z: g.standard_normal(out=z), make_p_values, config.replications, n,
-        config.seed, key_prefix=(0,), width=2 * n if any(deltas) else n,
+        lambda g, z: g.standard_normal(out=z), p_values, config.replications, n,
+        config.seed, key_prefix=(0,), width=2 * n if any(deltas) else n, scratch=2,
     )
     return np.ascontiguousarray(p.T)
 
@@ -575,11 +570,10 @@ def _bootstrap_alphas(x: np.ndarray, resamples: int, seed: int) -> np.ndarray:
         # buffered copy of ``out`` that the default mode="raise" makes
         np.take(x, g.integers(0, n, size=rows.shape), out=rows, mode="clip")
 
-    def make_skewness(block: tuple[int, int]):
-        d2 = np.empty(block)  # the lane's skewness scratch
-        return lambda xs: _skew_rows(xs, d2[: len(xs)])[0]
+    def skewness(xs: np.ndarray, work: np.ndarray) -> np.ndarray:
+        return _skew_rows(xs, work[0])[0]
 
-    b = map_replicates(draw, make_skewness, resamples, n, seed, key_prefix=(1,))
+    b = map_replicates(draw, skewness, resamples, n, seed, key_prefix=(1,), scratch=1)
     return _alpha_from_skewness(b)
 
 

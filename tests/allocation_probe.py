@@ -12,8 +12,8 @@ def per_call_allocations(monkeypatch, module, run):
 
     The call runs on one lane: tracemalloc's peak is the process's, so
     chunks running at once on other lanes would count toward each other's.
-    The kernel factory's own scratch is allocated before the first chunk
-    and is not counted.
+    The lane's row buffer and kernel scratch are allocated before its first
+    chunk and are not counted.
     """
     extra = {"draw": [], "kernel": []}
     real = module.map_replicates
@@ -28,11 +28,8 @@ def per_call_allocations(monkeypatch, module, run):
 
         return wrapped
 
-    def spy(draw, make_kernel, *args, **kwargs):
-        def make_measured(block):
-            return measured("kernel", make_kernel(block))
-
-        return real(measured("draw", draw), make_measured, *args, **kwargs)
+    def spy(draw, kernel, *args, **kwargs):
+        return real(measured("draw", draw), measured("kernel", kernel), *args, **kwargs)
 
     monkeypatch.setattr(module, "map_replicates", spy)
     monkeypatch.setattr(gjb.rng, "worker_count", lambda: 1)

@@ -120,6 +120,17 @@ class TestInfluencePolynomials:
         assert legacy.s11 == pytest.approx(exact.s11, rel=1e-12)
         assert legacy.s22 > 1.5 * exact.s22
 
+    def test_legacy_entry_point_is_the_legacy_flag(self):
+        # legacy_influence_polynomials(raw) is influence_polynomials(raw,
+        # legacy=True) bit for bit, for one law and for (9, m) stacked laws
+        one = sn_raw_moments(SkewNormalShape(6.0))
+        stacked = np.stack([sn_raw_moments(SkewNormalShape(a)) for a in (-3.0, 0.0, 1.5)], axis=1)
+        for raw in (one, stacked):
+            got = gjb.asymptotics.legacy_influence_polynomials(raw)
+            want = influence_polynomials(raw, legacy=True)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        assert got[0].shape == (5, 3)
+
 
 class TestSigmaAnalytic:
     def test_gaussian_values_exact(self):

@@ -248,9 +248,9 @@ class TestTablesCommand:
         sizes = []
         real = gjb.testing.map_replicates
 
-        def recorded(draw, make_kernel, reps, n, *args, **kwargs):
+        def recorded(draw, kernel, reps, n, *args, **kwargs):
             sizes.append(n)
-            return real(draw, make_kernel, reps, n, *args, **kwargs)
+            return real(draw, kernel, reps, n, *args, **kwargs)
 
         monkeypatch.setattr(gjb.testing, "map_replicates", recorded)
         assert run(["tables", "--which", "1"]) == 0

@@ -25,9 +25,9 @@ def _normals(g, rows):
     g.standard_normal(out=rows)
 
 
-def _identity(block):
+def _identity(xs, work):
     # a copy: a kernel returns a new array, and xs is its lane's row buffer
-    return lambda xs: xs.copy()
+    return xs.copy()
 
 
 def _on_lanes(monkeypatch, lanes):
@@ -101,26 +101,25 @@ def test_chunk_rows():
 
 
 def test_map_replicates_block_size_irrelevant():
-    # n = 2^14: four rows per chunk, and the kernel sees one chunk per call.
-    # 10 replicates end on a short chunk of 2 rows, 12 on a full one and 5 on
-    # one row; every replicate is the same whichever block it falls in. Lanes
-    # may run the chunks in any order, so the block sizes are compared sorted.
+    # n = 2^14: four rows per chunk, and the kernel sees one chunk per call,
+    # with that many rows of each of its two scratch blocks. 10 replicates end
+    # on a short chunk of 2 rows, 12 on a full one and 5 on one row; every
+    # replicate is the same whichever block it falls in. Lanes may run the
+    # chunks in any order, so the block sizes are compared sorted.
     blocks = []
 
-    def row_sums(block):
-        def kernel(xs):
-            blocks.append(len(xs))
-            return xs.sum(axis=1)
-
-        return kernel
+    def row_sums(xs, work):
+        assert work.shape == (2,) + xs.shape
+        blocks.append(len(xs))
+        return xs.sum(axis=1)
 
     n = 2**14
     assert chunk_rows(n) == 4
-    full = map_replicates(_normals, row_sums, 12, n, seed=3, key_prefix=(0,))
+    full = map_replicates(_normals, row_sums, 12, n, seed=3, key_prefix=(0,), scratch=2)
     assert blocks == [4, 4, 4]
     for reps, sizes in ((10, [4, 4, 2]), (5, [4, 1]), (1, [1])):
         blocks.clear()
-        out = map_replicates(_normals, row_sums, reps, n, seed=3, key_prefix=(0,))
+        out = map_replicates(_normals, row_sums, reps, n, seed=3, key_prefix=(0,), scratch=2)
         assert sorted(blocks, reverse=True) == sizes
         assert np.array_equal(out, full[:reps])
     assert full[9] == reference_replicate(3, (0,), 9, n).sum()
@@ -141,8 +140,9 @@ def test_worker_count_is_the_lane_budget(monkeypatch):
     except AttributeError:
         usable = os.cpu_count()
     assert worker_count() == usable >= 1
-    # map_replicates runs on worker_count() lanes, each with a kernel of its
-    # own: the caller's thread and worker_count() - 1 threads it starts
+    # map_replicates runs on worker_count() lanes, each with scratch of its
+    # own, allocated once: the caller's thread and worker_count() - 1 threads
+    # it starts. Eight chunks on five lanes: lanes 0-2 run two chunks each.
     started = []
 
     class Thread(threading.Thread):
@@ -150,17 +150,21 @@ def test_worker_count_is_the_lane_budget(monkeypatch):
             started.append(self)
             super().start()
 
-    kernels = []
+    calls = []
 
-    def make_kernel(block):
-        kernels.append(block)
-        return lambda xs: xs[:, 0]
+    def first_column(xs, work):
+        calls.append((threading.current_thread(), work.base))
+        return xs[:, 0]
 
     monkeypatch.setattr(gjb.rng.threading, "Thread", Thread)
     _on_lanes(monkeypatch, 5)
-    map_replicates(_normals, make_kernel, 8, 2**16, seed=0, key_prefix=(0,))
+    map_replicates(_normals, first_column, 8, 2**16, seed=0, key_prefix=(0,), scratch=1)
     assert len(started) == 4
-    assert len(kernels) == 5
+    scratch = {}  # each lane's scratch, the same array for each of its chunks
+    for thread, base in calls:
+        assert scratch.setdefault(thread, base) is base
+    assert len(scratch) == 5
+    assert len({id(base) for base in scratch.values()}) == 5
 
 
 def test_worker_count_without_affinity_call(monkeypatch):
@@ -204,17 +208,14 @@ def test_lowest_failing_chunk_raises(lanes, monkeypatch):
     _on_lanes(monkeypatch, lanes)
     seen = []
 
-    def failing(block):
-        def kernel(xs):
-            j = int(xs[0, 0])
-            seen.append(j)
-            if j < 4 and j % lanes == 4 % lanes:
-                time.sleep(0.05)
-            if j in (4, 5):
-                raise _ChunkFailure(j)
-            return xs[:, 0]
-
-        return kernel
+    def failing(xs, work):
+        j = int(xs[0, 0])
+        seen.append(j)
+        if j < 4 and j % lanes == 4 % lanes:
+            time.sleep(0.05)
+        if j in (4, 5):
+            raise _ChunkFailure(j)
+        return xs[:, 0]
 
     before = threading.active_count()
     with pytest.raises(_ChunkFailure) as info:
@@ -235,18 +236,15 @@ def test_no_lane_starts_a_chunk_above_a_recorded_failure(lanes, monkeypatch):
     chunk_one_failed = threading.Event()
     seen = []
 
-    def failing(block):
-        def kernel(xs):
-            j = int(xs[0, 0])
-            seen.append(j)
-            if j == 1:
-                chunk_one_failed.set()
-                raise _ChunkFailure(j)
-            chunk_one_failed.wait(5.0)
-            time.sleep(0.05)
-            return xs[:, 0]
-
-        return kernel
+    def failing(xs, work):
+        j = int(xs[0, 0])
+        seen.append(j)
+        if j == 1:
+            chunk_one_failed.set()
+            raise _ChunkFailure(j)
+        chunk_one_failed.wait(5.0)
+        time.sleep(0.05)
+        return xs[:, 0]
 
     with pytest.raises(_ChunkFailure) as info:
         map_replicates(_chunk_index, failing, 12, 2**16, seed=0, key_prefix=(0,))
@@ -263,18 +261,15 @@ def test_chunk_zero_fails_while_other_lanes_run(lanes, monkeypatch):
     other_lane_ran = threading.Event()
     seen = []
 
-    def failing(block):
-        def kernel(xs):
-            j = int(xs[0, 0])
-            seen.append(j)
-            if j == 0:
-                other_lane_ran.wait(5.0)
-                raise _ChunkFailure(j)
-            other_lane_ran.set()
-            time.sleep(0.01)
-            return xs[:, 0]
-
-        return kernel
+    def failing(xs, work):
+        j = int(xs[0, 0])
+        seen.append(j)
+        if j == 0:
+            other_lane_ran.wait(5.0)
+            raise _ChunkFailure(j)
+        other_lane_ran.set()
+        time.sleep(0.01)
+        return xs[:, 0]
 
     if lanes == 1:
         other_lane_ran.set()
@@ -286,9 +281,12 @@ def test_chunk_zero_fails_while_other_lanes_run(lanes, monkeypatch):
     assert (len(seen) > 1) == (lanes > 1)
 
 
-def test_make_kernel_failure_on_one_lane(monkeypatch):
-    # lane 1, the first thread started, cannot build its kernel: its error is
-    # raised, though lane 0 runs chunk 0, and every thread is joined first
+@pytest.mark.parametrize("failing_allocation", [0, 1], ids=["buffer", "scratch"])
+def test_lane_setup_failure_on_one_lane(failing_allocation, monkeypatch):
+    # lane 1, the first thread started, cannot allocate its row buffer (the
+    # lane's first allocation) or its scratch (the second): its error is
+    # raised at chunk 1, though lane 0 runs chunk 0, and every thread is
+    # joined first
     _on_lanes(monkeypatch, 3)
     started = []
 
@@ -297,23 +295,34 @@ def test_make_kernel_failure_on_one_lane(monkeypatch):
             started.append(self)
             super().start()
 
+    allocations = []
+
+    class Numpy:
+        """numpy, but lane 1's chosen allocation fails."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape):
+            if threading.current_thread() in started[:1]:
+                allocations.append(shape)
+                if len(allocations) > failing_allocation:
+                    raise _ChunkFailure("lane 1")
+            return np.empty(shape)
+
     ran = []
 
-    def make_kernel(block):
-        if threading.current_thread() in started[:1]:
-            raise _ChunkFailure("lane 1")
-
-        def kernel(xs):
-            ran.append(int(xs[0, 0]))
-            return xs[:, 0]
-
-        return kernel
+    def kernel(xs, work):
+        ran.append(int(xs[0, 0]))
+        return xs[:, 0]
 
     monkeypatch.setattr(gjb.rng.threading, "Thread", Thread)
+    monkeypatch.setattr(gjb.rng, "np", Numpy())
     before = threading.active_count()
     with pytest.raises(_ChunkFailure) as info:
-        map_replicates(_chunk_index, make_kernel, 6, 2**16, seed=0, key_prefix=(0,))
+        map_replicates(_chunk_index, kernel, 6, 2**16, seed=0, key_prefix=(0,), scratch=1)
     assert info.value.args == ("lane 1",)
+    assert allocations == [(1, 2**16), (1, 1, 2**16)][: failing_allocation + 1]
     assert len(started) == 2
     assert not any(t.is_alive() for t in started)
     assert threading.active_count() == before
@@ -329,13 +338,13 @@ def test_constant_replicate_error_on_any_lane_count(lanes, monkeypatch):
 
     real = gjb.testing.map_replicates
 
-    def spy(draw, make_kernel, reps, n, seed, **kwargs):
+    def spy(draw, kernel, reps, n, seed, **kwargs):
         def constant_in_chunk_two(g, z):
             draw(g, z)
             if g.bit_generator.state["state"]["counter"][1] == 2:
                 z[-1] = 1.0  # Z1 and Z2 constant, so the SN sample is too
 
-        return real(constant_in_chunk_two, make_kernel, reps, n, seed, **kwargs)
+        return real(constant_in_chunk_two, kernel, reps, n, seed, **kwargs)
 
     monkeypatch.setattr(gjb.testing, "map_replicates", spy)
     config = CampaignConfig(sample_size=2**14, replications=20, seed=0)
@@ -351,12 +360,9 @@ def test_threads_start_and_are_joined(monkeypatch):
     before = threading.active_count()
     during = []
 
-    def counting(block):
-        def kernel(xs):
-            during.append(threading.active_count())
-            return xs[:, 0]
-
-        return kernel
+    def counting(xs, work):
+        during.append(threading.active_count())
+        return xs[:, 0]
 
     map_replicates(_normals, counting, 3, 2**14, seed=0, key_prefix=(0,))
     assert during == [before]
@@ -376,17 +382,14 @@ def test_interrupt_on_lane_zero_stops_every_lane(monkeypatch):
     caller = threading.current_thread()
     seen = []
 
-    def interrupted(block):
-        def kernel(xs):
-            j = int(xs[0, 0])
-            seen.append(j)
-            if threading.current_thread() is not caller:
-                time.sleep(0.01)
-            elif j == 20:
-                raise KeyboardInterrupt
-            return xs[:, 0]
-
-        return kernel
+    def interrupted(xs, work):
+        j = int(xs[0, 0])
+        seen.append(j)
+        if threading.current_thread() is not caller:
+            time.sleep(0.01)
+        elif j == 20:
+            raise KeyboardInterrupt
+        return xs[:, 0]
 
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
@@ -415,15 +418,12 @@ def test_interrupt_in_a_join_stops_every_lane(monkeypatch):
             release.set()
             super().join(timeout)
 
-    def held_up(block):
-        def kernel(xs):
-            seen.append(int(xs[0, 0]))
-            if threading.current_thread() is not caller and not lane_one_busy.is_set():
-                lane_one_busy.set()
-                release.wait(5.0)
-            return xs[:, 0].copy()
-
-        return kernel
+    def held_up(xs, work):
+        seen.append(int(xs[0, 0]))
+        if threading.current_thread() is not caller and not lane_one_busy.is_set():
+            lane_one_busy.set()
+            release.wait(5.0)
+        return xs[:, 0].copy()
 
     monkeypatch.setattr(gjb.rng.threading, "Thread", Thread)
     before = threading.active_count()
@@ -440,17 +440,14 @@ def test_more_lanes_than_cores_under_fast_thread_switching(monkeypatch):
     # eight lanes, switching threads every microsecond: every chunk's
     # results still land at its own offset, and of several failing chunks
     # the lowest one's error is raised
-    def row_sums(block):
-        return lambda xs: xs.sum(axis=1)
+    def row_sums(xs, work):
+        return xs.sum(axis=1)
 
-    def failing(block):
-        def kernel(xs):
-            j = int(xs[0, 0])
-            if j in (9, 17, 40, 63):
-                raise _ChunkFailure(j)
-            return xs[:, 0]
-
-        return kernel
+    def failing(xs, work):
+        j = int(xs[0, 0])
+        if j in (9, 17, 40, 63):
+            raise _ChunkFailure(j)
+        return xs[:, 0]
 
     n = 2**12  # 16 rows per chunk, 64 chunks
     _on_lanes(monkeypatch, 1)
