@@ -186,9 +186,9 @@ def sigma_monte_carlo(
     def covariances(z: np.ndarray, work: np.ndarray) -> np.ndarray:
         # the drawn normals are used up once the SN rows are built, so C and B
         # overwrite them; the products then overwrite the SN rows
-        xs = work[0]
-        sn_from_normals(z, d, xs, z[:, per_rep_n:])
-        c, b = _horner(xs, cc, z[:, :per_rep_n]), _horner(xs, bb, z[:, per_rep_n:])
+        xs, z1, z2 = work[0], z[:, :per_rep_n], z[:, per_rep_n:]
+        sn_from_normals(z1, z2, d, xs, z2)
+        c, b = _horner(xs, cc, z1), _horner(xs, bb, z2)
         c -= c.mean(axis=1, keepdims=True)
         b -= b.mean(axis=1, keepdims=True)
         sums = [np.multiply(u, w, out=xs).sum(axis=1) for u, w in ((c, c), (b, b), (c, b))]
@@ -209,5 +209,6 @@ def chi2_survival(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
-    out = np.exp(-0.5 * arr)
+    out = np.multiply(arr, -0.5, out=np.empty_like(arr))
+    np.exp(out, out=out)  # in place: a campaign chunk's p-values take one array
     return float(out) if arr.ndim == 0 else out

@@ -96,23 +96,21 @@ def sample_sn(shape: SkewNormalShape, n: int, seed: int) -> np.ndarray:
     _check_count("n", n, 1, width=2)  # Z1 and Z2
     z = substream(seed).standard_normal(2 * n)
     out = np.empty(n)
-    sn_from_normals(z, shape.delta, out, z[n:])  # Z2 is not needed after
+    sn_from_normals(z[:n], z[n:], shape.delta, out, z[n:])  # Z2 is not needed after
     return out
 
 
 def sn_from_normals(
-    z: np.ndarray, delta: float, out: np.ndarray, scratch: np.ndarray
+    z1: np.ndarray, z2: np.ndarray, delta: float, out: np.ndarray, scratch: np.ndarray
 ) -> None:
-    """Overwrite ``out`` with ``delta |Z1| + sqrt(1-delta^2) Z2``, row by row,
-    from standard normals ``z`` already drawn.
+    """Overwrite ``out`` with ``delta |Z1| + sqrt(1-delta^2) Z2``, entry by
+    entry, from standard normals ``z1`` and ``z2`` already drawn.
 
-    For ``out`` of shape ``(..., n)``, ``z`` has shape ``(..., 2n)``: each
-    row's Z1 is its first n values and Z2 the next n. ``scratch``, of
-    ``out``'s shape, is overwritten; ``z`` is left as drawn unless
-    ``scratch`` is its Z2 half, so one draw can serve several shapes.
+    ``z1``, ``z2``, ``out`` and ``scratch`` share one shape, in any memory
+    layout. ``scratch`` is overwritten; ``z1`` and ``z2`` are left as drawn
+    unless ``scratch`` is ``z2``, so one draw can serve several shapes.
     """
-    n = out.shape[-1]
-    np.multiply(z[..., n:], math.sqrt(1.0 - delta * delta), out=scratch)
-    np.abs(z[..., :n], out=out)
+    np.multiply(z2, math.sqrt(1.0 - delta * delta), out=scratch)
+    np.abs(z1, out=out)
     out *= delta
     out += scratch

@@ -39,9 +39,11 @@ is joined the first exception is raised, else the results are concatenated
 in chunk order. A kernel is a plain function of a chunk's rows and scratch,
 and may build several samples from the same drawn rows: campaigns that
 share a seed and n evaluate every shape from one draw per chunk (common
-random numbers), building and reducing the shapes' samples one at a time
-in one scratch block. numpy releases the GIL in the draws, gathers and
-ufunc loops that fill and reduce the rows, so the lanes run in parallel.
+random numbers). They copy the chunk's Z1 and Z2 once into their two
+scratch blocks, column-major for rows shorter than 16 values, then build
+and reduce the shapes' samples one at a time in the used-up row buffer.
+numpy releases the GIL in the draws, gathers and ufunc loops that fill
+and reduce the rows, so the lanes run in parallel.
 Since every chunk owns its counter range, results are bit-identical for any
 core count or affinity mask, and memory is O(L R(n) n) whatever the
 replicate count.

@@ -36,7 +36,9 @@ at n = 2, where every sample has one (a_n, b_n);
 ``simulate_alternative(config, alpha, data_alpha)`` and
 ``simulate_true_model(config, alpha)`` are its one-shape calls. Rows
 shorter than 16 values are summed left to right, a column at a time
-(:func:`_row_sums`); longer rows use numpy's own row reduction.
+(:func:`_row_sums`): a campaign stores them column-major, so that each
+sum is one numpy call, and a chunk's normals are copied into that layout
+once for every shape. Longer rows use numpy's own row reduction.
 """
 
 from __future__ import annotations
@@ -181,20 +183,32 @@ _COLUMN_SUM_BELOW = 16
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """Sum of each row of a 2-d float array.
 
-    numpy's ``sum(axis=1)`` costs about 25 ns a row however short, so rows
-    shorter than ``_COLUMN_SUM_BELOW`` values are summed left to right, a
-    column at a time, from ``x0 + 0.0`` (so a row of -0.0 sums to +0.0, as
-    in numpy). Its error is at most (n-1) eps/2 times the sum of |x_i|
-    (Higham 1993), so below 7 eps times it here. Longer rows keep
-    ``sum(axis=1)``.
+    Rows shorter than ``_COLUMN_SUM_BELOW`` values are summed left to
+    right from 0.0 (so a row of -0.0 sums to +0.0, as in numpy), with an
+    error of at most (n-1) eps/2 times the sum of |x_i| (Higham 1993), so
+    below 7 eps times it here. numpy's ``sum(axis=1)`` adds them just so,
+    in one call, on a block of two or more rows stored column-major (see
+    :func:`_sample_block`). It sums a single row pairwise, and costs about
+    25 ns a row however short on a row-major block, so those are summed a
+    column at a time. Longer rows keep ``sum(axis=1)``.
     """
     n = x.shape[1]
-    if n >= _COLUMN_SUM_BELOW:
+    if n >= _COLUMN_SUM_BELOW or (len(x) > 1 and x.strides[0] < x.strides[1]):
         return x.sum(axis=1)
     s = x[:, 0] + 0.0
     for j in range(1, n):
         s += x[:, j]
     return s
+
+
+def _sample_block(values: np.ndarray, r: int, n: int) -> np.ndarray:
+    """An ``(r, n)`` view of ``r * n`` contiguous ``values``: column-major
+    for rows shorter than ``_COLUMN_SUM_BELOW``, which :func:`_row_sums`
+    then adds in one numpy call, else row-major. A view that would need a
+    copy raises instead."""
+    if n < _COLUMN_SUM_BELOW:
+        return values.reshape((n, r), copy=False).T
+    return values.reshape((r, n), copy=False)
 
 
 def _skew_rows(xs: np.ndarray, d2: np.ndarray, *, legacy: bool = False):
@@ -204,9 +218,10 @@ def _skew_rows(xs: np.ndarray, d2: np.ndarray, *, legacy: bool = False):
 
     The block is overwritten: it holds the deviations from the row means
     while they are needed, then their cubes. ``d2`` is caller-owned scratch
-    of the block's shape, so the kernel allocates nothing of that size; it
-    is left holding the squared deviations. Every row mean and moment is a
-    :func:`_row_sums` over n.
+    of the block's shape and layout, so the kernel allocates nothing of
+    that size; it is left holding the squared deviations. Every row mean
+    and moment is a :func:`_row_sums` over n, so a column-major block of
+    short rows takes one numpy call for each.
     """
     n = xs.shape[1]
     mean = _row_sums(xs) / n
@@ -406,11 +421,14 @@ def simulate_campaigns(
     or from N(0,1) for ``None``, and holds ``simulate_alternative(config,
     alphas[i], data_alphas[i])`` bit for bit. The rows share the replicate
     stream of ``config`` (common random numbers): each stream chunk of r rows
-    is drawn once, and the shapes build their samples from those normals
-    one at a time, each in the same sample block of the lane's own, where it
-    is reduced. That block and its scratch hold at most R(n) n values each,
-    whatever the shape count. The null laws of all the shapes come from one
-    pass of :func:`_null_laws`.
+    is drawn once, its Z1 and Z2 are copied once into the lane's two scratch
+    blocks in the layout of :func:`_sample_block`, and the shapes build their
+    samples from those one at a time, each in the same sample block, where
+    it is reduced; the used-up row buffer holds that block and its scratch.
+    Standard normal data are read from the row buffer, which each shape
+    copies into a scratch block. A lane holds at most R(n) n values per
+    block, whatever the shape count. The null laws of all the shapes come
+    from one pass of :func:`_null_laws`.
 
     At ``sample_size=2`` nothing is drawn: any two distinct values are
     their mean -+ d, so every replicate has the (a_n, b_n) of [0, 1], and
@@ -427,6 +445,7 @@ def simulate_campaigns(
     laws = _null_laws(alphas, config.sigma_route, config.seed, legacy=config.legacy)
     deltas = [0.0 if a is None else SkewNormalShape(a).delta for a in data_alphas]
     n = config.sample_size
+    width = 2 * n if any(deltas) else n  # an SN sample is built from n pairs (Z1, Z2)
     if n == 2:
         a_n, b_n = empirical_shape([0.0, 1.0], legacy=config.legacy)
         p = [chi2_survival(gjb_statistic(a_n, b_n, *law, 2)) for law in laws]
@@ -434,25 +453,33 @@ def simulate_campaigns(
 
     def p_values(z: np.ndarray, work: np.ndarray) -> np.ndarray:
         r = len(z)
-        xs, d2 = work  # the lane's sample block and its scratch
-        # standard normal data are the chunk's first r * n normals, which
-        # a draw of r * n alone would give; they are copied, not written
-        normal = z.reshape(-1)[: r * n].reshape(r, n)
+        if width == n:  # normal data only, which each shape copies anew
+            xs, d2 = (_sample_block(w, r, n) for w in work)
+        else:
+            # Z1 and Z2 are copied once into the lane's scratch blocks, in
+            # the samples' layout; the used-up row buffer then holds the
+            # sample block and its scratch
+            z1, z2 = (_sample_block(w, r, n) for w in work)
+            z1[:], z2[:] = z[:, :n], z[:, n:]
+            xs, d2 = (_sample_block(h, r, n) for h in z.reshape((2, r * n), copy=False))
         j = np.empty((len(laws), r))
         for i, (law, delta) in enumerate(zip(laws, deltas)):
-            if delta == 0.0:
-                xs[:] = normal
-            else:
-                sn_from_normals(z, delta, xs, d2)
+            if width == n:
+                xs[:] = z
+            elif delta != 0.0:
+                sn_from_normals(z1, z2, delta, xs, d2)
+            else:  # the chunk's first r n normals: rows of Z1 and Z2 in turn
+                xs[0::2], xs[1::2] = z1[: (r + 1) // 2], z2[: r // 2]
             a_n, b_n, constant = _shape_rows(xs, d2, legacy=config.legacy)
             if constant.any():
                 raise DegenerateSampleError("a replicate sample is constant (zero variance)")
             j[i] = gjb_statistic(a_n, b_n, *law, n)
+            del a_n, b_n, constant  # freed before the next shape's temporaries
         return chi2_survival(j).T
 
     p = map_replicates(
         lambda g, z: g.standard_normal(out=z), p_values, config.replications, n,
-        config.seed, key_prefix=(0,), width=2 * n if any(deltas) else n, scratch=2,
+        config.seed, key_prefix=(0,), width=width, scratch=2,
     )
     return np.ascontiguousarray(p.T)
 

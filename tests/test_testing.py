@@ -271,17 +271,33 @@ def left_to_right_sums(x):
 class TestRowSums:
     """``_row_sums`` adds a row shorter than ``_COLUMN_SUM_BELOW`` values left
     to right from 0.0, bit for bit, and hands longer rows to numpy's own row
-    reduction; checked for every loop length and the first numpy one."""
+    reduction; checked for every loop length and the first numpy one, on
+    each layout a block can come in."""
 
     LENGTHS = range(1, gjb.testing._COLUMN_SUM_BELOW + 1)
 
+    @staticmethod
+    def layouts(x):
+        """``x`` row-major; column-major; as the first rows of a taller
+        column-major block, whose column stride exceeds their count (a last
+        chunk); and each row alone, as a one-row column-major block and as
+        a one-row slice of the taller one."""
+        rows, n = x.shape
+        tall = np.zeros((rows + 3, n), order="F")
+        tall[:rows] = x
+        yield from (x, np.asfortranarray(x), tall[:rows])
+        for i in range(rows):
+            yield x[i].copy().reshape((n, 1), copy=False).T
+            yield tall[i : i + 1]
+
     def check(self, x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = gjb.testing._row_sums(x)
-            if x.shape[1] < gjb.testing._COLUMN_SUM_BELOW:
-                assert same_bits(sums, left_to_right_sums(x))
-            else:
-                assert same_bits(sums, np.add.reduce(x, axis=1))
+        for block in self.layouts(x):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = gjb.testing._row_sums(block)
+                if x.shape[1] < gjb.testing._COLUMN_SUM_BELOW:
+                    assert same_bits(sums, left_to_right_sums(block))
+                else:
+                    assert same_bits(sums, np.add.reduce(block, axis=1))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.sampled_from(LENGTHS), rows=st.integers(1, 5))
@@ -607,7 +623,7 @@ class TestCampaigns:
 
     def test_constant_replicate_rejected(self, monkeypatch):
         monkeypatch.setattr(
-            gjb.testing, "sn_from_normals", lambda z, d, out, scratch: out.fill(1.0)
+            gjb.testing, "sn_from_normals", lambda z1, z2, d, out, scratch: out.fill(1.0)
         )
         config = CampaignConfig(sample_size=10, replications=5, seed=0)
         with pytest.raises(DegenerateSampleError):
@@ -717,8 +733,8 @@ class TestSimulateCampaigns:
         real = gjb.testing.sn_from_normals
         target = SkewNormalShape(self.DATA_ALPHAS[index]).delta
 
-        def constant_for_target(z, d, out, scratch):
-            real(z, d, out, scratch)
+        def constant_for_target(z1, z2, d, out, scratch):
+            real(z1, z2, d, out, scratch)
             if d == target:
                 out[-1] = 1.0
 
@@ -756,7 +772,10 @@ class TestSimulateCampaigns:
         # one lane, one chunk of 1000 rows of 10: the shapes take turns in the
         # lane's one sample block and its scratch, so K shapes peak above one
         # shape by less than 3 K reps doubles (the shapes' statistics, their
-        # p-values and one temporary of that size), not by K more blocks
+        # p-values and one temporary of that size), not by K more blocks; and
+        # as the normals are copied once into the lane's two scratch blocks
+        # and the row buffer then holds the sample block and its scratch, the
+        # call peaks below those three arrays plus 3 K reps doubles
         monkeypatch.setattr(gjb.rng, "worker_count", lambda: 1)
         n, reps, alphas = 10, 1000, (0.1, 1.0, 1.5, 3.0, 6.0, 10.0)
         config = CampaignConfig(sample_size=n, replications=reps, seed=0)
@@ -770,8 +789,9 @@ class TestSimulateCampaigns:
             finally:
                 tracemalloc.stop()
 
-        k = len(alphas)
+        k, rows = len(alphas), min(gjb.rng.chunk_rows(n), reps)
         assert peak(k) - peak(1) < 3 * k * reps * 8
+        assert peak(k) < (rows * 2 * n + 2 * rows * n + 3 * k * reps) * 8
 
 
 class TestNullLaws:
