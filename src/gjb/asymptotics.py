@@ -209,6 +209,9 @@ def chi2_survival(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
+    # exp runs in place, so a campaign chunk's p-values take one array; the
+    # product is written to an array because -0.5 * arr of a 0-d arr is a
+    # numpy scalar, which exp cannot write into
     out = np.multiply(arr, -0.5, out=np.empty_like(arr))
-    np.exp(out, out=out)  # in place: a campaign chunk's p-values take one array
+    np.exp(out, out=out)
     return float(out) if arr.ndim == 0 else out

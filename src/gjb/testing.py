@@ -202,13 +202,12 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _sample_block(values: np.ndarray, r: int, n: int) -> np.ndarray:
-    """An ``(r, n)`` view of ``r * n`` contiguous ``values``: column-major
+    """An ``(r, n)`` view of ``r * n`` C-contiguous ``values``: column-major
     for rows shorter than ``_COLUMN_SUM_BELOW``, which :func:`_row_sums`
-    then adds in one numpy call, else row-major. A view that would need a
-    copy raises instead."""
+    then adds in one numpy call, else row-major."""
     if n < _COLUMN_SUM_BELOW:
-        return values.reshape((n, r), copy=False).T
-    return values.reshape((r, n), copy=False)
+        return values.reshape(n, r).T
+    return values.reshape(r, n)
 
 
 def _skew_rows(xs: np.ndarray, d2: np.ndarray, *, legacy: bool = False):
@@ -461,7 +460,7 @@ def simulate_campaigns(
             # sample block and its scratch
             z1, z2 = (_sample_block(w, r, n) for w in work)
             z1[:], z2[:] = z[:, :n], z[:, n:]
-            xs, d2 = (_sample_block(h, r, n) for h in z.reshape((2, r * n), copy=False))
+            xs, d2 = (_sample_block(h, r, n) for h in z.reshape(2, r * n))
         j = np.empty((len(laws), r))
         for i, (law, delta) in enumerate(zip(laws, deltas)):
             if width == n:

@@ -268,6 +268,19 @@ def left_to_right_sums(x):
     return np.array(sums)
 
 
+@pytest.mark.parametrize("n", [3, 15, 16, 17])
+def test_sample_block_is_a_view_of_a_chunk_prefix(n):
+    """A last chunk's ``(r, n)`` block views the first r n values of its
+    lane buffer, column-major below 16 values a row and row-major above."""
+    buf = np.arange(7.0 * n).reshape(7, n)
+    block = gjb.testing._sample_block(buf[:4], 4, n)
+    assert block.shape == (4, n) and np.shares_memory(block, buf)
+    column_major = n < gjb.testing._COLUMN_SUM_BELOW
+    assert block.flags.f_contiguous if column_major else block.flags.c_contiguous
+    flat = buf.reshape(-1)[: 4 * n]
+    assert np.array_equal(block, flat.reshape(n, 4).T if column_major else flat.reshape(4, n))
+
+
 class TestRowSums:
     """``_row_sums`` adds a row shorter than ``_COLUMN_SUM_BELOW`` values left
     to right from 0.0, bit for bit, and hands longer rows to numpy's own row
@@ -287,7 +300,7 @@ class TestRowSums:
         tall[:rows] = x
         yield from (x, np.asfortranarray(x), tall[:rows])
         for i in range(rows):
-            yield x[i].copy().reshape((n, 1), copy=False).T
+            yield x[i].copy().reshape(n, 1).T
             yield tall[i : i + 1]
 
     def check(self, x):
